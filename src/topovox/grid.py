@@ -162,6 +162,58 @@ def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGri
     return BinaryGrid(block)
 
 
+def _pair_slices(off: Coord, shape: tuple[int, ...]):
+    """Slices selecting every in-range pair ``(x, x + off)``: ``x``, then ``x + off``."""
+    src = tuple(slice(max(0, -o), max(0, s - max(0, o))) for o, s in zip(off, shape))
+    dst = tuple(slice(max(0, o), max(0, s + min(0, o))) for o, s in zip(off, shape))
+    return src, dst
+
+
+def component_roots(mask: np.ndarray, links) -> np.ndarray:
+    """Union-find over the true cells of ``mask``, numbered in raster order.
+
+    ``links`` yields ``(off, joined)`` pairs, where ``joined`` is shaped like
+    the overlap ``mask[_pair_slices(off, mask.shape)[0]]`` and marks which
+    pairs ``(x, x + off)`` of true cells are linked.  Returns, per true cell,
+    the smallest number in its component, so the roots are the cells whose
+    value equals their own number.
+
+    Vectorized: every round hooks each root onto the smallest root it shares
+    a link with (``np.minimum.at``), then pointer jumping points every cell
+    at its root.  Hooking only ever lowers a parent, so no cycle can form,
+    and each round removes every root that has a smaller linked root.
+    """
+    n = int(np.count_nonzero(mask))
+    ids = np.zeros(mask.shape, dtype=np.int32)
+    ids[mask] = np.arange(n, dtype=np.int32)
+    us, vs = [], []
+    for off, joined in links:
+        src, dst = _pair_slices(off, mask.shape)
+        us.append(ids[src][joined])
+        vs.append(ids[dst][joined])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    del ids, us, vs  # the rounds need only the link ends
+    parent = np.arange(n, dtype=np.int32)
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        low = np.minimum(pu, pv)
+        np.minimum.at(parent, pu, low)
+        np.minimum.at(parent, pv, low)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        open_ = parent[u] != parent[v]
+        u, v = u[open_], v[open_]
+    return parent
+
+
+def count_roots(roots: np.ndarray) -> int:
+    """Number of components in a :func:`component_roots` result."""
+    return int(np.count_nonzero(roots == np.arange(roots.size)))
+
+
 def connected_components(
     g: BinaryGrid, adj: Adjacency = "full"
 ) -> tuple[int, np.ndarray]:
@@ -171,49 +223,14 @@ def connected_components(
     component id in first-encounter (raster) order; background voxels get -1.
     """
     a = g.data
-    flat_fg = np.flatnonzero(a.ravel())
-    n_fg = flat_fg.size
-    labels = np.full(a.size, -1, dtype=np.int64)
-    if n_fg == 0:
-        return 0, labels.reshape(a.shape)
-
-    # union-find over compacted foreground indices
-    comp_id = np.full(a.size, -1, dtype=np.int64)
-    comp_id[flat_fg] = np.arange(n_fg)
-    parent = np.arange(n_fg, dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # forward half of the offsets is enough: each pair is seen once
-    half = [off for off in neighbor_offsets(g.ndim, adj) if off > (0,) * g.ndim]
-    strides = np.array(a.strides) // a.itemsize
-    for off in half:
-        src_sl = []
-        for o, s in zip(off, a.shape):
-            src_sl.append(slice(max(0, -o), s - max(0, o)))
-        src_sl = tuple(src_sl)
-        dst_off = int(np.dot(off, strides))
-        pair_mask = a[src_sl] & _shifted(a, tuple(-o for o in off))[src_sl]
-        base = np.flatnonzero(pair_mask.ravel())
-        if base.size == 0:
-            continue
-        # recover flat indices of the source voxels inside the clipped view
-        view_index = np.arange(a.size).reshape(a.shape)[src_sl].ravel()
-        us = comp_id[view_index[base]]
-        vs = comp_id[view_index[base] + dst_off]
-        for u, v in zip(us, vs):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-
-    roots = np.array([find(i) for i in range(n_fg)])
-    order: dict[int, int] = {}
-    for r in roots:
-        if r not in order:
-            order[r] = len(order)
-    labels[flat_fg] = np.array([order[r] for r in roots])
-    return len(order), labels.reshape(a.shape)
+    links = []
+    for off in neighbor_offsets(g.ndim, adj):
+        if off > (0,) * g.ndim:  # forward half: each pair is seen once
+            src, dst = _pair_slices(off, a.shape)
+            links.append((off, a[src] & a[dst]))
+    # a component's root is its smallest raster number, the voxel met first
+    roots = component_roots(a, links)
+    is_root = roots == np.arange(roots.size)
+    labels = np.full(a.shape, -1, dtype=np.int64)
+    labels[a] = (np.cumsum(is_root) - 1)[roots]
+    return int(np.count_nonzero(is_root)), labels

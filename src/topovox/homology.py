@@ -8,13 +8,22 @@ spans and the cell dimension is the number of odd coordinates.  Faces and
 cofaces are unit steps on this lattice, which keeps construction, collapse,
 and boundary extraction vectorizable.
 
-Betti numbers come from boundary-matrix ranks over GF(2):
-``beta_k = c_k - rank(d_k) - rank(d_k+1)``.  Large complexes are first
-simplified by elementary free-pair collapses (each collapse pair adds exactly
-one to the rank of the boundary matrix in its coface's dimension, so the
-original ranks are recovered exactly); the remaining core is reduced by
-sparse column elimination with clearing.  Small complexes are eliminated
-directly with integer bitmask columns.
+Betti numbers satisfy ``beta_k = c_k - rank(d_k) - rank(d_k+1)`` over GF(2),
+and a whole grid needs at most one of those ranks.  :func:`betti_numbers`
+crops the grid to the bounding box of its foreground and takes the Euler
+characteristic from the cell counts, beta_0 from the components of the
+1-skeleton and beta_(n-1) from the bounded face-adjacent components of the
+complement (Alexander duality); both component counts use the vectorized
+union-find of :func:`topovox.grid.component_roots`.  The Euler identity
+then settles 2D and 3D.  In 4D, beta_1 and beta_2 share one unknown,
+rank(d_2): the complex is collapsed in one sweep per axis (each free pair
+adds one to the rank in its coface's dimension), then d_3 and d_2 of the
+remaining core are reduced as sparse columns with rows numbered per
+dimension, the pivots of d_3 clearing columns of d_2.
+
+The flip gate's 3^n blocks are eliminated directly in every dimension, which
+is faster at that size, and memoized.  Measured costs are in the README's
+"Performance notes".
 """
 from __future__ import annotations
 
@@ -24,11 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BinaryGrid, Coord, extract_neighborhood
-
-#: Cell-count switchover between direct elimination and collapse + sparse
-#: reduction.  Neighborhood blocks (at most 3^4 voxels) stay far below it.
-DENSE_CELL_THRESHOLD = 4096
+from .grid import (
+    BinaryGrid,
+    Coord,
+    _pair_slices,
+    component_roots,
+    count_roots,
+    extract_neighborhood,
+)
 
 
 @dataclass(frozen=True)
@@ -60,14 +72,19 @@ class BettiVector:
 # lattice construction
 
 def _cell_lattice(data: np.ndarray) -> np.ndarray:
-    """Boolean presence array over the doubled lattice of ``data``."""
-    shape2 = tuple(2 * s + 1 for s in data.shape)
-    present = np.zeros(shape2, dtype=bool)
-    for delta in itertools.product((0, 1, 2), repeat=data.ndim):
-        view = present[
-            tuple(slice(d, d + 2 * s, 2) for d, s in zip(delta, data.shape))
-        ]
-        np.logical_or(view, data, out=view)
+    """Boolean presence array over the doubled lattice of ``data``.
+
+    The closed cube of a voxel covers the 3^n lattice points around its
+    centre, so the voxels are placed at the odd points and spread by one
+    step along each axis in turn.
+    """
+    nd = data.ndim
+    present = np.zeros(tuple(2 * s + 1 for s in data.shape), dtype=bool)
+    present[(slice(1, None, 2),) * nd] = data
+    for ax in range(nd):
+        odd = present[_axis_slices(nd, ax, slice(1, None, 2))]
+        present[_axis_slices(nd, ax, slice(0, -1, 2))] |= odd
+        present[_axis_slices(nd, ax, slice(2, None, 2))] |= odd
     return present
 
 
@@ -80,6 +97,15 @@ def _cell_dim_array(shape2: tuple[int, ...]) -> np.ndarray:
         )
         par += vec
     return par
+
+
+def _cell_counts(present: np.ndarray) -> np.ndarray:
+    """Number of present cells per dimension, one parity class at a time."""
+    counts = np.zeros(present.ndim + 1, dtype=np.int64)
+    for parity in itertools.product((0, 1), repeat=present.ndim):
+        cls = present[tuple(slice(p, None, 2) for p in parity)]
+        counts[sum(parity)] += np.count_nonzero(cls)
+    return counts
 
 
 def _axis_slices(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
@@ -103,110 +129,109 @@ def _coface_counts(present: np.ndarray) -> np.ndarray:
     return cnt
 
 
-def _collapse(present: np.ndarray, par: np.ndarray) -> np.ndarray:
-    """Remove elementary free pairs in batches, mutating ``present``.
+def _sweep_collapse(present: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """Remove elementary free pairs in one sweep per axis, mutating ``present``.
 
-    Returns the number of removed pairs per coface dimension.  Pairs removed
-    within one batch are disjoint, so the batch is a valid collapse sequence.
+    Along each axis in turn, hyperplane by hyperplane and within a
+    hyperplane from the top dimension down, every cell whose only coface is
+    its neighbour one step up the axis is removed together with that coface.
+    The pairs of one step are disjoint, so each step is a valid collapse
+    sequence; a solid box collapses to a point.  Returns the number of
+    removed pairs per coface dimension.
     """
     nd = present.ndim
     pairs = np.zeros(nd + 1, dtype=np.int64)
-    while True:
-        removed_any = False
-        for ax in range(nd):
-            s = present.shape[ax]
-            for direction in (1, -1):
-                free = present & (_coface_counts(present) == 1)
-                if direction == 1:
-                    sig_sl = _axis_slices(nd, ax, slice(0, s - 1, 2))
-                    tau_sl = _axis_slices(nd, ax, slice(1, s, 2))
-                else:
-                    sig_sl = _axis_slices(nd, ax, slice(2, s, 2))
-                    tau_sl = _axis_slices(nd, ax, slice(1, s - 1, 2))
-                match = free[sig_sl] & present[tau_sl]
-                if not match.any():
-                    continue
-                removed_any = True
-                pairs += np.bincount(par[tau_sl][match], minlength=nd + 1)
-                present[sig_sl] &= ~match
-                present[tau_sl] &= ~match
-        if not removed_any:
-            return pairs
+    for ax in range(nd):
+        p, q = np.moveaxis(present, ax, 0), np.moveaxis(par, ax, 0)
+        for j in range(0, p.shape[0] - 1, 2):
+            plane, up = p[j], p[j + 1]
+            candidates = plane & up
+            if j:
+                candidates &= ~p[j - 1]
+            for k in range(nd - 1, -1, -1):
+                free = candidates & (q[j] == k) & (_coface_counts(plane) == 0)
+                if free.any():
+                    pairs[k + 1] += np.count_nonzero(free)
+                    plane &= ~free
+                    up &= ~free
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # GF(2) rank
 
-def _rank_bitmask_columns(columns) -> tuple[int, set[int]]:
-    """Rank of GF(2) columns given as integer bitmasks; also the pivot rows."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
+def _rank_columns(columns) -> tuple[int, set[int]]:
+    """GF(2) rank of sparse columns, each an ascending list of row indices.
+
+    Also returns the pivot rows.  A column is held as ``(base, bits)``: row
+    ``base + i`` is set iff bit ``i`` of ``bits`` is, so the integer is only
+    as wide as the span of rows the column has touched.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for rows in columns:
+        if not rows:
+            continue
+        base, bits = rows[0], 0
+        for r in rows:
+            bits |= 1 << (r - base)
+        while bits:
+            low = base + bits.bit_length() - 1
             other = pivots.get(low)
             if other is None:
-                pivots[low] = col
-                rank += 1
+                pivots[low] = (base, bits)
                 break
-            col ^= other
-    return rank, set(pivots)
+            other_base, other_bits = other
+            if other_base >= base:
+                bits ^= other_bits << (other_base - base)
+            else:
+                bits = (bits << (base - other_base)) ^ other_bits
+                base = other_base
+    return len(pivots), set(pivots)
 
 
 def gf2_rank(matrix) -> int:
-    """Rank of a dense 0/1 matrix over GF(2) via bitmask elimination."""
+    """Rank of a dense 0/1 matrix over GF(2) by column elimination."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if m.size == 0:
-        return 0
     bits = np.asarray(m, dtype=np.uint8) & 1
-    # pack each column into a python int, rows as bit positions
-    cols = []
-    for j in range(m.shape[1]):
-        col = 0
-        for i in np.flatnonzero(bits[:, j]):
-            col |= 1 << int(i)
-        cols.append(col)
-    rank, _ = _rank_bitmask_columns(cols)
+    rank, _ = _rank_columns(np.flatnonzero(col).tolist() for col in bits.T)
     return rank
 
 
-def _core_ranks(present: np.ndarray, par: np.ndarray) -> np.ndarray:
-    """Boundary ranks of the complex given by ``present``, one per dimension.
+def _core_ranks(present: np.ndarray, par: np.ndarray, dims) -> np.ndarray:
+    """Ranks of the boundary maps d_k, k in ``dims``, of the complex ``present``.
 
-    Columns are processed in descending dimension so that pivot rows of
-    d_(k+1) clear the corresponding columns of d_k.
+    Rows are numbered within each dimension in lexicographic order, which
+    keeps a column's span of rows short.  ``dims`` must be consecutive and
+    descending: the pivot rows of d_(k+1) clear the corresponding columns
+    of d_k (Chen-Kerber), which reduce to zero anyway.
     """
     nd = present.ndim
     ranks = np.zeros(nd + 2, dtype=np.int64)
-    coords = np.argwhere(present)
-    m = coords.shape[0]
-    if m == 0:
-        return ranks
-    flat = np.ravel_multi_index(tuple(coords.T), present.shape)
-    idx = np.full(int(np.prod(present.shape)), -1, dtype=np.int64)
-    idx[flat] = np.arange(m)
-    dims_of = par.ravel()[flat]
-    strides = np.ones(nd, dtype=np.int64)
-    for ax in range(nd - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * present.shape[ax + 1]
-
-    masks = [0] * m
-    for ax in range(nd):
-        odd = np.flatnonzero(coords[:, ax] % 2 == 1)
-        if odd.size == 0:
-            continue
-        lo = idx[flat[odd] - strides[ax]].tolist()
-        hi = idx[flat[odd] + strides[ax]].tolist()
-        for cell, a, b in zip(odd.tolist(), lo, hi):
-            masks[cell] |= (1 << a) | (1 << b)
+    flat = np.flatnonzero(present)
+    dim_of = par.ravel()[flat]
+    row = np.zeros(present.size, dtype=np.int32)
+    for k in range(nd + 1):
+        of_k = dim_of == k
+        row[flat[of_k]] = np.arange(np.count_nonzero(of_k))
+    # the facets of a cell sit one step away along each axis it spans;
+    # -1 fills the places of the axes it does not span
+    facets = np.full((flat.size, 2 * nd), -1, dtype=np.int32)
+    stride = 1
+    for ax in range(nd - 1, -1, -1):
+        odd = np.flatnonzero((flat // stride) % present.shape[ax] % 2 == 1)
+        facets[odd, 2 * ax] = row[flat[odd] - stride]
+        facets[odd, 2 * ax + 1] = row[flat[odd] + stride]
+        stride *= present.shape[ax]
+    facets.sort(axis=1)
 
     cleared: set[int] = set()
-    for k in range(nd, 0, -1):
-        ids = np.flatnonzero(dims_of == k).tolist()
-        cols = (masks[c] for c in ids if c not in cleared)
-        ranks[k], cleared = _rank_bitmask_columns(cols)
+    for k in dims:
+        cols = facets[dim_of == k, 2 * (nd - k) :].tolist()
+        ranks[k], cleared = _rank_columns(
+            rows for c, rows in enumerate(cols) if c not in cleared
+        )
     return ranks
 
 
@@ -282,54 +307,109 @@ def euler_from_cells(c: CubicalComplex) -> int:
 # ---------------------------------------------------------------------------
 # Betti numbers
 
-def _betti_core(data: np.ndarray, dense_threshold: int, use_collapse) -> tuple:
+def _crop(data: np.ndarray) -> np.ndarray | None:
+    """``data`` cut to the bounding box of its foreground; None when empty."""
+    box = []
+    for ax in range(data.ndim):
+        others = tuple(j for j in range(data.ndim) if j != ax)
+        hit = np.flatnonzero(data.any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(hit[0], hit[-1] + 1))
+    return data[tuple(box)]
+
+
+def _unit(ax: int, ndim: int) -> Coord:
+    return tuple(int(j == ax) for j in range(ndim))
+
+
+def _skeleton_components(present: np.ndarray) -> int:
+    """Components of the 1-skeleton: lattice vertices joined by present edges."""
+    n = present.ndim
+    links = []
+    for ax in range(n):
+        edges = present[tuple(slice(1 if j == ax else 0, None, 2) for j in range(n))]
+        links.append((_unit(ax, n), edges))
+    return count_roots(component_roots(present[(slice(0, None, 2),) * n], links))
+
+
+def _bounded_background_components(data: np.ndarray) -> int:
+    """Face-adjacent components of the complement that do not reach infinity.
+
+    Padding by one voxel joins everything outside the bounding box into the
+    one unbounded component.
+    """
+    bg = np.pad(~data, 1, constant_values=True)
+    links = []
+    for ax in range(bg.ndim):
+        off = _unit(ax, bg.ndim)
+        src, dst = _pair_slices(off, bg.shape)
+        links.append((off, bg[src] & bg[dst]))
+    return count_roots(component_roots(bg, links)) - 1
+
+
+def _betti_whole(data: np.ndarray) -> tuple:
+    """Betti numbers and Euler characteristic of a whole grid.
+
+    b0 counts the components of the 1-skeleton; by Alexander duality
+    b_(n-1) counts the bounded components of the complement; the Euler
+    characteristic comes from the cell counts.  That settles 2D and 3D.  In
+    4D, b1 and b2 share the one remaining unknown, rank d2: the other ranks
+    are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
+    """
     n = data.ndim
-    if not data.any():
+    data = _crop(data)
+    if data is None:
         return (0,) * (n + 1), 0
     present = _cell_lattice(data)
+    c = _cell_counts(present)
+    chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
+    b0 = _skeleton_components(present)
+    if n == 2:
+        return (b0, b0 - chi, 0), chi
+    top = _bounded_background_components(data)
+    if n == 3:
+        return (b0, b0 + top - chi, top, 0), chi
+    # each collapsed free pair adds one to the rank of its coface's dimension
     par = _cell_dim_array(present.shape)
-    counts = np.bincount(par[present], minlength=n + 1).astype(np.int64)
-    total = int(counts.sum())
-    if use_collapse is None:
-        use_collapse = total > dense_threshold
-    pairs = np.zeros(n + 1, dtype=np.int64)
-    if use_collapse:
-        pairs = _collapse(present, par)
-    ranks = _core_ranks(present, par)
-    ranks[1 : n + 1] += pairs[1 : n + 1]
-    beta = tuple(
-        int(counts[k] - ranks[k] - ranks[k + 1]) for k in range(n + 1)
-    )
-    chi = int(sum((-1) ** k * counts[k] for k in range(n + 1)))
-    return beta, chi
+    pairs = _sweep_collapse(present, par)
+    r1 = c[0] - b0
+    r2 = pairs[2] + _core_ranks(present, par, (3, 2))[2]
+    r3 = c[3] - c[4] - top
+    return (b0, int(c[1] - r1 - r2), int(c[2] - r2 - r3), top, 0), chi
 
 
-def betti_numbers(
-    g: BinaryGrid,
-    reduced: bool = False,
-    *,
-    dense_threshold: int = DENSE_CELL_THRESHOLD,
-    use_collapse: bool | None = None,
-) -> BettiVector:
-    """Betti numbers and Euler characteristic of the grid's cubical complex.
-
-    ``use_collapse`` overrides the automatic small/large strategy switch and
-    exists mainly so tests can cross-check both paths.
-    """
-    beta, chi = _betti_core(g.data, dense_threshold, use_collapse)
-    if reduced and beta and beta[0] > 0:
+def betti_numbers(g: BinaryGrid, reduced: bool = False) -> BettiVector:
+    """Betti numbers and Euler characteristic of the grid's cubical complex."""
+    beta, chi = _betti_whole(g.data)
+    if reduced and beta[0] > 0:
         beta = (beta[0] - 1,) + beta[1:]
     return BettiVector.of(beta, chi, reduced)
 
 
+@lru_cache(maxsize=None)
+def _shared(bv: BettiVector) -> BettiVector:
+    """The first ``BettiVector`` equal to ``bv``: memo entries share it."""
+    return bv
+
+
 @lru_cache(maxsize=1 << 20)
 def _block_betti_cached(shape: tuple[int, ...], packed: bytes) -> BettiVector:
+    """Betti vector of a small block by direct elimination of every d_k.
+
+    On 3^n blocks this is faster than the whole-grid path.
+    """
     bits = np.unpackbits(
         np.frombuffer(packed, dtype=np.uint8), count=int(np.prod(shape))
     )
     data = bits.astype(bool).reshape(shape)
-    beta, chi = _betti_core(data, DENSE_CELL_THRESHOLD, None)
-    return BettiVector.of(beta, chi, False)
+    n = data.ndim
+    present = _cell_lattice(data)
+    c = _cell_counts(present)
+    ranks = _core_ranks(present, _cell_dim_array(present.shape), range(n, 0, -1))
+    beta = tuple(int(c[k] - ranks[k] - ranks[k + 1]) for k in range(n + 1))
+    chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
+    return _shared(BettiVector.of(beta, chi))
 
 
 def _block_betti(data: np.ndarray) -> BettiVector:

@@ -78,7 +78,7 @@ def read_voxels(path) -> BinaryGrid:
     )
     if any(d < 1 for d in dims):
         raise VoxelFormatError(f"nonpositive axis length in {dims} at offset 6")
-    total = int(np.prod(dims))
+    total = math.prod(dims)  # Python ints: four 32-bit axes overflow int64
     expect = need + (total + 7) // 8
     if len(raw) != expect:
         raise VoxelFormatError(

@@ -1,10 +1,16 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topovox
 from topovox.grid import BinaryGrid, connected_components, new_grid
 from topovox.homology import (
     BettiVector,
@@ -177,13 +183,94 @@ def test_matches_duality_oracle_2d_3d(rng):
         assert betti_numbers(g).betti == betti_oracle(g.data)
 
 
-def test_collapse_and_direct_paths_agree(rng):
-    for dims in [(7, 7), (5, 5, 5), (3, 3, 3, 3)]:
-        for _ in range(5):
-            g = BinaryGrid(rng.random(dims) < 0.55)
-            a = betti_numbers(g, use_collapse=True)
-            b = betti_numbers(g, use_collapse=False)
-            assert a == b
+def _betti_from_boundary_ranks(g: BinaryGrid) -> tuple[int, ...]:
+    """Betti numbers from the dense boundary matrices, whatever the dimension."""
+    c = build_cubical_complex(g)
+    ranks = [0] + [gf2_rank(c.boundary_matrix(k)) for k in range(1, g.ndim + 1)] + [0]
+    beta = [c.cell_counts[k] - ranks[k] - ranks[k + 1] for k in range(g.ndim + 1)]
+    return BettiVector.of(beta, 0).betti
+
+
+def _with_cavity(dims: tuple[int, ...]) -> BinaryGrid:
+    """A solid box touching the grid border, hollowed out at one inner voxel."""
+    g = new_grid(dims, fill=1)
+    g.set(tuple(d // 2 for d in dims), 0)
+    return g
+
+
+def test_matches_boundary_matrix_oracle(rng):
+    grids = [
+        new_grid((4, 6)),
+        new_grid((3, 5), fill=1),
+        new_grid((2, 3, 4)),
+        new_grid((3, 2, 4), fill=1),
+        new_grid((2, 2, 3, 2)),
+        new_grid((2, 3, 2, 2), fill=1),
+        annulus_2d(),
+        hollow_shell_3d(),
+        _with_cavity((3, 4, 3)),
+        _with_cavity((3, 3, 3, 3)),
+    ]
+    # a loop: a square annulus thickened along the last two axes
+    ring = new_grid((3, 3, 2, 2), fill=1)
+    ring.data[1, 1] = False
+    grids.append(ring)
+    # several components: isolated voxels and a diagonal pair
+    many = new_grid((5, 5, 4, 3))
+    for c in [(0, 0, 0, 0), (4, 4, 3, 2), (2, 2, 1, 1), (3, 3, 2, 2), (0, 4, 3, 0)]:
+        many.set(c, 1)
+    grids.append(many)
+    for dims, fills in [
+        ((6, 9), (0.3, 0.5, 0.7)),
+        ((1, 7), (0.5,)),
+        ((4, 5, 3), (0.3, 0.5, 0.7)),
+        ((3, 1, 5), (0.5,)),
+        ((3, 3, 3, 3), (0.5, 0.6, 0.75)),
+        ((2, 3, 4, 2), (0.5, 0.7)),
+    ]:
+        for p in fills:
+            for _ in range(3):
+                grids.append(BinaryGrid(rng.random(dims) < p))
+    for k in (1, 2, 3):
+        assert any(_betti_from_boundary_ranks(g)[k] for g in grids if g.ndim == 4)
+    for g in grids:
+        bv = betti_numbers(g)
+        assert bv.betti == _betti_from_boundary_ranks(g), g.data.astype(int)
+        assert bv.euler == euler_from_cells(build_cubical_complex(g))
+
+
+_RSS_PROBE = """
+import json, resource
+# fail with MemoryError instead of exhausting the machine
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from topovox.grid import BinaryGrid
+from topovox.homology import betti_numbers
+bv = betti_numbers(BinaryGrid(np.random.default_rng(7).random((64, 64, 64)) < 0.6))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"betti": bv.betti, "euler": bv.euler, "rss_mb": rss_mb}))
+"""
+
+
+def test_random_64_cube_peak_memory():
+    """A random 60% fill 64^3 grid resolves in bounded memory."""
+    src = str(Path(topovox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a process started by exec inherits the ru_maxrss of the image it
+    # replaced (pytest's), so the probe is started from a small interpreter
+    launcher = (
+        "import subprocess, sys; "
+        f"sys.exit(subprocess.run([sys.executable, '-c', {_RSS_PROBE!r}]).returncode)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", launcher],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    res = json.loads(out.stdout)
+    assert res["rss_mb"] < 400
+    b = res["betti"]
+    assert res["euler"] == b[0] - b[1] + b[2] - b[3]
 
 
 def test_component_count_equals_beta0(rng):

@@ -75,6 +75,15 @@ def test_format_errors(tmp_path):
         read_voxels(vers)
 
 
+def test_huge_header_dims_rejected(tmp_path):
+    # 0xFFFFFFFF^4 overflows int64 to a negative size, 65536^4 to zero
+    path = tmp_path / "huge.tvox"
+    for dim in (0xFFFFFFFF, 1 << 16):
+        path.write_bytes(b"TVOX" + bytes([1, 4]) + dim.to_bytes(4, "little") * 4)
+        with pytest.raises(VoxelFormatError, match=f"expected {(dim**4 + 7) // 8} bytes"):
+            read_voxels(path)
+
+
 def test_bit_flip_breaks_checksum(tmp_path):
     cfg = DatasetConfig(count=1, dims=(24, 24), mode="embed", out_dir=str(tmp_path / "d"), master_seed=0)
     [(voxel_path, manifest_path)] = generate_dataset(cfg)
