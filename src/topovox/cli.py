@@ -115,11 +115,20 @@ def _verify(args: argparse.Namespace) -> int:
             manifests.append(path)
     failures = 0
     for manifest_path in manifests:
-        manifest = SampleManifest.from_json(manifest_path.read_text())
-        voxel_path = manifest_path.parent / manifest.voxel_file
-        report = verify_sample(voxel_path, manifest_path)
-        print(f"{manifest_path.name}: {report.summary()}")
-        failures += 0 if report.passed else 1
+        # a bad file fails on its own line; the others are still checked
+        try:
+            manifest = SampleManifest.from_json(manifest_path.read_text())
+            voxel_path = manifest_path.parent / manifest.voxel_file
+            report = verify_sample(voxel_path, manifest_path)
+        except OSError as exc:
+            print(f"{manifest_path.name}: FAIL cannot read {exc.filename}: {exc.strerror}")
+        except ValueError as exc:  # malformed manifest or voxel file
+            print(f"{manifest_path.name}: FAIL {exc}")
+        else:
+            print(f"{manifest_path.name}: {report.summary()}")
+            if report.passed:
+                continue
+        failures += 1
     print(f"{len(manifests) - failures}/{len(manifests)} samples passed")
     return 0 if failures == 0 else 1
 

@@ -1,15 +1,28 @@
 """Hypervolume-preserving pixel-flip deformation.
 
 Each iteration moves one boundary voxel: the lowest-noise 1-valued boundary
-voxel is removed and re-placed at its highest-noise empty neighbor, with both
-steps gated by the local homology check.  Volume is conserved exactly because
-every move is a paired flip; topology is conserved because no gated step can
-change the Betti vector, and a periodic full-sample re-verification guards
-against the (4D) cases where local checks are known to be insufficient.
+voxel with a higher-noise empty voxel within the move distance is removed and
+re-placed at the highest-noise such voxel, with both steps gated by the local
+homology check; a source whose move fails the gate is passed over for the
+next.  Volume is conserved exactly because every move is a paired flip;
+topology is conserved because no gated step can change the Betti vector, and
+a periodic full-sample re-verification guards against the (4D) cases where
+local checks are known to be insufficient.
+
+Move selection is incremental.  A front built once per run holds the fixed
+(noise, raster) order of all voxels, each source's current target and the
+gate verdict on each move it has judged.  After a move it recomputes targets
+only within the move distance of the two flipped voxels, and forgets
+verdicts only within the move distance plus the safety radius, so a move
+costs a few small array updates and the gate calls of the verdicts it
+forgot, not a rescan of the boundary.  The moves and rejection counters are
+those of a full rescan.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -17,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .grid import BinaryGrid, Coord, count_ones, _shifted, neighbor_offsets
+from .grid import BinaryGrid, Coord, count_ones, neighbor_offsets
 from .homology import BettiVector, betti_numbers, is_local_flip_safe
 from .noise import NoiseField, noise_field
 
@@ -85,14 +98,6 @@ class DeformReport:
         return out
 
 
-def _boundary_mask(a: np.ndarray) -> np.ndarray:
-    """Face-adjacency boundary detection; border overhang counts as background."""
-    has_bg = np.zeros_like(a)
-    for off in neighbor_offsets(a.ndim, "face"):
-        has_bg |= ~_shifted(a, tuple(-o for o in off))
-    return a & has_bg
-
-
 def _move_offsets(ndim: int, dist: int) -> tuple[Coord, ...]:
     return tuple(
         off
@@ -106,65 +111,153 @@ def _move_offsets(ndim: int, dist: int) -> tuple[Coord, ...]:
 #: thickness or convexity without this module claiming such monitors.
 MoveFilter = Callable[[BinaryGrid, Coord, Coord], bool]
 
+_UNKNOWN, _OK, _REMOVAL_REJECTED, _PLACEMENT_REJECTED = range(4)
+
+
+class _MoveFront:
+    """The movable voxels of one deformation run, kept current flip by flip.
+
+    A source is a 1-valued voxel with a 0-valued (or out-of-range) face
+    neighbor; its target is the highest-noise empty voxel within the move
+    distance, the first in lexicographic offset order among equals, and
+    only if it out-noises the source.  Sources with a target are kept as a
+    sorted list of their ranks in the fixed (noise, raster) order, and
+    each keeps the gate verdict on its move until a flip nearby could
+    change it.
+
+    Voxels are addressed by flat index into the grid padded by the move
+    distance plus the safety radius, so every window around an in-range
+    voxel stays in bounds.  A flip at ``p`` can only change the targets
+    and the source status of voxels within the move distance of ``p``, and
+    only the verdicts of sources within the move distance plus the safety
+    radius (both gated blocks lie that close), so :meth:`move` recomputes
+    and forgets no more than that.
+    """
+
+    def __init__(self, g: BinaryGrid, noise: NoiseField, cfg: DeformConfig):
+        self.grid, self.radius = g, cfg.safety_radius
+        dist = cfg.max_move_distance
+        self.pad = pad = dist + cfg.safety_radius
+        self.shape = shape = tuple(s + 2 * pad for s in g.dims)
+        self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
+        inner = tuple(slice(pad, pad + s) for s in g.dims)
+
+        def padded(values, fill) -> np.ndarray:
+            out = np.full(shape, fill, dtype=np.asarray(values).dtype)
+            out[inner] = values
+            return out.ravel()
+
+        def deltas(offsets) -> np.ndarray:
+            return np.array(offsets, dtype=np.int64).reshape(-1, g.ndim) @ self.strides
+
+        self.offsets = deltas(_move_offsets(g.ndim, dist))
+        self.face = deltas(neighbor_offsets(g.ndim, "face"))
+        self.near = np.append(self.offsets, 0)
+        self.stale = np.append(deltas(_move_offsets(g.ndim, pad)), 0)
+
+        values = np.asarray(noise.values, dtype=np.float64)
+        self.occupied = padded(g.data, False)
+        self.inside = padded(np.ones(g.dims, dtype=bool), False)
+        self.noise = padded(values, 0.0)
+        # noise of the empty in-range voxels, the only possible targets
+        self.open = padded(np.where(g.data, -np.inf, values), -np.inf)
+
+        # a stable sort of the raster order breaks noise ties by position
+        voxels = np.flatnonzero(self.inside)
+        self.by_rank = voxels[np.argsort(self.noise[voxels], kind="stable")]
+        self.rank = np.zeros(self.noise.size, dtype=np.int64)
+        self.rank[self.by_rank] = np.arange(voxels.size)
+        self.target = np.full(self.noise.size, -1, dtype=np.int64)
+        self.verdict = np.zeros(self.noise.size, dtype=np.int8)
+        ones = voxels[self.occupied[voxels]]
+        for lo in range(0, ones.size, 4096):  # bounds the (cells, offsets) arrays
+            chunk = ones[lo : lo + 4096]
+            self.target[chunk] = self._targets(chunk)
+        self.sources = sorted(self.rank[self.target >= 0].tolist())
+
+    def coord(self, v: int) -> Coord:
+        out = []
+        for s in reversed(self.shape):
+            v, c = divmod(v, s)
+            out.append(c - self.pad)
+        return tuple(out[::-1])
+
+    def index(self, c: Coord) -> int:
+        return sum((x + self.pad) * t for x, t in zip(c, self.strides))
+
+    def _targets(self, cells: np.ndarray) -> np.ndarray:
+        """The target of each of ``cells`` (padded indices), or -1."""
+        occ = self.occupied
+        source = occ[cells] & ~occ[cells[:, None] + self.face].all(axis=1)
+        reach = self.open[cells[:, None] + self.offsets]
+        best = reach.argmax(axis=1)  # the first maximum in offset order
+        # moves are strictly uphill: the target must out-noise the source,
+        # otherwise material oscillates between a minimum and its neighbors
+        uphill = reach[np.arange(cells.size), best] > self.noise[cells]
+        return np.where(source & uphill, cells + self.offsets[best], -1)
+
+    def _judge(self, src: Coord, tgt: Coord) -> int:
+        g = self.grid
+        if not is_local_flip_safe(g, src, 0, self.radius):
+            return _REMOVAL_REJECTED
+        g.data[src] = False
+        placeable = is_local_flip_safe(g, tgt, 1, self.radius)
+        g.data[src] = True
+        return _OK if placeable else _PLACEMENT_REJECTED
+
+    def select(
+        self, move_filter: MoveFilter | None = None
+    ) -> tuple[tuple[Coord, Coord] | None, int, int]:
+        """The first source, in (noise, raster) order, whose move passes
+        ``move_filter`` and both gates, as a (from, to) pair, plus the gate
+        rejections passed on the way.  ``move_filter`` sees every source up
+        to the accepted one and is never cached.
+        """
+        rej_rm = rej_pl = 0
+        for rank in self.sources:
+            v = int(self.by_rank[rank])
+            src, tgt = self.coord(v), self.coord(int(self.target[v]))
+            if move_filter is not None and not move_filter(self.grid, src, tgt):
+                continue
+            verdict = self.verdict[v]
+            if verdict == _UNKNOWN:
+                verdict = self.verdict[v] = self._judge(src, tgt)
+            if verdict == _REMOVAL_REJECTED:
+                rej_rm += 1
+            elif verdict == _PLACEMENT_REJECTED:
+                rej_pl += 1
+            else:
+                return (src, tgt), rej_rm, rej_pl
+        return None, rej_rm, rej_pl
+
+    def move(self, src: Coord, tgt: Coord) -> None:
+        """Apply an accepted move to the grid and bring the front up to date."""
+        self.grid.data[src] = False
+        self.grid.data[tgt] = True
+        v, t = flipped = self.index(src), self.index(tgt)
+        self.occupied[v], self.occupied[t] = False, True
+        self.open[v], self.open[t] = self.noise[v], -np.inf
+        cells = np.unique(np.concatenate([p + self.near for p in flipped]))
+        cells = cells[self.inside[cells]]
+        old, new = self.target[cells], self._targets(cells)
+        for c, was, now in zip(cells.tolist(), old.tolist(), new.tolist()):
+            if (was < 0) != (now < 0):
+                r = int(self.rank[c])
+                if was < 0:
+                    bisect.insort(self.sources, r)
+                else:
+                    del self.sources[bisect.bisect_left(self.sources, r)]
+        self.target[cells] = new
+        for p in flipped:
+            self.verdict[p + self.stale] = _UNKNOWN
+
 
 def select_move(
     g: BinaryGrid, noise: NoiseField, cfg: DeformConfig
 ) -> tuple[Coord, Coord] | None:
     """The (from, to) pair the next iteration would flip, or None."""
-    pair, _, _ = _select_move(g, noise, cfg)
+    pair, _, _ = _MoveFront(g, noise, cfg).select()
     return pair
-
-
-def _select_move(
-    g: BinaryGrid,
-    noise: NoiseField,
-    cfg: DeformConfig,
-    move_filter: MoveFilter | None = None,
-) -> tuple[tuple[Coord, Coord] | None, int, int]:
-    """Selection rule shared with the deformation loop.
-
-    Sources are the 1-valued boundary voxels in ascending noise order (ties
-    broken lexicographically); for each source only its highest-noise empty
-    candidate within the move distance is tried.  Returns the accepted pair
-    plus the rejection counters accumulated while searching.
-    """
-    a = g.data
-    rej_rm = rej_pl = 0
-    bmask = _boundary_mask(a)
-    srcs = np.argwhere(bmask)
-    if srcs.size == 0:
-        return None, rej_rm, rej_pl
-    src_noise = noise.values[tuple(srcs.T)]
-    order = np.lexsort(tuple(srcs.T[::-1]) + (src_noise,))
-    offsets = _move_offsets(g.ndim, cfg.max_move_distance)
-    for k in order:
-        src = tuple(int(x) for x in srcs[k])
-        best: Coord | None = None
-        # moves are strictly uphill: the target must out-noise the source,
-        # otherwise material oscillates between a minimum and its neighbors
-        best_noise = float(src_noise[k])
-        for off in offsets:
-            tgt = tuple(s + o for s, o in zip(src, off))
-            if not g.in_range(tgt) or a[tgt]:
-                continue
-            v = float(noise.values[tgt])
-            if v > best_noise or (v == best_noise and best is not None and tgt < best):
-                best, best_noise = tgt, v
-        if best is None:
-            continue
-        if move_filter is not None and not move_filter(g, src, best):
-            continue
-        if not is_local_flip_safe(g, src, 0, cfg.safety_radius):
-            rej_rm += 1
-            continue
-        g.data[src] = False
-        placeable = is_local_flip_safe(g, best, 1, cfg.safety_radius)
-        g.data[src] = True
-        if not placeable:
-            rej_pl += 1
-            continue
-        return (src, best), rej_rm, rej_pl
-    return None, rej_rm, rej_pl
 
 
 def deform_volume_preserving(
@@ -187,8 +280,9 @@ def deform_volume_preserving(
     )
     verified = cur.copy()
     since_check = 0
+    front = _MoveFront(cur, noise, cfg)
     for _ in range(cfg.iterations):
-        pair, rej_rm, rej_pl = _select_move(cur, noise, cfg, move_filter)
+        pair, rej_rm, rej_pl = front.select(move_filter)
         report.rejected_removals += rej_rm
         report.rejected_placements += rej_pl
         if pair is None:
@@ -197,9 +291,7 @@ def deform_volume_preserving(
                 "deformation stagnated: no movable boundary voxel", RuntimeWarning
             )
             break
-        src, dst = pair
-        cur.data[src] = False
-        cur.data[dst] = True
+        front.move(*pair)
         report.accepted_flips += 1
         since_check += 1
         if since_check >= cfg.global_check_every:

@@ -21,9 +21,13 @@ adds one to the rank in its coface's dimension), then d_3 and d_2 of the
 remaining core are reduced as sparse columns with rows numbered per
 dimension, the pivots of d_3 clearing columns of d_2.
 
-The flip gate's 3^n blocks are eliminated directly in every dimension, which
-is faster at that size, and memoized.  Measured costs are in the README's
-"Performance notes".
+The flip gate keys each (2r+1)^n block by one int and memoizes its Betti
+vector per block shape.  A 2D or 3D block that misses the memo is solved
+bit-parallel on Python ints with the whole-grid formulas: beta_0 by a
+full-adjacency flood fill, beta_(n-1) from the padded complement, chi from
+popcounts of the doubled lattice's parity classes and beta_1 from the Euler
+identity (see :class:`_Block`).  4D blocks are eliminated directly.
+Measured costs are in the README's "Performance notes".
 """
 from __future__ import annotations
 
@@ -387,33 +391,136 @@ def betti_numbers(g: BinaryGrid, reduced: bool = False) -> BettiVector:
     return BettiVector.of(beta, chi, reduced)
 
 
+# ---------------------------------------------------------------------------
+# the flip gate
+
 @lru_cache(maxsize=None)
 def _shared(bv: BettiVector) -> BettiVector:
     """The first ``BettiVector`` equal to ``bv``: memo entries share it."""
     return bv
 
 
-@lru_cache(maxsize=1 << 20)
-def _block_betti_cached(shape: tuple[int, ...], packed: bytes) -> BettiVector:
-    """Betti vector of a small block by direct elimination of every d_k.
-
-    On 3^n blocks this is faster than the whole-grid path.
-    """
-    bits = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8), count=int(np.prod(shape))
-    )
-    data = bits.astype(bool).reshape(shape)
+def _eliminate_block(data: np.ndarray) -> BettiVector:
+    """Betti vector of a small block by direct elimination of every d_k."""
     n = data.ndim
     present = _cell_lattice(data)
     c = _cell_counts(present)
     ranks = _core_ranks(present, _cell_dim_array(present.shape), range(n, 0, -1))
     beta = tuple(int(c[k] - ranks[k] - ranks[k + 1]) for k in range(n + 1))
     chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
-    return _shared(BettiVector.of(beta, chi))
+    return BettiVector.of(beta, chi)
 
 
-def _block_betti(data: np.ndarray) -> BettiVector:
-    return _block_betti_cached(data.shape, np.packbits(data.ravel()).tobytes())
+#: Entries per block shape before the gate's memo starts over.
+_MEMO_ENTRIES = 1 << 20
+
+
+class _Block:
+    """Bit layout of one cubic block shape and its memoized Betti function.
+
+    A block is keyed by one int: voxel ``i`` in raster order is bit
+    ``size - 1 - i``.  Flipping the centre and taking the complement are
+    then one XOR each.  The memo is a plain dict per shape, so blocks of
+    equal size but different shape (3^4 and 9^2) never share an entry, and
+    an entry costs one int and one dict slot (about 60 bytes for a 3^3
+    block, half an LRU entry); a full memo is cleared and starts over.
+
+    2D and 3D blocks are solved bit-parallel.  The voxels are copied into an
+    int laid out over the block padded by one voxel, where shifting by an
+    axis stride moves every block voxel one step along that axis; only a
+    padding voxel can wrap into another row, and only onto padding:
+
+    * beta_0 counts full-adjacency components, flooded by a separable box
+      dilation;
+    * beta_(n-1) counts the face-adjacent components of the padded
+      complement that the padding ring does not reach (Alexander duality);
+    * chi sums the popcounts of the parity classes of the doubled lattice:
+      the cells of a class are the voxels dilated by {0, +1} along the
+      class's even axes;
+    * beta_1 follows from the Euler identity.
+
+    4D blocks are eliminated directly.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        n, side = len(shape), shape[0]
+        size = side**n
+        self.shape, self.size, self.nbytes = shape, size, (size + 7) // 8
+        self.pad = 8 * self.nbytes - size
+        self.full = (1 << size) - 1
+        self.center = 1 << (size // 2)
+        m = side + 2
+        self.strides = tuple(m ** (n - 1 - ax) for ax in range(n))
+        # each run of `side` key bits along the last axis, and where it lands
+        # in the padded layout (mirrored along that axis, which keeps the
+        # Betti numbers)
+        self.row_mask = (1 << side) - 1
+        self.rows = tuple(
+            (size - side * (r + 1), 1 + sum((y + 1) * t for y, t in zip(ys, self.strides)))
+            for r, ys in enumerate(itertools.product(range(side), repeat=n - 1))
+        )
+        self.box = (1 << m**n) - 1
+        self.ring = self.box ^ sum(self.row_mask << at for _, at in self.rows)
+        # ds[i] dilates along the axes of the set bits of i: its cells span
+        # the other n - popcount(i) axes
+        self.signs = tuple((-1) ** (n - bin(i).count("1")) for i in range(1 << n))
+        self._solve = self._bitwise if n < 4 else self._eliminate
+        self.betti = lru_cache(maxsize=None)(self._miss)
+
+    def key(self, data: np.ndarray) -> int:
+        return int.from_bytes(np.packbits(data).tobytes(), "big") >> self.pad
+
+    def _miss(self, key: int) -> BettiVector:
+        if self.betti.cache_info().currsize >= _MEMO_ENTRIES:
+            self.betti.cache_clear()
+        return _shared(self._solve(key))
+
+    def _eliminate(self, key: int) -> BettiVector:
+        raw = np.frombuffer((key << self.pad).to_bytes(self.nbytes, "big"), dtype=np.uint8)
+        data = np.unpackbits(raw, count=self.size).astype(bool).reshape(self.shape)
+        return _eliminate_block(data)
+
+    def _flood(self, seed: int, mask: int, full: bool) -> int:
+        """The part of ``mask`` connected to ``seed`` (a subset of it)."""
+        strides = self.strides
+        while True:
+            grown = seed
+            for t in strides:
+                src = grown if full else seed
+                grown |= (src << t) | (src >> t)
+            grown &= mask
+            if grown == seed:
+                return seed
+            seed = grown
+
+    def _components(self, mask: int, full: bool) -> int:
+        count = 0
+        while mask:
+            mask ^= self._flood(mask & -mask, mask, full)
+            count += 1
+        return count
+
+    def _bitwise(self, key: int) -> BettiVector:
+        x, rm = 0, self.row_mask
+        for at_key, at_pad in self.rows:
+            x |= ((key >> at_key) & rm) << at_pad
+        b0 = self._components(x, full=True)
+        ds = [x]
+        for t in self.strides:
+            ds += [d | (d << t) for d in ds]
+        chi = sum(s * d.bit_count() for s, d in zip(self.signs, ds))
+        if len(self.shape) == 2:
+            return BettiVector.of((b0, b0 - chi), chi)
+        bg = self.box ^ x
+        # flooding from the whole ring reaches the outside in a few steps
+        top = self._components(bg ^ self._flood(self.ring, bg, full=False), full=False)
+        return BettiVector.of((b0, b0 + top - chi, top), chi)
+
+
+@lru_cache(maxsize=None)
+def _block(shape: tuple[int, ...]) -> _Block:
+    """The layout and memo of one block shape, built on first use."""
+    return _Block(shape)
 
 
 def is_local_flip_safe(
@@ -430,9 +537,16 @@ def is_local_flip_safe(
     new_value = int(bool(new_value))
     if g.get(c) == new_value:
         raise ValueError(f"voxel {c} already has value {new_value}")
-    before = extract_neighborhood(g, c, radius).data
-    after = before.copy()
-    after[(radius,) * g.ndim] = new_value
-    if _block_betti(before) != _block_betti(after):
+    interior = len(c) == g.ndim and all(radius <= x < s - radius for x, s in zip(c, g.dims))
+    if radius >= 1 and interior:
+        data = g.data[tuple(slice(x - radius, x + radius + 1) for x in c)]
+    else:  # zero-padded at the border; validates the radius and centre
+        data = extract_neighborhood(g, c, radius).data
+    block = _block(data.shape)
+    before = block.key(data)
+    after = before ^ block.center
+    betti = block.betti
+    # memo values are shared instances: equal vectors are the same object
+    if betti(before) is not betti(after):
         return False
-    return _block_betti(~before) == _block_betti(~after)
+    return betti(before ^ block.full) is betti(after ^ block.full)

@@ -42,6 +42,10 @@ class VoxelFormatError(ValueError):
     """Raised for malformed TVOX files; the message carries the byte offset."""
 
 
+class ManifestFormatError(ValueError):
+    """Raised for JSON that is malformed or is not a sample manifest."""
+
+
 class LabelMismatchError(RuntimeError):
     """Raised when an engine verification contradicts a symbolic label."""
 
@@ -134,18 +138,29 @@ class SampleManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SampleManifest":
-        doc = json.loads(text)
-        return cls(
-            dims=tuple(doc["dims"]),
-            construction=ConstructionDescriptor.from_dict(doc["construction"]),
-            label=_betti_from_json(doc["label"]),
-            seed=doc["seed"],
-            voxel_file=doc["voxel_file"],
-            voxel_checksum=doc["voxel_checksum"],
-            engine_verified=doc["engine_verified"],
-            deform_report=doc.get("deform_report"),
-            schema_version=doc.get("schema_version", SCHEMA_VERSION),
-        )
+        """Parse a manifest; raises :class:`ManifestFormatError` on bad input."""
+        try:
+            doc = json.loads(text)
+            manifest = cls(
+                dims=tuple(doc["dims"]),
+                construction=ConstructionDescriptor.from_dict(doc["construction"]),
+                label=_betti_from_json(doc["label"]),
+                seed=doc["seed"],
+                voxel_file=doc["voxel_file"],
+                voxel_checksum=doc["voxel_checksum"],
+                engine_verified=doc["engine_verified"],
+                deform_report=doc.get("deform_report"),
+                schema_version=doc.get("schema_version", SCHEMA_VERSION),
+            )
+        except json.JSONDecodeError as exc:
+            raise ManifestFormatError(f"invalid JSON: {exc}") from exc
+        except KeyError as exc:
+            raise ManifestFormatError(f"not a sample manifest: no field {exc}") from exc
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ManifestFormatError(f"not a sample manifest: {exc}") from exc
+        if not isinstance(manifest.voxel_file, str):
+            raise ManifestFormatError("not a sample manifest: voxel_file is not a string")
+        return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +531,11 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
         verify_draw = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i, 999)))
         ).random()
-        engine_verified = verify_draw < cfg.verify_rate
+        # the 4D flip gate is known to be incomplete and dilation, unlike
+        # deformation, has no global re-check: verify every such sample
+        engine_verified = verify_draw < cfg.verify_rate or (
+            cfg.ndim == 4 and cfg.dilate_iterations > 0
+        )
         if engine_verified:
             measured = betti_numbers(grid)
             if measured != label:

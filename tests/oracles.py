@@ -122,3 +122,66 @@ def betti_oracle(data: np.ndarray) -> tuple[int, ...]:
         b1 = b0 + b2 - chi
         return (b0, b1, b2, 0)
     raise ValueError("betti_oracle supports 2D and 3D only")
+
+
+def select_move_reference(g, noise, cfg, move_filter=None):
+    """Deform move selection by a full rescan, as it was before the front.
+
+    Rebuilds the face-boundary mask and sorts every boundary voxel by
+    (noise, raster) on each call, then scans each source's offsets in
+    Python.  Returns the accepted (source, target) pair, or None, plus the
+    removal and placement rejections passed on the way.  The flip gate is
+    the library's: this oracle checks move selection, not the gate.
+    """
+    from topovox.homology import is_local_flip_safe
+
+    a = g.data
+    rej_rm = rej_pl = 0
+    has_bg = np.zeros_like(a)
+    for ax in range(a.ndim):
+        for d in (-1, 1):
+            # a voxel is boundary if its face neighbour is empty or outside
+            shifted = np.zeros_like(a)
+            src = [slice(None)] * a.ndim
+            dst = [slice(None)] * a.ndim
+            src[ax] = slice(max(0, d), a.shape[ax] + min(0, d))
+            dst[ax] = slice(max(0, -d), a.shape[ax] - max(0, d))
+            shifted[tuple(dst)] = a[tuple(src)]
+            has_bg |= ~shifted
+    srcs = np.argwhere(a & has_bg)
+    if srcs.size == 0:
+        return None, rej_rm, rej_pl
+    src_noise = noise.values[tuple(srcs.T)]
+    order = np.lexsort(tuple(srcs.T[::-1]) + (src_noise,))
+    dist = cfg.max_move_distance
+    offsets = [
+        off
+        for off in itertools.product(range(-dist, dist + 1), repeat=g.ndim)
+        if any(off)
+    ]
+    for k in order:
+        src = tuple(int(x) for x in srcs[k])
+        best = None
+        best_noise = float(src_noise[k])
+        for off in offsets:
+            tgt = tuple(s + o for s, o in zip(src, off))
+            if not g.in_range(tgt) or a[tgt]:
+                continue
+            v = float(noise.values[tgt])
+            if v > best_noise or (v == best_noise and best is not None and tgt < best):
+                best, best_noise = tgt, v
+        if best is None:
+            continue
+        if move_filter is not None and not move_filter(g, src, best):
+            continue
+        if not is_local_flip_safe(g, src, 0, cfg.safety_radius):
+            rej_rm += 1
+            continue
+        g.data[src] = False
+        placeable = is_local_flip_safe(g, best, 1, cfg.safety_radius)
+        g.data[src] = True
+        if not placeable:
+            rej_pl += 1
+            continue
+        return (src, best), rej_rm, rej_pl
+    return None, rej_rm, rej_pl

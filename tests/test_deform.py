@@ -114,10 +114,8 @@ def test_deform_moves_uphill():
     cfg = DeformConfig(iterations=30, seed=0)
     cur = g.copy()
     centroid_before = np.argwhere(cur.data).mean(axis=0)
-    from topovox.deform import _select_move
-
     for _ in range(cfg.iterations):
-        pair, _, _ = _select_move(cur, noise, cfg)
+        pair = select_move(cur, noise, cfg)
         if pair is None:
             break
         src, dst = pair
@@ -226,3 +224,91 @@ def test_move_filter_vetoes_moves():
     gained = np.argwhere(out.data & ~g.data)
     assert report.accepted_flips > 0
     assert (gained[:, 0] >= 24).all()
+
+
+def _lockstep(g, noise, cfg, moves, move_filter=None):
+    """Run the front and the full-rescan reference side by side.
+
+    Every move must pick the same pair with the same rejection counters,
+    and ``move_filter`` must see the same calls in the same order.  Returns
+    the number of moves made.
+    """
+    from oracles import select_move_reference
+    from topovox.deform import _MoveFront
+
+    ref = g.copy()
+    front = _MoveFront(g.copy(), noise, cfg)
+    seen = {"front": [], "ref": []}
+
+    def recorder(name):
+        if move_filter is None:
+            return None
+
+        def record(grid, src, dst):
+            seen[name].append((src, dst))
+            return move_filter(grid, src, dst)
+
+        return record
+
+    for step in range(moves):
+        expected = select_move_reference(ref, noise, cfg, recorder("ref"))
+        got = front.select(recorder("front"))
+        assert got == expected, step
+        assert seen["front"] == seen["ref"], step
+        pair = got[0]
+        if pair is None:
+            return step
+        front.move(*pair)
+        ref.data[pair[0]] = False
+        ref.data[pair[1]] = True
+        assert front.grid == ref
+    return moves
+
+
+def _veto(grid, src, dst):
+    return (sum(src) + 2 * dst[-1]) % 3 != 0
+
+
+@pytest.mark.parametrize("move_filter", [None, _veto])
+@pytest.mark.parametrize(
+    "dims, dist, radius, moves",
+    [
+        ((18, 21), 1, 1, 60),
+        ((16, 16), 2, 1, 40),
+        ((16, 16), 1, 2, 30),
+        ((9, 10, 11), 1, 1, 30),
+        ((8, 8, 8), 2, 2, 8),
+        ((8, 8, 9, 8), 1, 1, 6),
+    ],
+)
+def test_front_matches_full_rescan(dims, dist, radius, moves, move_filter):
+    rng = np.random.default_rng(sum(dims) + 10 * dist + radius)
+    cfg = DeformConfig(
+        iterations=moves, max_move_distance=dist, safety_radius=radius
+    )
+    for trial in range(2):
+        g = _random_blob(rng, dims, 3) if trial == 0 else new_grid(dims)
+        if trial == 1:
+            g.data[:] = rng.random(dims) < 0.55
+        noise = noise_field(dims, 4.0, trial)
+        # one decimal: many equal noise values, so ties in the source order
+        # and among targets decide moves
+        quantized = NoiseField(dims, 4.0, trial, np.round(noise.values, 1))
+        for field in (noise, quantized):
+            _lockstep(g, field, cfg, moves, move_filter)
+
+
+def test_front_matches_full_rescan_when_stagnating():
+    cfg = DeformConfig(iterations=5)
+    # a one-voxel ring: every removal breaks the loop, so the scan passes
+    # every source and ends with nothing to move
+    g = new_grid([12, 12])
+    g.data[3:9, 3:9] = True
+    g.data[4:8, 4:8] = False
+    noise = noise_field((12, 12), 3.0, 1)
+    assert _lockstep(g, noise, cfg, 5) == 0
+    # a flat field: no target is uphill of any source
+    g = new_grid([10, 10])
+    g.data[4:6, 4:6] = True
+    flat = NoiseField((10, 10), 1.0, 0, np.zeros((10, 10)))
+    assert _lockstep(g, flat, cfg, 5) == 0

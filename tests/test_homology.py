@@ -19,7 +19,10 @@ from topovox.homology import (
     euler_from_cells,
     gf2_rank,
     is_local_flip_safe,
+    _block,
+    _eliminate_block,
 )
+from topovox.grid import extract_neighborhood
 
 from oracles import betti_oracle, cell_counts_bruteforce, chi_bruteforce
 
@@ -374,3 +377,61 @@ def test_accepted_flips_preserve_global_betti(rng):
                 assert betti_numbers(g2) == base
                 checked += 1
     assert checked > 50
+
+
+def test_block_bits_match_elimination_on_all_2d_blocks():
+    block = _block((3, 3))
+    for bits in itertools.product((False, True), repeat=9):
+        data = np.array(bits).reshape(3, 3)
+        key = block.key(data)
+        assert block.betti(key) == _eliminate_block(data), data
+        assert block.betti(key ^ block.full) == _eliminate_block(~data), data
+
+
+@pytest.mark.parametrize("shape, per_rate", [((3, 3, 3), 300), ((5, 5, 5), 40), ((5, 5), 200)])
+def test_block_bits_match_elimination_on_random_blocks(shape, per_rate):
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    block = _block(shape)
+    for rate in np.linspace(0.1, 0.9, 9):
+        for _ in range(per_rate):
+            data = rng.random(shape) < rate
+            assert block.betti(block.key(data)) == _eliminate_block(data), data
+
+
+def test_block_memo_tells_equal_sizes_apart():
+    # 9^2 and 3^4 blocks both have 81 voxels and can share a bit pattern
+    data = np.ones((9, 9), dtype=bool)
+    data[:, 4] = False  # two bars in 2D; a 2-plane removed from the 4D cube
+    flat = _block((9, 9))
+    quad = _block((3, 3, 3, 3))
+    assert flat.key(data) == quad.key(data.reshape((3,) * 4))
+    assert flat.betti(flat.key(data)).betti == (2, 0, 0, 0)
+    assert quad.betti(quad.key(data)) == _eliminate_block(data.reshape((3,) * 4))
+    assert quad.betti(quad.key(data)).betti == (1, 1, 0, 0)
+
+
+def test_block_memo_starts_over_when_full(monkeypatch):
+    from topovox import homology
+
+    monkeypatch.setattr(homology, "_MEMO_ENTRIES", 4)
+    block = homology._Block((3, 3))  # a fresh memo, not the shared one
+    for bits in itertools.islice(itertools.product((False, True), repeat=9), 0, 512, 37):
+        data = np.array(bits).reshape(3, 3)
+        assert block.betti(block.key(data)) == _eliminate_block(data)
+        assert block.betti.cache_info().currsize <= 4
+
+
+def test_gate_matches_elimination_on_random_grids(rng):
+    """The gate's verdict equals one computed by eliminating all four blocks."""
+    for dims, radius in (((9, 9), 1), ((7, 7), 2), ((6, 6, 6), 1), ((7, 7, 7), 2)):
+        for _ in range(60):
+            g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
+            c = tuple(int(rng.integers(0, d)) for d in dims)
+            new = 1 - g.get(c)
+            before = extract_neighborhood(g, c, radius).data
+            after = before.copy()
+            after[(radius,) * len(dims)] = new
+            expected = _eliminate_block(before) == _eliminate_block(after) and (
+                _eliminate_block(~before) == _eliminate_block(~after)
+            )
+            assert is_local_flip_safe(g, c, new, radius) == expected

@@ -176,6 +176,18 @@ def test_4d_generation(tmp_path):
         assert verify_sample(voxel_path, manifest_path).passed
 
 
+def test_4d_dilation_is_always_engine_verified(tmp_path):
+    # the 4D gate is incomplete and dilation has no global re-check, so a
+    # dilated 4D sample is verified even when verify_rate says never
+    common = dict(dims=(13, 13, 13, 13), count=1, max_objects=1, verify_rate=0.0)
+    [(_, dilated)] = generate_dataset(
+        DatasetConfig(out_dir=str(tmp_path / "dil"), dilate_iterations=1, **common)
+    )
+    assert SampleManifest.from_json(dilated.read_text()).engine_verified
+    [(_, plain)] = generate_dataset(DatasetConfig(out_dir=str(tmp_path / "plain"), **common))
+    assert not SampleManifest.from_json(plain.read_text()).engine_verified
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "env_dir"
     monkeypatch.setenv("TOPOVOX_OUT", str(target))
@@ -336,3 +348,64 @@ def test_cli_deform_and_thicken(tmp_path, capsys):
     assert rc == 0
     thick = read_voxels(tmp_path / "t.tvox")
     assert betti_numbers(thick).betti == (1, 0, 0, 0)
+
+
+def _cli_dataset(tmp_path, name):
+    out_dir = tmp_path / name
+    cli.main(["gen", "--count", "2", "--dims", "24", "24", "--seed", "3", "--out", str(out_dir)])
+    return out_dir
+
+
+def _verify_lines(out_dir, capsys):
+    capsys.readouterr()
+    rc = cli.main(["verify", str(out_dir)])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def test_cli_verify_reports_missing_voxel_file(tmp_path, capsys):
+    out_dir = _cli_dataset(tmp_path, "missing")
+    (out_dir / "sample_0000.tvox").unlink()
+    rc, lines = _verify_lines(out_dir, capsys)
+    assert rc == 1
+    assert lines[0].startswith("sample_0000.json: FAIL cannot read")
+    assert "sample_0000.tvox" in lines[0]
+    assert lines[1].startswith("sample_0001.json: PASS")
+    assert lines[-1] == "1/2 samples passed"
+
+
+def _with_voxel_file(text, value):
+    doc = json.loads(text)
+    doc["voxel_file"] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda t: t[: len(t) // 2], "invalid JSON"),
+        (lambda t: '{"dims": [24, 24], "seed": 3}', "no field 'construction'"),
+        (lambda t: '{"dims": [24, 24], "construction": {"family": "ball"}}', "unknown family"),
+        (lambda t: "[1, 2, 3]", "not a sample manifest"),
+        (lambda t: _with_voxel_file(t, 5), "voxel_file is not a string"),
+    ],
+)
+def test_cli_verify_reports_malformed_manifest(tmp_path, capsys, edit, reason):
+    out_dir = _cli_dataset(tmp_path, "malformed")
+    manifest = out_dir / "sample_0000.json"
+    manifest.write_text(edit(manifest.read_text()))
+    rc, lines = _verify_lines(out_dir, capsys)
+    assert rc == 1
+    assert lines[0].startswith("sample_0000.json: FAIL")
+    assert reason in lines[0]
+    assert lines[1].startswith("sample_0001.json: PASS")
+    assert lines[-1] == "1/2 samples passed"
+
+
+def test_cli_verify_reports_json_that_is_not_a_manifest(tmp_path, capsys):
+    out_dir = _cli_dataset(tmp_path, "report")
+    (out_dir / "run_report.json").write_text(json.dumps({"samples_per_s": 3.1}))
+    rc, lines = _verify_lines(out_dir, capsys)
+    assert rc == 1
+    assert lines[0] == "run_report.json: FAIL not a sample manifest: no field 'dims'"
+    assert all(line.startswith("sample_") and ": PASS" in line for line in lines[1:3])
+    assert lines[-1] == "2/3 samples passed"
