@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from collections import Counter
@@ -41,7 +42,13 @@ def _add_gen(sub: argparse._SubParsersAction) -> None:
 def _gen(args: argparse.Namespace) -> int:
     fields = {}
     if args.config:
-        fields.update(json.loads(args.config.read_text()))
+        try:
+            doc = json.loads(args.config.read_text())
+        except RecursionError as exc:
+            raise ValueError(f"{args.config}: JSON nested too deeply") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
+        fields.update(doc)
     for name in (
         "count",
         "dims",
@@ -57,7 +64,10 @@ def _gen(args: argparse.Namespace) -> int:
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
-    cfg = DatasetConfig(**fields)
+    try:
+        cfg = DatasetConfig(**fields)
+    except TypeError as exc:  # an unknown field or a value of the wrong type
+        raise ValueError(f"bad config: {exc}") from exc
     pairs = generate_dataset(cfg)
     for voxel_path, manifest_path in pairs:
         manifest = SampleManifest.from_json(manifest_path.read_text())
@@ -105,6 +115,14 @@ def _thicken(args: argparse.Namespace) -> int:
     return 0 if before == after else 1
 
 
+def _fail_line(manifest_path: Path, exc: Exception) -> None:
+    """One FAIL line for a file that cannot be read or parsed."""
+    if isinstance(exc, OSError):
+        print(f"{manifest_path.name}: FAIL cannot read {exc.filename}: {exc.strerror}")
+    else:  # malformed manifest or voxel file
+        print(f"{manifest_path.name}: FAIL {exc}")
+
+
 def _verify(args: argparse.Namespace) -> int:
     manifests = []
     for path in args.paths:
@@ -120,10 +138,8 @@ def _verify(args: argparse.Namespace) -> int:
             manifest = SampleManifest.from_json(manifest_path.read_text())
             voxel_path = manifest_path.parent / manifest.voxel_file
             report = verify_sample(voxel_path, manifest_path)
-        except OSError as exc:
-            print(f"{manifest_path.name}: FAIL cannot read {exc.filename}: {exc.strerror}")
-        except ValueError as exc:  # malformed manifest or voxel file
-            print(f"{manifest_path.name}: FAIL {exc}")
+        except (OSError, ValueError) as exc:
+            _fail_line(manifest_path, exc)
         else:
             print(f"{manifest_path.name}: {report.summary()}")
             if report.passed:
@@ -134,16 +150,23 @@ def _verify(args: argparse.Namespace) -> int:
 
 
 def _stats(args: argparse.Namespace) -> int:
+    dataset = Path(args.dataset)
+    if not dataset.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such dataset directory", str(dataset))
     hist: Counter = Counter()
-    total = 0
-    for manifest_path in sorted(Path(args.dataset).glob("*.json")):
-        manifest = SampleManifest.from_json(manifest_path.read_text())
-        hist[tuple(manifest.label.betti)] += 1
-        total += 1
+    failures = 0
+    for manifest_path in sorted(dataset.glob("*.json")):
+        try:
+            manifest = SampleManifest.from_json(manifest_path.read_text())
+        except (OSError, ValueError) as exc:
+            _fail_line(manifest_path, exc)
+            failures += 1
+        else:
+            hist[tuple(manifest.label.betti)] += 1
     for betti, n in sorted(hist.items()):
         print(f"betti={betti}: {n}")
-    print(f"{total} samples")
-    return 0
+    print(f"{sum(hist.values())} samples" + (f", {failures} failed" if failures else ""))
+    return 0 if failures == 0 else 1
 
 
 def _render_slice(args: argparse.Namespace) -> int:
@@ -201,7 +224,14 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _stats,
         "render-slice": _render_slice,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except OSError as exc:  # a missing or unwritable file
+        reason = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
+    except ValueError as exc:  # a malformed voxel file, config or argument
+        reason = str(exc)
+    print(f"topovox {args.command}: error: {reason}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -22,16 +22,19 @@ remaining core are reduced as sparse columns with rows numbered per
 dimension, the pivots of d_3 clearing columns of d_2.
 
 The flip gate keys each (2r+1)^n block by one int and memoizes its Betti
-vector per block shape.  A 2D or 3D block that misses the memo is solved
-bit-parallel on Python ints with the whole-grid formulas: beta_0 by a
-full-adjacency flood fill, beta_(n-1) from the padded complement, chi from
-popcounts of the doubled lattice's parity classes and beta_1 from the Euler
-identity (see :class:`_Block`).  4D blocks are eliminated directly.
-Measured costs are in the README's "Performance notes".
+vector per block shape.  A block that misses the memo is solved
+bit-parallel on Python ints (see :class:`_Block`).  A 2D or 3D block uses
+the whole-grid formulas: beta_0 by a full-adjacency flood fill,
+beta_(n-1) from the padded complement, chi from popcounts of the doubled
+lattice's parity classes and beta_1 from the Euler identity.  A 4D block is
+collapsed on its doubled lattice, top dimension down, and only the core
+that is left (usually one vertex) is eliminated.  Measured costs are in the
+README's "Performance notes".
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -400,6 +403,19 @@ def _shared(bv: BettiVector) -> BettiVector:
     return bv
 
 
+def _bits_of(mask: np.ndarray) -> int:
+    """A boolean array as an int: flat (C-order) index ``i`` is bit ``i``."""
+    return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
+
+
+def _set_bits(x: int):
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _eliminate_block(data: np.ndarray) -> BettiVector:
     """Betti vector of a small block by direct elimination of every d_k."""
     n = data.ndim
@@ -439,7 +455,17 @@ class _Block:
       class's even axes;
     * beta_1 follows from the Euler identity.
 
-    4D blocks are eliminated directly.
+    4D blocks are collapsed (:meth:`_collapse`).  The cells sit on the
+    block's doubled lattice with one int per cell dimension.  From the top
+    dimension down, each dimension k is collapsed to a fixpoint in rounds:
+    a half-adder over the 2n coface sets, each shifted by one axis stride,
+    finds the free k-faces (exactly one coface), and the free faces claim
+    their cofaces one direction at a time, so that no coface is taken
+    twice.  Pairing k-faces with (k+1)-cells frees no face one dimension
+    up, so one top-down pass leaves no free face.  A collapse keeps the
+    homology, so the Betti numbers are those of the core, whose boundary
+    ranks :func:`_rank_columns` computes; chi comes from the popcounts of
+    the dimension masks.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -464,8 +490,44 @@ class _Block:
         # ds[i] dilates along the axes of the set bits of i: its cells span
         # the other n - popcount(i) axes
         self.signs = tuple((-1) ** (n - bin(i).count("1")) for i in range(1 << n))
-        self._solve = self._bitwise if n < 4 else self._eliminate
+        if n < 4:
+            self._solve = self._bitwise
+        else:
+            self._solve = self._collapse
+            self._lattice_layout()
         self.betti = lru_cache(maxsize=None)(self._miss)
+
+    def _lattice_layout(self) -> None:
+        """Bit layout of the block's doubled lattice, for :meth:`_collapse`.
+
+        Lattice point ``p`` is bit ``sum(p[ax] * lattice_strides[ax])``.  Every
+        axis but the first has one zero margin point past the block's 2s+1
+        points, so a cell shifted by one stride lands on a cell or on a
+        margin point, never on a cell of another row.  The first axis needs
+        no margin: a shift off it leaves the box, and the box mask drops it.
+        Built on the first gate call for the shape, not at import.
+        """
+        n, side = len(self.shape), self.shape[0]
+        span = 2 * side + 1
+        shape2 = (span,) + (span + 1,) * (n - 1)
+        self.lattice_shape = shape2
+        self.lattice_strides = tuple(math.prod(shape2[ax + 1 :]) for ax in range(n))
+        inner = np.zeros(shape2, dtype=bool)
+        inner[(slice(None),) + (slice(0, span),) * (n - 1)] = True
+        dim = _cell_dim_array(shape2)
+        self.dim_masks = tuple(_bits_of(inner & (dim == k)) for k in range(n + 1))
+        self.lattice_box = _bits_of(inner)
+        # one row of key bits, with voxel j at lattice point 2j + 1
+        self.spread = tuple(
+            sum(1 << (2 * j + 1) for j in range(side) if v >> (side - 1 - j) & 1)
+            for v in range(1 << side)
+        )
+        self.lattice_rows = tuple(
+            (at_key, sum((2 * y + 1) * t for y, t in zip(ys, self.lattice_strides)))
+            for (at_key, _), ys in zip(
+                self.rows, itertools.product(range(side), repeat=n - 1)
+            )
+        )
 
     def key(self, data: np.ndarray) -> int:
         return int.from_bytes(np.packbits(data).tobytes(), "big") >> self.pad
@@ -474,11 +536,6 @@ class _Block:
         if self.betti.cache_info().currsize >= _MEMO_ENTRIES:
             self.betti.cache_clear()
         return _shared(self._solve(key))
-
-    def _eliminate(self, key: int) -> BettiVector:
-        raw = np.frombuffer((key << self.pad).to_bytes(self.nbytes, "big"), dtype=np.uint8)
-        data = np.unpackbits(raw, count=self.size).astype(bool).reshape(self.shape)
-        return _eliminate_block(data)
 
     def _flood(self, seed: int, mask: int, full: bool) -> int:
         """The part of ``mask`` connected to ``seed`` (a subset of it)."""
@@ -515,6 +572,67 @@ class _Block:
         # flooding from the whole ring reaches the outside in a few steps
         top = self._components(bg ^ self._flood(self.ring, bg, full=False), full=False)
         return BettiVector.of((b0, b0 + top - chi, top), chi)
+
+    def _collapse(self, key: int) -> BettiVector:
+        x, rm, spread = 0, self.row_mask, self.spread
+        for at_key, at in self.lattice_rows:
+            x |= spread[(key >> at_key) & rm] << at
+        strides, box = self.lattice_strides, self.lattice_box
+        for t in strides:
+            x = (x | (x << t) | (x >> t)) & box
+        cells = [x & m for m in self.dim_masks]
+        chi = sum((-1) ** k * c.bit_count() for k, c in enumerate(cells))
+        # top down: pairing k-faces with (k+1)-cells frees no face one
+        # dimension up, so each dimension is collapsed to a fixpoint once
+        for k in range(len(cells) - 2, -1, -1):
+            faces, cofaces = cells[k], cells[k + 1]
+            while faces and cofaces:
+                # half-adder over the 2n shifted coface sets: a free face is
+                # one with exactly one coface
+                once = twice = 0
+                for t in strides:
+                    for s in (cofaces >> t, cofaces << t):
+                        twice |= once & s
+                        once |= s
+                free = faces & once & ~twice
+                if not free:
+                    break
+                # one direction at a time, so that no coface is taken twice
+                for t in strides:
+                    up = free & (cofaces >> t)
+                    cofaces ^= up << t
+                    down = free & (cofaces << t)
+                    cofaces ^= down >> t
+                    faces ^= up | down
+            cells[k], cells[k + 1] = faces, cofaces
+        beta = self._core_betti(cells)
+        return BettiVector.of(beta, chi)
+
+    def _core_betti(self, cells: list[int]) -> list[int]:
+        """Betti numbers of a core, one int of cells per dimension.
+
+        Rows and columns are numbered per dimension in lattice order; the
+        pivot rows of d_(k+1) clear the matching columns of d_k.
+        """
+        counts = [c.bit_count() for c in cells]
+        if not any(counts[1:]):  # the usual core: isolated vertices
+            return counts
+        strides, shape2 = self.lattice_strides, self.lattice_shape
+        index = [{p: i for i, p in enumerate(_set_bits(c))} for c in cells]
+        ranks = [0] * (len(cells) + 1)
+        cleared: set[int] = set()
+        for k in range(len(cells) - 1, 0, -1):
+            below, columns = index[k - 1], []
+            for c, p in enumerate(index[k]):
+                if c in cleared:
+                    continue
+                rows = []
+                for t, m in zip(strides, shape2):
+                    if (p // t) % m % 2:
+                        rows += (below[p - t], below[p + t])
+                columns.append(sorted(rows))
+            ranks[k], cleared = _rank_columns(columns)
+        return [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(cells))]
 
 
 @lru_cache(maxsize=None)

@@ -93,6 +93,21 @@ def read_voxels(path) -> BinaryGrid:
     return BinaryGrid(bits.astype(bool).reshape(dims))
 
 
+def _replace_atomically(path: Path, write) -> None:
+    """Call ``write`` on a sibling temp name, then rename it to ``path``.
+
+    The temp name ends in ``.part``, so a reader globbing ``*.tvox`` or
+    ``*.json`` never sees a file that is still being written.
+    """
+    tmp = path.with_name(path.name + ".part")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def file_checksum(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -154,9 +169,11 @@ class SampleManifest:
             )
         except json.JSONDecodeError as exc:
             raise ManifestFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ManifestFormatError("not a sample manifest: nested too deeply") from exc
         except KeyError as exc:
             raise ManifestFormatError(f"not a sample manifest: no field {exc}") from exc
-        except (TypeError, AttributeError, ValueError) as exc:
+        except (TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ManifestFormatError(f"not a sample manifest: {exc}") from exc
         if not isinstance(manifest.voxel_file, str):
             raise ManifestFormatError("not a sample manifest: voxel_file is not a string")
@@ -502,7 +519,9 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     Placement exhaustion and topology drift trigger regeneration of the
     affected sample under a fresh derived seed, up to 10 retries.  A label
     verification failure is a hard error: labels are construction-exact by
-    design, so a mismatch means a defect, not bad luck.
+    design, so a mismatch means a defect, not bad luck.  Each file is written
+    under a temp name and renamed, voxels before manifest, so an interrupted
+    run leaves no truncated file and no manifest without its voxels.
     """
     out = cfg.resolved_out_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -548,7 +567,7 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
         stem = f"sample_{i:0{width}d}"
         voxel_path = out / f"{stem}.tvox"
         manifest_path = out / f"{stem}.json"
-        write_voxels(voxel_path, grid)
+        _replace_atomically(voxel_path, lambda p: write_voxels(p, grid))
         manifest = SampleManifest(
             dims=grid.dims,
             construction=construction,
@@ -559,7 +578,7 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
             engine_verified=engine_verified,
             deform_report=deform_doc,
         )
-        manifest_path.write_text(manifest.to_json())
+        _replace_atomically(manifest_path, lambda p: p.write_text(manifest.to_json()))
         results.append((voxel_path, manifest_path))
     return results
 

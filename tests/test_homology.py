@@ -388,7 +388,10 @@ def test_block_bits_match_elimination_on_all_2d_blocks():
         assert block.betti(key ^ block.full) == _eliminate_block(~data), data
 
 
-@pytest.mark.parametrize("shape, per_rate", [((3, 3, 3), 300), ((5, 5, 5), 40), ((5, 5), 200)])
+@pytest.mark.parametrize(
+    "shape, per_rate",
+    [((3, 3, 3), 300), ((5, 5, 5), 40), ((5, 5), 200), ((3, 3, 3, 3), 100), ((5, 5, 5, 5), 4)],
+)
 def test_block_bits_match_elimination_on_random_blocks(shape, per_rate):
     rng = np.random.default_rng(len(shape) * 10 + shape[0])
     block = _block(shape)
@@ -396,6 +399,45 @@ def test_block_bits_match_elimination_on_random_blocks(shape, per_rate):
         for _ in range(per_rate):
             data = rng.random(shape) < rate
             assert block.betti(block.key(data)) == _eliminate_block(data), data
+
+
+def _shell(side):
+    data = np.ones((side,) * 4, dtype=bool)
+    data[(slice(1, -1),) * 4] = False
+    return data
+
+
+def _plane_removed(side):
+    data = np.ones((side,) * 4, dtype=bool)
+    data[:, :, side // 2, side // 2] = False
+    return data
+
+
+def _loop(side):
+    data = np.zeros((side,) * 4, dtype=bool)
+    ring = data[:, :, side // 2, side // 2]
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    return data
+
+
+@pytest.mark.parametrize("side", [3, 5])
+@pytest.mark.parametrize(
+    "make, betti",
+    [
+        (_shell, (1, 0, 0, 1)),
+        (_plane_removed, (1, 1, 0, 0)),
+        (_loop, (1, 1, 0, 0)),
+        (lambda side: np.ones((side,) * 4, dtype=bool), (1, 0, 0, 0)),
+        (lambda side: np.zeros((side,) * 4, dtype=bool), (0, 0, 0, 0)),
+    ],
+    ids=["shell", "plane_removed", "loop", "full", "empty"],
+)
+def test_4d_blocks_that_do_not_collapse_to_a_point(make, betti, side):
+    data = make(side)
+    block = _block(data.shape)
+    for d in (data, ~data):
+        assert block.betti(block.key(d)) == _eliminate_block(d), d
+    assert block.betti(block.key(data)).betti == betti
 
 
 def test_block_memo_tells_equal_sizes_apart():
@@ -423,7 +465,13 @@ def test_block_memo_starts_over_when_full(monkeypatch):
 
 def test_gate_matches_elimination_on_random_grids(rng):
     """The gate's verdict equals one computed by eliminating all four blocks."""
-    for dims, radius in (((9, 9), 1), ((7, 7), 2), ((6, 6, 6), 1), ((7, 7, 7), 2)):
+    for dims, radius in (
+        ((9, 9), 1),
+        ((7, 7), 2),
+        ((6, 6, 6), 1),
+        ((7, 7, 7), 2),
+        ((5, 5, 5, 5), 1),
+    ):
         for _ in range(60):
             g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
             c = tuple(int(rng.integers(0, d)) for d in dims)

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from topovox.pipeline import (
     verify_sample,
     write_voxels,
 )
-from topovox import cli
+from topovox import cli, pipeline
 from topovox import seeds as sd
 
 
@@ -387,6 +389,7 @@ def _with_voxel_file(text, value):
         (lambda t: '{"dims": [24, 24], "construction": {"family": "ball"}}', "unknown family"),
         (lambda t: "[1, 2, 3]", "not a sample manifest"),
         (lambda t: _with_voxel_file(t, 5), "voxel_file is not a string"),
+        (lambda t: "[" * 100000, "nested too deeply"),
     ],
 )
 def test_cli_verify_reports_malformed_manifest(tmp_path, capsys, edit, reason):
@@ -409,3 +412,110 @@ def test_cli_verify_reports_json_that_is_not_a_manifest(tmp_path, capsys):
     assert lines[0] == "run_report.json: FAIL not a sample manifest: no field 'dims'"
     assert all(line.startswith("sample_") and ": PASS" in line for line in lines[1:3])
     assert lines[-1] == "2/3 samples passed"
+
+
+def test_cli_stats_reports_json_that_is_not_a_manifest(tmp_path, capsys):
+    out_dir = _cli_dataset(tmp_path, "stats")
+    (out_dir / "run_report.json").write_text(json.dumps({"samples_per_s": 3.1}))
+    capsys.readouterr()
+    rc = cli.main(["stats", str(out_dir)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert "run_report.json: FAIL not a sample manifest: no field 'dims'" in lines
+    assert lines[-1] == "2 samples, 1 failed"
+
+
+def test_cli_stats_on_a_missing_directory(tmp_path, capsys):
+    rc = cli.main(["stats", str(tmp_path / "nowhere")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"topovox stats: error: no such dataset directory: {tmp_path / 'nowhere'}"]
+
+
+@pytest.mark.parametrize("command", ["deform", "thicken", "render-slice"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), (b"PK\x03\x04 not voxels", "bad magic at offset 0")],
+    ids=["missing", "not-tvox"],
+)
+def test_cli_commands_fail_in_one_line_on_bad_voxel_files(tmp_path, capsys, command, content, reason):
+    src = tmp_path / "in.tvox"
+    if content is not None:
+        src.write_bytes(content)
+    out = tmp_path / "out.bin"
+    rc = cli.main([command, str(src), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1
+    assert err[0].startswith(f"topovox {command}: error: {reason}")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+@pytest.mark.parametrize("target", ["voxels", "manifest"])
+def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, target):
+    cfg = DatasetConfig(count=3, dims=(24, 24), mode="embed", master_seed=8, out_dir=str(tmp_path / "ds"))
+    real_write_voxels, real_write_text = pipeline.write_voxels, Path.write_text
+    calls = []
+
+    def half_then_fail(path, data, write):
+        calls.append(path)
+        if len(calls) == 2:  # the second sample's file
+            write(path, data[: len(data) // 2])
+            raise KeyboardInterrupt
+        write(path, data)
+
+    if target == "voxels":
+        def write_voxels(path, g):
+            scratch = tmp_path / "whole.tvox"
+            real_write_voxels(scratch, g)
+            half_then_fail(Path(path), scratch.read_bytes(), Path.write_bytes)
+
+        monkeypatch.setattr(pipeline, "write_voxels", write_voxels)
+    else:
+        def write_text(self, text, *args, **kwargs):
+            if self.suffix != ".part":
+                return real_write_text(self, text, *args, **kwargs)
+            half_then_fail(self, text, real_write_text)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+    with pytest.raises(KeyboardInterrupt):
+        generate_dataset(cfg)
+    monkeypatch.undo()
+
+    out = tmp_path / "ds"
+    names = sorted(p.name for p in out.iterdir())
+    if target == "voxels":
+        assert names == ["sample_0000.json", "sample_0000.tvox"]
+    else:  # the voxels of the interrupted sample landed, its manifest did not
+        assert names == ["sample_0000.json", "sample_0000.tvox", "sample_0001.tvox"]
+    assert verify_sample(out / "sample_0000.tvox", out / "sample_0000.json").passed
+    # a rerun writes the same dataset as an uninterrupted run
+    generate_dataset(cfg)
+    generate_dataset(dataclasses.replace(cfg, out_dir=str(tmp_path / "clean")))
+    for p in sorted((tmp_path / "clean").iterdir()):
+        assert (out / p.name).read_bytes() == p.read_bytes()
+    assert len(list(out.iterdir())) == 6
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"count": 1, "colour": "red"}', "bad config: "),
+        ("[1, 2]", "a config must be a JSON object"),
+        ("[" * 100000, "JSON nested too deeply"),
+        ('{"count": "two"}', "bad config: "),
+        ('{"count": ', "Expecting value"),
+    ],
+)
+def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    rc = cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "ds")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("topovox gen: error: ")
+    assert reason in err[0]
