@@ -15,6 +15,7 @@ from .morphology import homology_safe_dilate, thicken_background
 from .noise import noise_field
 from .pipeline import (
     DatasetConfig,
+    SampleAttemptsExhaustedError,
     SampleManifest,
     export_slice,
     generate_dataset,
@@ -228,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except OSError as exc:  # a missing or unwritable file
         reason = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
-    except ValueError as exc:  # a malformed voxel file, config or argument
+    except (ValueError, SampleAttemptsExhaustedError) as exc:
+        # a malformed voxel file, config or argument, or a grid no sample fits
         reason = str(exc)
     print(f"topovox {args.command}: error: {reason}", file=sys.stderr)
     return 1

@@ -50,6 +50,10 @@ class LabelMismatchError(RuntimeError):
     """Raised when an engine verification contradicts a symbolic label."""
 
 
+class SampleAttemptsExhaustedError(RuntimeError):
+    """Raised when every attempt at one sample fails; names the last cause."""
+
+
 # ---------------------------------------------------------------------------
 # TVOX voxel files
 
@@ -242,6 +246,10 @@ class DatasetConfig:
             raise ValueError("verify_rate must be in [0, 1]")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.max_objects < 1:
+            raise ValueError(f"max_objects must be at least 1, got {self.max_objects}")
+        if self.spacing < 1:
+            raise ValueError(f"spacing must be at least 1, got {self.spacing}")
         if self.shape_weights is not None:
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")
@@ -517,7 +525,8 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     """Generate the configured samples; returns (voxel path, manifest path) pairs.
 
     Placement exhaustion and topology drift trigger regeneration of the
-    affected sample under a fresh derived seed, up to 10 retries.  A label
+    affected sample under a fresh derived seed, up to 10 attempts; after the
+    last one :class:`SampleAttemptsExhaustedError` names its cause.  A label
     verification failure is a hard error: labels are construction-exact by
     design, so a mismatch means a defect, not bad luck.  Each file is written
     under a temp name and renamed, voxels before manifest, so an interrupted
@@ -542,10 +551,12 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
                 seeds.PlacementExhaustedError,
                 seeds.PlacementError,
                 TopologyDriftError,
-            ):
-                continue
+            ) as exc:
+                cause = exc
         else:
-            raise RuntimeError(f"sample {i} failed after 10 attempts")
+            raise SampleAttemptsExhaustedError(
+                f"sample {i} failed after 10 attempts; the last: {cause}"
+            ) from cause
 
         verify_draw = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i, 999)))

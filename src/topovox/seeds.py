@@ -3,8 +3,11 @@
 Shapes are rasterized by evaluating canonical implicit inequalities at voxel
 centers (integer coordinates).  Curves are dense polylines thickened by exact
 point-to-segment distance, so a reparametrized curve with the same geometry
-rasterizes to the same voxel set.  Placement uses dilation of the existing
-content to enforce a minimum spacing between objects.
+rasterizes to the same voxel set.  The segments of a tube are stamped in
+batches over one shared offset lattice; each (segment, voxel) pair evaluates
+exactly the arithmetic of a one-segment-at-a-time stamp, so batching changes
+no voxel.  Placement uses dilation of the existing content to enforce a
+minimum spacing between objects.
 """
 from __future__ import annotations
 
@@ -44,10 +47,6 @@ IMPLICIT_KINDS = (
     "tube_I2xS1",
     "tube_IxT2",
 )
-
-#: Reserved for spun/knotted 2-spheres in 4D; recognized in manifests but not
-#: rasterizable in this version.
-RESERVED_KINDS = ("spun_knot_sphere",)
 
 
 @dataclass(frozen=True)
@@ -334,29 +333,10 @@ def make_circle_wedge(center, radius: float, count: int) -> list[ParametricCurve
     return loops
 
 
-def _stamp_capsule(data: np.ndarray, p0: np.ndarray, p1: np.ndarray, r: float, value: bool) -> None:
-    lo = np.maximum(np.floor(np.minimum(p0, p1) - r).astype(int), 0)
-    hi = np.minimum(np.ceil(np.maximum(p0, p1) + r).astype(int) + 1, data.shape)
-    if np.any(lo >= hi):
-        return
-    grids = np.meshgrid(
-        *[np.arange(a, b, dtype=np.float64) for a, b in zip(lo, hi)], indexing="ij"
-    )
-    d = p1 - p0
-    rel = [gx - c for gx, c in zip(grids, p0)]
-    l2 = float(np.dot(d, d))
-    if l2 == 0.0:
-        dist2 = sum(c * c for c in rel)
-    else:
-        t = sum(c * dc for c, dc in zip(rel, d)) / l2
-        np.clip(t, 0.0, 1.0, out=t)
-        dist2 = sum((c - t * dc) ** 2 for c, dc in zip(rel, d))
-    region = tuple(slice(a, b) for a, b in zip(lo, hi))
-    mask = dist2 <= r * r
-    if value:
-        data[region] |= mask
-    else:
-        data[region] &= ~mask
+#: Upper bound on the (segment, voxel) pairs evaluated at once by
+#: :func:`rasterize_tube`.  Its temporaries then stay under 1 MB: at 2^16
+#: pairs a generation run peaked about 1 MB higher, at the same speed.
+STAMP_CHUNK_PAIRS = 1 << 14
 
 
 def rasterize_tube(
@@ -366,6 +346,15 @@ def rasterize_tube(
 
     Voxels within ``tube_radius`` of any segment of the polyline are set;
     closed curves yield solid-torus topology, open ones ball topology.
+
+    Each segment is a capsule tested on the voxels of its own box (its
+    endpoints' bounding box grown by the radius, floor/ceil, clipped to the
+    grid).  The segments are stamped in batches: one offset lattice the size
+    of the largest box is laid over every segment's box corner, pairs outside
+    their own segment's box are masked out, and the union of the capsules is
+    written with one index assignment per batch.  Every (segment, voxel) pair
+    evaluates the same float expressions in the same order as a one-segment-
+    at-a-time loop would, so the voxels do not depend on the batching.
     """
     if c.samples.shape[1] != g.ndim:
         raise InvalidCurveError(
@@ -379,8 +368,47 @@ def rasterize_tube(
             f"curve samples are {spacing:.3f} voxels apart; the limit is "
             f"{MAX_SAMPLE_SPACING} to guarantee gap-free tubes"
         )
-    for p0, p1 in c.segments():
-        _stamp_capsule(g.data, p0, p1, tube_radius, bool(value))
+    seg = c.segments()
+    p0, p1 = seg[:, 0], seg[:, 1]
+    r = tube_radius
+    shape = g.data.shape
+    lo = np.maximum(np.floor(np.minimum(p0, p1) - r).astype(int), 0)
+    hi = np.minimum(np.ceil(np.maximum(p0, p1) + r).astype(int) + 1, shape)
+    ext = hi - lo
+    lattice = np.maximum(ext.max(axis=0), 0)
+    pairs = int(np.prod(lattice))
+    if pairs == 0:
+        return g
+    d = p1 - p0
+    # np.dot may go through BLAS, so the squared length stays per segment
+    l2 = np.array([float(np.dot(v, v)) for v in d])
+    # a zero-length segment gets t = 0, which leaves dist2 = sum(rel ** 2)
+    point = l2 == 0.0
+    n = g.ndim
+    # axis 0 indexes segments, axis k + 1 the lattice's axis k
+    column = (-1,) + (1,) * n
+    divisor = np.where(point, 1.0, l2).reshape(column)
+    lo_ax, ext_ax, p0_ax, d_ax = (v.T.reshape((n,) + column) for v in (lo, ext, p0, d))
+    offsets = [
+        np.arange(e).reshape((1,) * (k + 1) + (e,) + (1,) * (n - k - 1))
+        for k, e in enumerate(lattice)
+    ]
+    batch = max(1, STAMP_CHUNK_PAIRS // pairs)
+    for a in range(0, len(seg), batch):
+        rows = slice(a, a + batch)
+        inside = True
+        rel = []
+        for k, off in enumerate(offsets):
+            inside = inside & (off < ext_ax[k, rows])
+            rel.append((lo_ax[k, rows] + off).astype(np.float64) - p0_ax[k, rows])
+        dk = d_ax[:, rows]
+        t = sum(x * dx for x, dx in zip(rel, dk)) / divisor[rows]
+        np.clip(t, 0.0, 1.0, out=t)
+        t[point[rows]] = 0.0
+        dist2 = sum((x - t * dx) ** 2 for x, dx in zip(rel, dk))
+        inside &= dist2 <= r * r
+        hit, *pos = np.nonzero(inside)
+        g.data[tuple(lo[a + hit, k] + o for k, o in enumerate(pos))] = bool(value)
     return g
 
 

@@ -185,3 +185,35 @@ def select_move_reference(g, noise, cfg, move_filter=None):
             continue
         return (src, best), rej_rm, rej_pl
     return None, rej_rm, rej_pl
+
+
+def stamp_tube_reference(data: np.ndarray, curve, r: float, value: int = 1) -> None:
+    """Tube stamping one segment at a time, as it was before batching.
+
+    Each segment gets its own box (floor/ceil of its endpoints' bounding box
+    grown by ``r``, clipped to the grid) and its own meshgrid, and the
+    capsule mask is OR-ed in (``value=1``) or cleared (``value=0``).
+    """
+    for p0, p1 in curve.segments():
+        lo = np.maximum(np.floor(np.minimum(p0, p1) - r).astype(int), 0)
+        hi = np.minimum(np.ceil(np.maximum(p0, p1) + r).astype(int) + 1, data.shape)
+        if np.any(lo >= hi):
+            continue
+        grids = np.meshgrid(
+            *[np.arange(a, b, dtype=np.float64) for a, b in zip(lo, hi)], indexing="ij"
+        )
+        d = p1 - p0
+        rel = [gx - c for gx, c in zip(grids, p0)]
+        l2 = float(np.dot(d, d))
+        if l2 == 0.0:
+            dist2 = sum(c * c for c in rel)
+        else:
+            t = sum(c * dc for c, dc in zip(rel, d)) / l2
+            np.clip(t, 0.0, 1.0, out=t)
+            dist2 = sum((c - t * dc) ** 2 for c, dc in zip(rel, d))
+        region = tuple(slice(a, b) for a, b in zip(lo, hi))
+        mask = dist2 <= r * r
+        if value:
+            data[region] |= mask
+        else:
+            data[region] &= ~mask

@@ -3,15 +3,20 @@
 Each case generates a dataset at ``verify_rate=1`` and hashes every voxel
 file and manifest in order.  The digests were recorded before the flip gate
 and the deform move selection were rewritten, so any change to the voxels,
-the labels or the deform counters of these datasets fails here.  A change
-that alters the output on purpose must say why and update the digest.
+the labels or the deform counters of these datasets fails here.  The
+``3d-tubes`` digest was recorded before the tube stamp was batched; it is the
+only case large enough to draw a trefoil, a Hopf link and a circle wedge.  A
+change that alters the output on purpose must say why and update the digest.
 """
 import hashlib
+import json
 import warnings
 
 import pytest
 
 from topovox.pipeline import DatasetConfig, generate_dataset
+
+TUBE_WEIGHTS = {"open_tube": 1.0, "trefoil_tube": 1.0, "hopf_link": 1.0, "circle_wedge": 1.0}
 
 CASES = {
     "2d-plain": (dict(dims=(32, 32), count=4), "b6b7c1d814012f765a445378345c96044a7306f3b50920b9eff8ace544d5073f"),
@@ -24,15 +29,20 @@ CASES = {
     "4d-deform": (dict(dims=(13, 13, 13, 13), count=3, max_objects=1, deform_iterations=8), "4a3d6798ddc0d7a251b0bbc034bc223875d81b7a43ef041bfb6e016c838473d3"),
     "4d-cutout-deform": (dict(dims=(14, 14, 14, 14), count=1, max_objects=1, mode="cutout", deform_iterations=8), "feba306368c3ae61409f2d2aa682b0c099d2ffe72806e224694e9f8aa17c720f"),
     "4d-dilate": (dict(dims=(13, 13, 13, 13), count=1, max_objects=1, dilate_iterations=1), "f76ac170ac10260626f505909e39eb577ef41712291507e1ddd587cb41fe0c0c"),
+    "3d-tubes": (dict(dims=(40, 40, 40), count=4, mode="embed", max_objects=1, shape_weights=TUBE_WEIGHTS), "0dc3b73adc16ba0146ac07443d458946161d2c1fe6b6774a7343bffef9a2e746"),
 }
 
 
-def dataset_digest(out_dir, **fields) -> str:
+def generate(out_dir, **fields):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        pairs = generate_dataset(
+        return generate_dataset(
             DatasetConfig(out_dir=str(out_dir), master_seed=7, verify_rate=1.0, **fields)
         )
+
+
+def dataset_digest(out_dir, **fields) -> str:
+    pairs = generate(out_dir, **fields)
     digest = hashlib.sha256()
     for voxel_path, manifest_path in pairs:
         digest.update(voxel_path.read_bytes())
@@ -44,3 +54,13 @@ def dataset_digest(out_dir, **fields) -> str:
 def test_golden_digest(tmp_path, name):
     fields, expected = CASES[name]
     assert dataset_digest(tmp_path / name, **fields) == expected
+
+
+def test_tube_case_draws_every_tube_kind(tmp_path):
+    fields, _ = CASES["3d-tubes"]
+    kinds = {
+        child["kind"]
+        for _, manifest in generate(tmp_path, **fields)
+        for child in json.loads(manifest.read_text())["construction"]["children"]
+    }
+    assert {"trefoil_tube", "hopf_link", "circle_wedge", "open_tube"} <= kinds

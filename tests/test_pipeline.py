@@ -12,6 +12,7 @@ from topovox.homology import betti_numbers
 from topovox.pipeline import (
     DatasetConfig,
     LabelMismatchError,
+    SampleAttemptsExhaustedError,
     SampleManifest,
     VoxelFormatError,
     export_slice,
@@ -509,6 +510,9 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ("[" * 100000, "JSON nested too deeply"),
         ('{"count": "two"}', "bad config: "),
         ('{"count": ', "Expecting value"),
+        ('{"count": 1, "max_objects": 0}', "max_objects must be at least 1, got 0"),
+        ('{"count": 1, "spacing": 0}', "spacing must be at least 1, got 0"),
+        ('{"count": 1, "dims": [8, 8]}', "sample 0 failed after 10 attempts; the last: dims (8, 8) too small"),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
@@ -519,3 +523,10 @@ def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reaso
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("topovox gen: error: ")
     assert reason in err[0]
+
+
+def test_exhausted_attempts_name_the_last_cause(tmp_path):
+    cfg = DatasetConfig(count=1, dims=(8, 8), mode="embed", out_dir=str(tmp_path))
+    with pytest.raises(SampleAttemptsExhaustedError, match="too small for any object") as info:
+        generate_dataset(cfg)
+    assert isinstance(info.value.__cause__, sd.PlacementError)

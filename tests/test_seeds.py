@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import stamp_tube_reference
 
-from topovox.grid import count_ones, new_grid
+from topovox.grid import BinaryGrid, count_ones, new_grid
 from topovox.homology import betti_numbers
 from topovox import seeds as sd
 from topovox.seeds import (
@@ -154,6 +157,111 @@ def test_hopf_link_labels():
     alone = new_grid([32] * 3)
     rasterize_tube(alone, c1, 2.0)
     assert betti_numbers(alone).betti == (1, 1, 0, 0)
+
+
+def _random_curve(rng, dims, closed, repeat):
+    # waypoints spill past every face, so segment boxes get clipped
+    pts = rng.uniform(-3.0, np.asarray(dims) + 2.0, size=(int(rng.integers(2, 5)), len(dims)))
+    if repeat:
+        # a repeated waypoint makes a leg of zero-length segments
+        pts = np.insert(pts, 1, pts[1], axis=0)
+    return make_polyline(pts, closed=closed)
+
+
+def _stamp_both(rng, dims, curve, r, value, fill=0.5):
+    start = rng.random(dims) < fill
+    expect = start.copy()
+    stamp_tube_reference(expect, curve, r, value)
+    got = BinaryGrid(start.copy())
+    rasterize_tube(got, curve, r, value)
+    return expect, got.data
+
+
+@pytest.mark.parametrize("dims", [(23, 19), (13, 15, 11), (8, 9, 7, 10)])
+@pytest.mark.parametrize("value", [1, 0])
+@pytest.mark.parametrize("closed", [False, True])
+def test_tube_matches_per_segment_reference(dims, value, closed):
+    rng = np.random.default_rng(sum(dims) * 4 + value * 2 + closed)
+    for trial in range(6):
+        curve = _random_curve(rng, dims, closed, repeat=trial % 2 == 0)
+        if trial % 2 == 0:
+            seg = curve.segments()
+            assert (seg[:, 0] == seg[:, 1]).all(axis=1).any()
+        r = float(rng.uniform(0.4, 3.0))
+        expect, got = _stamp_both(rng, dims, curve, r, value)
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dims,r", [((30, 24, 26), 9.0), ((14, 12, 13, 11), 5.5)])
+@pytest.mark.parametrize("value", [1, 0])
+def test_tube_matches_reference_across_chunks(dims, r, value):
+    rng = np.random.default_rng(len(dims) + value)
+    curve = _random_curve(rng, dims, closed=False, repeat=True)
+    # every segment box spans at least 2r per axis: more pairs than one chunk
+    assert len(curve.segments()) * (2 * r) ** len(dims) > 2 * sd.STAMP_CHUNK_PAIRS
+    expect, got = _stamp_both(rng, dims, curve, r, value)
+    assert got.tobytes() == expect.tobytes()
+
+
+def _tie_radius(curve, voxel):
+    """A radius whose square equals the voxel's squared distance to the curve.
+
+    The distance is taken in the reference's per-segment arithmetic, so the
+    voxel sits exactly on the tube's boundary and any change in rounding
+    order can move it out.
+    """
+    best = math.inf
+    for p0, p1 in curve.segments():
+        rel = [np.float64(x) - c for x, c in zip(voxel, p0)]
+        d = p1 - p0
+        l2 = float(np.dot(d, d))
+        if l2 == 0.0:
+            dist2 = sum(c * c for c in rel)
+        else:
+            t = min(max(sum(c * dc for c, dc in zip(rel, d)) / l2, 0.0), 1.0)
+            dist2 = sum((c - t * dc) ** 2 for c, dc in zip(rel, d))
+        best = min(best, float(dist2))
+    root = math.sqrt(best)
+    for r in (root, math.nextafter(root, math.inf), math.nextafter(root, 0.0)):
+        if r * r == best:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("dims", [(23, 19), (13, 15, 11), (8, 9, 7, 10)])
+def test_tube_matches_reference_on_boundary_ties(dims):
+    rng = np.random.default_rng(len(dims))
+    ties = 0
+    for _ in range(120):
+        curve = _random_curve(rng, dims, closed=bool(rng.integers(2)), repeat=False)
+        near = curve.samples[rng.integers(len(curve.samples))] + rng.integers(-3, 4, len(dims))
+        voxel = tuple(int(x) for x in np.clip(np.round(near), 0, np.asarray(dims) - 1))
+        r = _tie_radius(curve, voxel)
+        if r is None or not 0.5 <= r <= 4.0:
+            continue
+        ties += 1
+        expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+        assert expect[voxel]
+        assert got.tobytes() == expect.tobytes()
+    assert ties >= 40
+
+
+@pytest.mark.parametrize("dims", [(23, 19), (13, 15, 11), (8, 9, 7, 10)])
+def test_tube_matches_reference_on_integer_waypoints(dims):
+    # integer waypoints and radii put voxels exactly r past a box's edge
+    rng = np.random.default_rng(len(dims) + 10)
+    for closed in (False, True):
+        for r in (1.0, 2.0, 3.0):
+            pts = rng.integers(-2, np.asarray(dims) + 2, size=(4, len(dims)))
+            curve = make_polyline(pts.astype(float), closed=closed)
+            expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+            assert got.tobytes() == expect.tobytes()
+
+
+def test_tube_outside_the_grid_sets_nothing():
+    g = new_grid([12, 12])
+    rasterize_tube(g, make_segment((-20.0, -20.0), (-10.0, -20.0)), 2.0)
+    assert count_ones(g) == 0
 
 
 def test_separated_circles_same_homology_as_link():
