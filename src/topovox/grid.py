@@ -178,22 +178,40 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
     the smallest number in its component, so the roots are the cells whose
     value equals their own number.
 
-    Vectorized: every round hooks each root onto the smallest root it shares
-    a link with (``np.minimum.at``), then pointer jumping points every cell
-    at its root.  Hooking only ever lowers a parent, so no cycle can form,
-    and each round removes every root that has a smaller linked root.
+    Cells linked along the last axis have consecutive numbers, so they are
+    first merged into runs by one ``cumsum`` over the cells not linked to
+    their predecessor.  The other links join runs; consecutive duplicates
+    of a run pair are dropped.  Every round then hooks each root run onto
+    the smallest root run it shares a link with (``np.minimum.at``), and
+    pointer jumping points every run at its root.  Hooking only ever lowers
+    a parent, so no cycle can form, and each round removes every root that
+    has a smaller linked root.  The first cells of the runs ascend, so the
+    first cell of the root run is the component's smallest cell.
     """
-    n = int(np.count_nonzero(mask))
-    ids = np.zeros(mask.shape, dtype=np.int32)
-    ids[mask] = np.arange(n, dtype=np.int32)
-    us, vs = [], []
+    last = (0,) * (mask.ndim - 1) + (1,)
+    linked = np.zeros(mask.shape, dtype=bool)
+    cross = []
     for off, joined in links:
+        if tuple(off) == last:
+            linked[_pair_slices(off, mask.shape)[1]] |= joined
+        else:
+            cross.append((off, joined))
+    starts = ~linked[mask]
+    run = np.cumsum(starts, dtype=np.int32) - 1
+    first_cell = np.flatnonzero(starts).astype(np.int32)
+    ids = np.zeros(mask.shape, dtype=np.int32)
+    ids[mask] = run
+    us, vs = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for off, joined in cross:
         src, dst = _pair_slices(off, mask.shape)
         us.append(ids[src][joined])
         vs.append(ids[dst][joined])
     u, v = np.concatenate(us), np.concatenate(vs)
-    del ids, us, vs  # the rounds need only the link ends
-    parent = np.arange(n, dtype=np.int32)
+    del linked, ids, us, vs  # the rounds need only the link ends
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    u, v = u[~repeat], v[~repeat]
+    parent = np.arange(first_cell.size, dtype=np.int32)
     while u.size:
         pu, pv = parent[u], parent[v]
         low = np.minimum(pu, pv)
@@ -206,7 +224,7 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
             parent = jumped
         open_ = parent[u] != parent[v]
         u, v = u[open_], v[open_]
-    return parent
+    return first_cell[parent[run]]
 
 
 def count_roots(roots: np.ndarray) -> int:

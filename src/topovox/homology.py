@@ -14,12 +14,16 @@ crops the grid to the bounding box of its foreground and takes the Euler
 characteristic from the cell counts, beta_0 from the components of the
 1-skeleton and beta_(n-1) from the bounded face-adjacent components of the
 complement (Alexander duality); both component counts use the vectorized
-union-find of :func:`topovox.grid.component_roots`.  The Euler identity
-then settles 2D and 3D.  In 4D, beta_1 and beta_2 share one unknown,
-rank(d_2): the complex is collapsed in one sweep per axis (each free pair
-adds one to the rank in its coface's dimension), then d_3 and d_2 of the
-remaining core are reduced as sparse columns with rows numbered per
-dimension, the pivots of d_3 clearing columns of d_2.
+union-find of :func:`topovox.grid.component_roots`, which first merges the
+cells linked along the last axis into runs and then joins runs.  The Euler
+identity then settles 2D and 3D.  In 4D, beta_1 and beta_2 share one
+unknown, rank(d_2): the complex is collapsed in one sweep per axis (each
+free pair adds one to the rank in its coface's dimension), then d_3 and d_2
+of the remaining core are reduced as sparse columns with rows numbered per
+dimension, the pivots of d_3 clearing columns of d_2.  The sweep works on
+one contiguous copy of the lattice per axis, builds its per-dimension masks
+once per axis and runs the in-plane coface test only for a hyperplane and
+dimension that have candidates below the top dimension.
 
 The flip gate keys each (2r+1)^n block by one int and memoizes its Betti
 vector per block shape.  A block that misses the memo is solved
@@ -121,21 +125,6 @@ def _axis_slices(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
     return tuple(full)
 
 
-def _coface_counts(present: np.ndarray) -> np.ndarray:
-    """Number of present cofaces of every lattice cell.
-
-    A coface of a cell exists only along axes where its coordinate is even;
-    the two candidates sit at +-1 on that axis.
-    """
-    cnt = np.zeros(present.shape, dtype=np.int8)
-    nd = present.ndim
-    for ax, s in enumerate(present.shape):
-        odd = _axis_slices(nd, ax, slice(1, s, 2))
-        cnt[_axis_slices(nd, ax, slice(0, s - 1, 2))] += present[odd]
-        cnt[_axis_slices(nd, ax, slice(2, s, 2))] += present[odd]
-    return cnt
-
-
 def _sweep_collapse(present: np.ndarray, par: np.ndarray) -> np.ndarray:
     """Remove elementary free pairs in one sweep per axis, mutating ``present``.
 
@@ -145,22 +134,45 @@ def _sweep_collapse(present: np.ndarray, par: np.ndarray) -> np.ndarray:
     The pairs of one step are disjoint, so each step is a valid collapse
     sequence; a solid box collapses to a point.  Returns the number of
     removed pairs per coface dimension.
+
+    Each axis works on one contiguous copy of the lattice with that axis
+    first, written back when the axis is done.  Every even hyperplane has
+    the same cell dimensions, so their masks are built once per axis.  A
+    hyperplane with no candidate, and a dimension with none, is skipped
+    before the in-plane coface test; a top-dimensional cell of a hyperplane
+    has no coface inside it, so it needs no test at all.  The test ORs the
+    plane's odd neighbours into one reused "has a coface" buffer.
     """
     nd = present.ndim
     pairs = np.zeros(nd + 1, dtype=np.int64)
     for ax in range(nd):
-        p, q = np.moveaxis(present, ax, 0), np.moveaxis(par, ax, 0)
+        p = np.ascontiguousarray(np.moveaxis(present, ax, 0))
+        plane_dims = np.moveaxis(par, ax, 0)[0]
+        of_dim = [plane_dims == k for k in range(nd)]
+        has_coface = np.empty(p.shape[1:], dtype=bool)
+        free = np.empty(p.shape[1:], dtype=bool)
         for j in range(0, p.shape[0] - 1, 2):
             plane, up = p[j], p[j + 1]
             candidates = plane & up
             if j:
                 candidates &= ~p[j - 1]
+            if not candidates.any():
+                continue
             for k in range(nd - 1, -1, -1):
-                free = candidates & (q[j] == k) & (_coface_counts(plane) == 0)
-                if free.any():
-                    pairs[k + 1] += np.count_nonzero(free)
-                    plane &= ~free
-                    up &= ~free
+                np.logical_and(candidates, of_dim[k], out=free)
+                if not free.any():
+                    continue
+                if k < nd - 1:
+                    has_coface.fill(False)
+                    for a, s in enumerate(plane.shape):
+                        odd = plane[_axis_slices(nd - 1, a, slice(1, s, 2))]
+                        has_coface[_axis_slices(nd - 1, a, slice(0, s - 1, 2))] |= odd
+                        has_coface[_axis_slices(nd - 1, a, slice(2, s, 2))] |= odd
+                    free &= ~has_coface
+                pairs[k + 1] += np.count_nonzero(free)
+                plane &= ~free
+                up &= ~free
+        np.moveaxis(present, ax, 0)[...] = p
     return pairs
 
 

@@ -530,10 +530,11 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     verification failure is a hard error: labels are construction-exact by
     design, so a mismatch means a defect, not bad luck.  Each file is written
     under a temp name and renamed, voxels before manifest, so an interrupted
-    run leaves no truncated file and no manifest without its voxels.
+    run leaves no truncated file and no manifest without its voxels.  The
+    output directory is created just before the first file is written, so a
+    run whose first sample fails leaves no empty directory behind.
     """
     out = cfg.resolved_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     results: list[tuple[Path, Path]] = []
     width = max(4, len(str(cfg.count - 1)))
     for i in range(cfg.count):
@@ -578,6 +579,8 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
         stem = f"sample_{i:0{width}d}"
         voxel_path = out / f"{stem}.tvox"
         manifest_path = out / f"{stem}.json"
+        if not results:
+            out.mkdir(parents=True, exist_ok=True)
         _replace_atomically(voxel_path, lambda p: write_voxels(p, grid))
         manifest = SampleManifest(
             dims=grid.dims,

@@ -217,3 +217,85 @@ def stamp_tube_reference(data: np.ndarray, curve, r: float, value: int = 1) -> N
             data[region] |= mask
         else:
             data[region] &= ~mask
+
+
+def _axis_slices(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
+    full = [slice(None)] * ndim
+    full[ax] = sl
+    return tuple(full)
+
+
+def coface_counts_reference(present: np.ndarray) -> np.ndarray:
+    """Number of present cofaces of every doubled-lattice cell.
+
+    A coface of a cell exists only along axes where its coordinate is even;
+    the two candidates sit at +-1 on that axis.
+    """
+    cnt = np.zeros(present.shape, dtype=np.int8)
+    nd = present.ndim
+    for ax, s in enumerate(present.shape):
+        odd = _axis_slices(nd, ax, slice(1, s, 2))
+        cnt[_axis_slices(nd, ax, slice(0, s - 1, 2))] += present[odd]
+        cnt[_axis_slices(nd, ax, slice(2, s, 2))] += present[odd]
+    return cnt
+
+
+def sweep_collapse_reference(present: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """The one-sweep collapse as it was first written, mutating ``present``.
+
+    Along each axis, hyperplane by hyperplane and from the top dimension
+    down, every cell whose only coface is its neighbour one step up the
+    axis is removed with that coface.  The in-plane coface counts are
+    recomputed for every dimension of every hyperplane.  Returns the number
+    of removed pairs per coface dimension.
+    """
+    nd = present.ndim
+    pairs = np.zeros(nd + 1, dtype=np.int64)
+    for ax in range(nd):
+        p, q = np.moveaxis(present, ax, 0), np.moveaxis(par, ax, 0)
+        for j in range(0, p.shape[0] - 1, 2):
+            plane, up = p[j], p[j + 1]
+            candidates = plane & up
+            if j:
+                candidates &= ~p[j - 1]
+            for k in range(nd - 1, -1, -1):
+                free = candidates & (q[j] == k) & (coface_counts_reference(plane) == 0)
+                if free.any():
+                    pairs[k + 1] += np.count_nonzero(free)
+                    plane &= ~free
+                    up &= ~free
+    return pairs
+
+
+def component_roots_reference(mask: np.ndarray, links) -> np.ndarray:
+    """Cell-level union-find, as it was before cells were merged into runs.
+
+    Every true cell of ``mask`` gets its raster number; each round hooks
+    every root onto the smallest root it shares a link with, then pointer
+    jumping points every cell at its root.  Returns, per true cell, the
+    smallest number in its component.
+    """
+    n = int(np.count_nonzero(mask))
+    ids = np.zeros(mask.shape, dtype=np.int32)
+    ids[mask] = np.arange(n, dtype=np.int32)
+    us, vs = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for off, joined in links:
+        src = tuple(slice(max(0, -o), max(0, s - max(0, o))) for o, s in zip(off, mask.shape))
+        dst = tuple(slice(max(0, o), max(0, s + min(0, o))) for o, s in zip(off, mask.shape))
+        us.append(ids[src][joined])
+        vs.append(ids[dst][joined])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    parent = np.arange(n, dtype=np.int32)
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        low = np.minimum(pu, pv)
+        np.minimum.at(parent, pu, low)
+        np.minimum.at(parent, pv, low)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        open_ = parent[u] != parent[v]
+        u, v = u[open_], v[open_]
+    return parent

@@ -525,6 +525,19 @@ def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reaso
     assert reason in err[0]
 
 
+def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "ds"
+    assert cli.main(["gen", "--dims", "8", "8", "--count", "1", "--out", str(out)]) == 1
+    assert "too small" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    # a directory that already existed is left as it was
+    out.mkdir(parents=True)
+    (out / "keep.txt").write_text("kept")
+    assert cli.main(["gen", "--dims", "8", "8", "--count", "1", "--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept"
+
+
 def test_exhausted_attempts_name_the_last_cause(tmp_path):
     cfg = DatasetConfig(count=1, dims=(8, 8), mode="embed", out_dir=str(tmp_path))
     with pytest.raises(SampleAttemptsExhaustedError, match="too small for any object") as info:
