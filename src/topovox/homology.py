@@ -10,7 +10,13 @@ and boundary extraction vectorizable.
 
 Betti numbers satisfy ``beta_k = c_k - rank(d_k) - rank(d_k+1)`` over GF(2),
 and a whole grid needs at most one of those ranks.  :func:`betti_numbers`
-crops the grid to the bounding box of its foreground and takes the Euler
+first squashes the grid: along each axis, every run of equal voxel slabs
+is kept as one slab and an empty run at either end is dropped.  Stretching
+one coordinate piecewise linearly is a homeomorphism of R^n that maps the
+union of the voxels' closed cubes onto the squashed union and the
+complement onto its complement, so every number below is unchanged.  The
+solid margin of a cube complement squashes to one slab, so a 16^4 cut-out
+becomes 7^4 to 9^4 voxels before any lattice is built.  The engine then takes the Euler
 characteristic from the cell counts, beta_0 from the components of the
 1-skeleton and beta_(n-1) from the bounded face-adjacent components of the
 complement (Alexander duality); both component counts use the vectorized
@@ -119,7 +125,7 @@ def _cell_counts(present: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _axis_slices(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:
+def _axis_slices(ndim: int, ax: int, sl: slice | int) -> tuple:
     full = [slice(None)] * ndim
     full[ax] = sl
     return tuple(full)
@@ -326,16 +332,39 @@ def euler_from_cells(c: CubicalComplex) -> int:
 # ---------------------------------------------------------------------------
 # Betti numbers
 
-def _crop(data: np.ndarray) -> np.ndarray | None:
-    """``data`` cut to the bounding box of its foreground; None when empty."""
-    box = []
-    for ax in range(data.ndim):
-        others = tuple(j for j in range(data.ndim) if j != ax)
-        hit = np.flatnonzero(data.any(axis=others))
-        if hit.size == 0:
-            return None
-        box.append(slice(hit[0], hit[-1] + 1))
-    return data[tuple(box)]
+def _squash(data: np.ndarray) -> np.ndarray | None:
+    """``data`` with every run of equal slabs along each axis kept once.
+
+    An empty run at either end of an axis is dropped, which crops the grid to
+    the bounding box of its foreground; returns None when ``data`` is empty.
+    Stretching one coordinate piecewise linearly is a homeomorphism of R^n
+    that maps the union of closed cubes of ``data`` onto that of the result
+    and the complement onto its complement, so the Betti numbers and the
+    Euler characteristic do not change.
+    """
+    nd = data.ndim
+    for ax in range(nd):
+        differ = (
+            data[_axis_slices(nd, ax, slice(1, None))]
+            != data[_axis_slices(nd, ax, slice(None, -1))]
+        )
+        # the leading axes one at a time, then the trailing ones: about half
+        # the cost of one reduction over all the other axes
+        for _ in range(ax):
+            differ = differ.any(axis=0)
+        keep = np.ones(data.shape[ax], dtype=bool)
+        keep[1:] = differ.any(axis=tuple(range(1, nd - ax)))
+        # an empty run at either end is one kept slab now: drop it
+        last = np.flatnonzero(keep)[-1]
+        if not data[_axis_slices(nd, ax, last)].any():
+            if last == 0:
+                return None
+            keep[last] = False
+        if not data[_axis_slices(nd, ax, 0)].any():
+            keep[0] = False
+        if not keep.all():
+            data = np.compress(keep, data, axis=ax)
+    return data
 
 
 def _unit(ax: int, ndim: int) -> Coord:
@@ -370,14 +399,15 @@ def _bounded_background_components(data: np.ndarray) -> int:
 def _betti_whole(data: np.ndarray) -> tuple:
     """Betti numbers and Euler characteristic of a whole grid.
 
-    b0 counts the components of the 1-skeleton; by Alexander duality
-    b_(n-1) counts the bounded components of the complement; the Euler
+    Everything is computed on the grid as :func:`_squash` leaves it.  b0
+    counts the components of the 1-skeleton; by Alexander duality b_(n-1)
+    counts the bounded components of the complement; the Euler
     characteristic comes from the cell counts.  That settles 2D and 3D.  In
     4D, b1 and b2 share the one remaining unknown, rank d2: the other ranks
     are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
     """
     n = data.ndim
-    data = _crop(data)
+    data = _squash(data)
     if data is None:
         return (0,) * (n + 1), 0
     present = _cell_lattice(data)

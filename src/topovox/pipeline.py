@@ -420,6 +420,31 @@ def _cutout_params(kind: str, genus: int) -> tuple[int, int, int, int]:
     raise ValueError(f"kind {kind!r} is not a valid cut-out")
 
 
+def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[str], int, int]:
+    """The kinds of ``mode`` (cutout or embed) whose box fits ``dims``.
+
+    Also returns the margin kept free at the grid border and the largest
+    object box side that margin leaves.
+    """
+    ndim = len(dims)
+    margin = 2 if mode == "cutout" else 1
+    max_side = min(dims) - 2 * margin
+    table = CUTOUT_KINDS if mode == "cutout" else EMBED_KINDS
+    return [k for k in table[ndim] if _min_side(k, ndim) <= max_side], margin, max_side
+
+
+def _check_some_kind_fits(cfg: DatasetConfig) -> None:
+    """Raise :class:`seeds.PlacementError` if no kind fits ``cfg.dims`` in any
+    mode ``cfg.mode`` allows: no attempt could then succeed, whatever its seed.
+
+    Dims with an unsupported number of axes are left to the grid to reject.
+    """
+    modes = ("cutout", "embed") if cfg.mode == "mixed" else (cfg.mode,)
+    if cfg.ndim in CUTOUT_KINDS and not any(_fitting_kinds(m, cfg.dims)[0] for m in modes):
+        what = " or ".join("cut-out" if m == "cutout" else "object" for m in modes)
+        raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
+
+
 def _build_sample(
     cfg: DatasetConfig, rng: np.random.Generator, sample_seed: int
 ) -> tuple[BinaryGrid, ConstructionDescriptor, BettiVector, dict | None]:
@@ -432,9 +457,7 @@ def _build_sample(
     if mode == "cutout":
         grid = new_grid(cfg.dims, fill=1)
         carved = new_grid(cfg.dims, fill=0)  # cavity tracker for spacing
-        margin = 2
-        max_side = min(cfg.dims) - 2 * margin
-        kinds = [k for k in CUTOUT_KINDS[ndim] if _min_side(k, ndim) <= max_side]
+        kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
         if not kinds:
             raise seeds.PlacementError(f"dims {cfg.dims} too small for any cut-out")
         cutouts = []
@@ -462,9 +485,7 @@ def _build_sample(
         label = cavity_label(ndim, cutouts)
     else:
         grid = new_grid(cfg.dims, fill=0)
-        margin = 1
-        max_side = min(cfg.dims) - 2 * margin
-        kinds = [k for k in EMBED_KINDS[ndim] if _min_side(k, ndim) <= max_side]
+        kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
         if not kinds:
             raise seeds.PlacementError(f"dims {cfg.dims} too small for any object")
         children = []
@@ -524,9 +545,11 @@ def _build_sample(
 def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     """Generate the configured samples; returns (voxel path, manifest path) pairs.
 
-    Placement exhaustion and topology drift trigger regeneration of the
-    affected sample under a fresh derived seed, up to 10 attempts; after the
-    last one :class:`SampleAttemptsExhaustedError` names its cause.  A label
+    Dims that no catalog kind fits in any mode ``cfg.mode`` allows raise
+    :class:`seeds.PlacementError` before the first attempt.  Placement
+    exhaustion and topology drift trigger regeneration of the affected
+    sample under a fresh derived seed, up to 10 attempts; after the last one
+    :class:`SampleAttemptsExhaustedError` names its cause.  A label
     verification failure is a hard error: labels are construction-exact by
     design, so a mismatch means a defect, not bad luck.  Each file is written
     under a temp name and renamed, voxels before manifest, so an interrupted
@@ -534,6 +557,7 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     output directory is created just before the first file is written, so a
     run whose first sample fails leaves no empty directory behind.
     """
+    _check_some_kind_fits(cfg)
     out = cfg.resolved_out_dir()
     results: list[tuple[Path, Path]] = []
     width = max(4, len(str(cfg.count - 1)))

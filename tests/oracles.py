@@ -299,3 +299,19 @@ def component_roots_reference(mask: np.ndarray, links) -> np.ndarray:
         open_ = parent[u] != parent[v]
         u, v = u[open_], v[open_]
     return parent
+
+
+def squash_reference(data: np.ndarray) -> np.ndarray | None:
+    """Slab by slab: keep a slab unless it equals the one before it, then drop
+    empty slabs from both ends; None when nothing is left."""
+    for ax in range(data.ndim):
+        slabs = list(np.moveaxis(data, ax, 0))
+        kept = [s for i, s in enumerate(slabs) if i == 0 or not np.array_equal(s, slabs[i - 1])]
+        while kept and not kept[0].any():
+            kept.pop(0)
+        while kept and not kept[-1].any():
+            kept.pop()
+        if not kept:
+            return None
+        data = np.moveaxis(np.stack(kept), 0, ax)
+    return data

@@ -12,7 +12,7 @@ import pytest
 
 from topovox import pipeline
 from topovox.grid import _pair_slices, component_roots, neighbor_offsets
-from topovox.homology import _cell_dim_array, _cell_lattice, _crop, _sweep_collapse
+from topovox.homology import _cell_dim_array, _cell_lattice, _squash, _sweep_collapse
 
 from oracles import component_roots_reference, sweep_collapse_reference
 
@@ -59,9 +59,9 @@ def test_sweep_matches_reference_on_random_grids(rng, shape):
     for fill in FILLS:
         data = rng.random(shape) < fill
         assert_same_sweep(data)
-        cropped = _crop(data)
-        if cropped is not None:
-            assert_same_sweep(cropped)
+        squashed = _squash(data)
+        if squashed is not None:
+            assert_same_sweep(squashed)
 
 
 def test_sweep_matches_reference_on_empty_and_full_grids():
@@ -72,7 +72,7 @@ def test_sweep_matches_reference_on_empty_and_full_grids():
 
 def test_sweep_matches_reference_on_gen_plain_4d_samples():
     for data in gen_plain_4d_grids():
-        assert_same_sweep(_crop(data))
+        assert_same_sweep(_squash(data))
 
 
 def skeleton_links(present):
@@ -143,7 +143,7 @@ def test_roots_of_an_empty_mask():
 
 def test_roots_match_reference_on_gen_plain_4d_samples():
     for data in gen_plain_4d_grids():
-        data = _crop(data)
+        data = _squash(data)
         assert_same_roots(*skeleton_links(_cell_lattice(data)))
         bg = np.pad(~data, 1, constant_values=True)
         face = [off for off in neighbor_offsets(4, "face") if off > (0,) * 4]

@@ -21,10 +21,11 @@ from topovox.homology import (
     is_local_flip_safe,
     _block,
     _eliminate_block,
+    _squash,
 )
 from topovox.grid import extract_neighborhood
 
-from oracles import betti_oracle, cell_counts_bruteforce, chi_bruteforce
+from oracles import betti_oracle, cell_counts_bruteforce, chi_bruteforce, squash_reference
 
 
 def annulus_2d():
@@ -318,6 +319,152 @@ def test_reduced_flag():
 def test_betti_vector_of_rejects_high_dimensions():
     with pytest.raises(ValueError):
         BettiVector.of((1, 0, 0, 0, 2), 0)
+
+
+# ---------------------------------------------------------------------------
+# squashing runs of equal slabs
+
+
+def _repeat_slabs(rng, data: np.ndarray, most: int) -> np.ndarray:
+    """``data`` with every slab along every axis repeated 1..most times."""
+    for ax in range(data.ndim):
+        data = np.repeat(data, rng.integers(1, most + 1, data.shape[ax]), axis=ax)
+    return data
+
+
+def _equal_neighbours(data: np.ndarray, ax: int) -> np.ndarray:
+    """For each pair of consecutive slabs along ``ax``, whether they are equal."""
+    a, b = np.moveaxis(data, ax, 0)[1:], np.moveaxis(data, ax, 0)[:-1]
+    return (a == b).all(axis=tuple(range(1, data.ndim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.sampled_from((2, 3, 4)),
+    fill=st.floats(0.2, 0.8),
+    axis=st.integers(0, 3),
+    copies=st.integers(1, 3),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_repeated_and_empty_end_slabs_leave_betti_unchanged(
+    seed, ndim, fill, axis, copies, pad
+):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(1, 6 if ndim < 4 else 4, ndim))
+    data = rng.random(shape) < fill
+    ax = axis % ndim
+    base = betti_numbers(BinaryGrid(data))
+    reps = np.ones(shape[ax], dtype=int)
+    reps[rng.integers(shape[ax])] += copies
+    repeated = np.repeat(data, reps, axis=ax)
+    widths = [(0, 0)] * ndim
+    widths[ax] = pad
+    padded = np.pad(data, widths)
+    for edited in (repeated, padded):
+        bv = betti_numbers(BinaryGrid(edited))
+        assert bv == base
+        if ndim < 4:  # duality and flood fills, independent of the engine
+            assert bv.betti[: ndim + 1] == betti_oracle(edited)[: ndim + 1]
+
+
+def test_repeated_slabs_match_boundary_matrix_oracle(rng):
+    grids = []
+    for shape, most, fills in [
+        ((3, 4), 3, (0.3, 0.5, 0.7)),
+        ((1, 4), 3, (0.5,)),
+        ((3, 2, 3), 3, (0.3, 0.5, 0.7)),
+        ((2, 1, 3), 2, (0.6,)),
+        ((2, 2, 2, 2), 2, (0.4, 0.6, 0.8)),
+        ((3, 2, 2, 1), 2, (0.5, 0.7)),
+    ]:
+        for p in fills:
+            for _ in range(3):
+                data = _repeat_slabs(rng, rng.random(shape) < p, most)
+                widths = [tuple(int(w) for w in rng.integers(0, 2, 2)) for _ in shape]
+                grids.append(BinaryGrid(np.pad(data, widths)))
+    # a 4D loop and a 4D cavity, stretched
+    ring = np.ones((3, 3, 1, 1), dtype=bool)
+    ring[1, 1] = False
+    grids.append(BinaryGrid(np.repeat(np.repeat(ring, [2, 1, 2], axis=0), [1, 3, 1], axis=1)))
+    grids.append(BinaryGrid(np.repeat(_with_cavity((3, 3, 3, 3)).data, [1, 2, 1], axis=2)))
+    assert {g.ndim for g in grids} == {2, 3, 4}
+    for g in grids:
+        bv = betti_numbers(g)
+        assert bv.betti == _betti_from_boundary_ranks(g), g.data.astype(int)
+        assert bv.euler == euler_from_cells(build_cubical_complex(g))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (7, 3), (1, 5, 2), (6, 6, 6), (1, 1, 1, 1), (4, 2, 5, 3)])
+def test_full_box_is_contractible(dims):
+    bv = betti_numbers(new_grid(dims, fill=1))
+    assert bv.betti == (1, 0, 0, 0) and bv.euler == 1
+
+
+def test_slabs_that_differ_in_one_voxel_are_kept():
+    # consecutive rows of an annulus differ in its one hole voxel
+    ring = np.repeat(np.repeat(annulus_2d().data, [1, 3, 1, 2, 1], axis=0), [2, 1, 1, 3, 1], axis=1)
+    assert betti_numbers(BinaryGrid(ring)).betti == (1, 1, 0, 0)
+    shell = np.repeat(hollow_shell_3d().data, [3, 1, 2, 1, 1, 2, 1], axis=1)
+    assert betti_numbers(BinaryGrid(shell)).betti == (1, 0, 1, 0)
+
+
+def test_an_empty_slab_between_objects_is_kept():
+    data = np.zeros((7, 3, 2), dtype=bool)
+    data[1:3] = True
+    data[4:6] = True
+    bv = betti_numbers(BinaryGrid(data))
+    assert bv.betti == (2, 0, 0, 0) and bv.euler == 2
+
+
+def test_axis_of_length_one():
+    data = np.zeros((1, 6, 5), dtype=bool)
+    data[0, 1:5, 1:4] = True
+    data[0, 2:4, 2] = False
+    assert betti_numbers(BinaryGrid(data)).betti == (1, 1, 0, 0)
+    assert betti_numbers(BinaryGrid(data.reshape(6, 5))).betti == (1, 1, 0, 0)
+    assert betti_numbers(BinaryGrid(data.reshape(1, 6, 1, 5))).betti == (1, 1, 0, 0)
+
+
+def test_grid_whose_slabs_are_all_equal(rng):
+    for shape in [(5, 4), (3, 4, 4), (2, 3, 3, 3)]:
+        slab = rng.random(shape[1:]) < 0.6
+        data = np.broadcast_to(slab, shape).copy()
+        assert betti_numbers(BinaryGrid(data)) == betti_numbers(BinaryGrid(data[:1]))
+        assert _squash(data).shape[0] == 1
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (3, 8), (1, 4, 1), (5, 5, 5), (1, 2, 3, 4)])
+def test_empty_grid_squashes_to_nothing(dims):
+    data = np.zeros(dims, dtype=bool)
+    assert _squash(data) is None
+    bv = betti_numbers(BinaryGrid(data))
+    assert bv.betti == (0, 0, 0, 0) and bv.euler == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ndim=st.sampled_from((2, 3, 4)), fill=st.floats(0.05, 0.95))
+def test_squash_matches_slab_by_slab_reference(seed, ndim, fill):
+    rng = np.random.default_rng(seed)
+    data = _repeat_slabs(rng, rng.random(rng.integers(1, 5, ndim)) < fill, 3)
+    data = np.pad(data, [tuple(int(w) for w in rng.integers(0, 3, 2)) for _ in range(ndim)])
+    squashed = _squash(data)
+    want = squash_reference(data)
+    if want is None:
+        assert squashed is None
+        return
+    assert np.array_equal(squashed, want)
+    for ax in range(ndim):
+        assert not _equal_neighbours(squashed, ax).any()
+        ends = np.moveaxis(squashed, ax, 0)
+        assert ends[0].any() and ends[-1].any()
+
+
+def test_squash_of_a_cut_out_keeps_only_the_cavity():
+    data = np.ones((16, 16, 16, 16), dtype=bool)
+    data[5:9, 6:8, 6:10, 4:7] = False
+    assert _squash(data).shape == (3, 3, 3, 3)
+    assert _squash(np.ones((16,) * 4, dtype=bool)).shape == (1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -512,7 +512,7 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": ', "Expecting value"),
         ('{"count": 1, "max_objects": 0}', "max_objects must be at least 1, got 0"),
         ('{"count": 1, "spacing": 0}', "spacing must be at least 1, got 0"),
-        ('{"count": 1, "dims": [8, 8]}', "sample 0 failed after 10 attempts; the last: dims (8, 8) too small"),
+        ('{"count": 1, "dims": [8, 8]}', "dims (8, 8) too small for any cut-out or object"),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
@@ -539,7 +539,43 @@ def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):
 
 
 def test_exhausted_attempts_name_the_last_cause(tmp_path):
-    cfg = DatasetConfig(count=1, dims=(8, 8), mode="embed", out_dir=str(tmp_path))
-    with pytest.raises(SampleAttemptsExhaustedError, match="too small for any object") as info:
+    # at 12x12 only an embedded object fits, and under this seed all ten
+    # attempts of sample 0 draw a cut-out
+    cfg = DatasetConfig(count=1, dims=(12, 12), mode="mixed", master_seed=1288,
+                        out_dir=str(tmp_path / "ds"))
+    with pytest.raises(
+        SampleAttemptsExhaustedError,
+        match=r"sample 0 failed after 10 attempts; the last: dims \(12, 12\) too small for any cut-out",
+    ) as info:
         generate_dataset(cfg)
     assert isinstance(info.value.__cause__, sd.PlacementError)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, dims, what",
+    [
+        ("cutout", (13, 13), "cut-out"),
+        ("embed", (11, 11, 11), "object"),
+        ("mixed", (8, 8), "cut-out or object"),
+        ("cutout", (13, 13, 13, 13), "cut-out"),
+        ("mixed", (20, 20, 9), "cut-out or object"),
+    ],
+)
+def test_dims_that_nothing_fits_fail_before_the_first_attempt(tmp_path, monkeypatch, mode, dims, what):
+    def no_attempt(*args):
+        raise AssertionError("an attempt was made")
+
+    monkeypatch.setattr(pipeline, "_build_sample", no_attempt)
+    cfg = DatasetConfig(count=1, dims=dims, mode=mode, out_dir=str(tmp_path / "ds"))
+    with pytest.raises(sd.PlacementError) as info:
+        generate_dataset(cfg)
+    assert str(info.value) == f"dims {dims} too small for any {what}"
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, dims", [("cutout", (14, 14)), ("embed", (12, 12)), ("mixed", (12, 12)), ("embed", (12,) * 4)]
+)
+def test_dims_that_one_kind_fits_pass_the_up_front_check(mode, dims):
+    pipeline._check_some_kind_fits(DatasetConfig(count=1, dims=dims, mode=mode))
