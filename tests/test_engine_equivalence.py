@@ -72,6 +72,7 @@ def test_sweep_matches_reference_on_empty_and_full_grids():
 
 def test_sweep_matches_reference_on_gen_plain_4d_samples():
     for data in gen_plain_4d_grids():
+        assert_same_sweep(data)
         assert_same_sweep(_squash(data))
 
 
@@ -142,9 +143,10 @@ def test_roots_of_an_empty_mask():
 
 
 def test_roots_match_reference_on_gen_plain_4d_samples():
-    for data in gen_plain_4d_grids():
-        data = _squash(data)
-        assert_same_roots(*skeleton_links(_cell_lattice(data)))
-        bg = np.pad(~data, 1, constant_values=True)
-        face = [off for off in neighbor_offsets(4, "face") if off > (0,) * 4]
-        assert_same_roots(bg, adjacency_links(bg, face))
+    face = [off for off in neighbor_offsets(4, "face") if off > (0,) * 4]
+    for grid in gen_plain_4d_grids():
+        # the whole 16^4 grid, and the squashed one that verification sees
+        for data in (grid, _squash(grid)):
+            assert_same_roots(*skeleton_links(_cell_lattice(data)))
+            bg = np.pad(~data, 1, constant_values=True)
+            assert_same_roots(bg, adjacency_links(bg, face))

@@ -538,16 +538,19 @@ def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):
     assert (out / "keep.txt").read_text() == "kept"
 
 
-def test_exhausted_attempts_name_the_last_cause(tmp_path):
-    # at 12x12 only an embedded object fits, and under this seed all ten
-    # attempts of sample 0 draw a cut-out
-    cfg = DatasetConfig(count=1, dims=(12, 12), mode="mixed", master_seed=1288,
-                        out_dir=str(tmp_path / "ds"))
-    with pytest.raises(
-        SampleAttemptsExhaustedError,
-        match=r"sample 0 failed after 10 attempts; the last: dims \(12, 12\) too small for any cut-out",
-    ) as info:
+def test_exhausted_attempts_name_the_last_cause(tmp_path, monkeypatch):
+    calls = []
+
+    def always_fails(*args):
+        calls.append(args)
+        raise sd.PlacementError(f"placement failed on attempt {len(calls)}")
+
+    monkeypatch.setattr(pipeline, "_build_sample", always_fails)
+    cfg = DatasetConfig(count=1, dims=(32, 32), out_dir=str(tmp_path / "ds"))
+    with pytest.raises(SampleAttemptsExhaustedError) as info:
         generate_dataset(cfg)
+    assert len(calls) == 10
+    assert str(info.value) == "sample 0 failed after 10 attempts; the last: placement failed on attempt 10"
     assert isinstance(info.value.__cause__, sd.PlacementError)
     assert not (tmp_path / "ds").exists()
 
