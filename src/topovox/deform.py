@@ -261,12 +261,18 @@ def select_move(
 
 
 def deform_volume_preserving(
-    g: BinaryGrid, cfg: DeformConfig, move_filter: MoveFilter | None = None
+    g: BinaryGrid,
+    cfg: DeformConfig,
+    move_filter: MoveFilter | None = None,
+    noise: NoiseField | None = None,
 ) -> tuple[BinaryGrid, DeformReport]:
     """Run the pixel-moving deformation; returns the new grid and a report.
 
     The input grid is not modified.  ``move_filter`` can veto otherwise
     acceptable moves (e.g. to enforce thickness or convexity policies).
+    ``noise`` is the field the moves climb; by default it is built from
+    ``cfg`` (``noise_scale``, ``seed``, ``noise_octaves``), and a caller that
+    already holds that field passes it to skip building it again.
     Raises :class:`TopologyDriftError` carrying the last verified state if a
     periodic global check ever sees the Betti vector change.
     """
@@ -274,7 +280,10 @@ def deform_volume_preserving(
         raise ValueError("deformation needs a grid that is neither empty nor full")
     t0 = time.perf_counter()
     cur = g.copy()
-    noise = noise_field(g.dims, cfg.noise_scale, cfg.seed, octaves=cfg.noise_octaves)
+    if noise is None:
+        noise = noise_field(g.dims, cfg.noise_scale, cfg.seed, octaves=cfg.noise_octaves)
+    elif noise.dims != g.dims:
+        raise ValueError(f"noise field dims {noise.dims} do not match grid dims {g.dims}")
     report = DeformReport(
         volume_before=count_ones(g), betti_before=betti_numbers(g)
     )

@@ -695,10 +695,16 @@ def is_local_flip_safe(
     neighborhoods are cheap.
     """
     new_value = int(bool(new_value))
-    if g.get(c) == new_value:
+    interior = (
+        radius >= 1
+        and len(c) == g.ndim
+        and all(radius <= x < s - radius for x, s in zip(c, g.dims))
+    )
+    # an interior centre is in range, so its value is read directly (as an
+    # int: comparing a numpy bool with an int costs a ufunc call)
+    if (int(g.data[c]) if interior else g.get(c)) == new_value:
         raise ValueError(f"voxel {c} already has value {new_value}")
-    interior = len(c) == g.ndim and all(radius <= x < s - radius for x, s in zip(c, g.dims))
-    if radius >= 1 and interior:
+    if interior:
         data = g.data[tuple(slice(x - radius, x + radius + 1) for x in c)]
     else:  # zero-padded at the border; validates the radius and centre
         data = extract_neighborhood(g, c, radius).data

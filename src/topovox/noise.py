@@ -75,38 +75,83 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-def _perlin_array(points: np.ndarray, seed: int) -> np.ndarray:
-    """Noise values for an (m, n) array of query points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = pts.shape[1]
+def _along(v: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """A 1-D array of axis ``ax`` shaped to broadcast over an n-D grid."""
+    return v.reshape((-1,) + (1,) * (n - 1 - ax))
+
+
+def _perlin_grid(axes, seed: int) -> np.ndarray:
+    """Noise on the product grid of per-axis coordinate arrays ``axes``,
+    each in ascending order.
+
+    Perlin noise is separable: floor, fraction and fade depend on one axis
+    each and the gradient hash only on the lattice cell.  So those are
+    computed once per axis and per cell and broadcast to the grid.  Every
+    gradient component is -1, 0 or 1, so each product below is exact, and
+    the value equals a point-by-point evaluation bit for bit as long as the
+    sums and products keep the same order (``tests/oracles.py`` keeps that
+    evaluation as the reference).
+    """
+    n = len(axes)
     if n not in _GRADS:
         raise UnsupportedDimensionError(f"noise supports 2-4 dimensions, got {n}")
     perm = _perm_table(seed)
     grads = _GRADS[n]
-    base = np.floor(pts).astype(np.int64)
-    frac = pts - base
-    base &= 255
-    w = _fade(frac)
+    offs, fades, cells, counts = [], [], [], []
+    for ax, x in enumerate(axes):
+        x = np.asarray(x, dtype=np.float64)
+        base = np.floor(x).astype(np.int64)
+        frac = x - base
+        w = _fade(frac)
+        # per corner bit: the offset from the corner and the fade factor
+        offs.append((_along(frac, ax, n), _along(frac - 1.0, ax, n)))
+        fades.append((_along(1.0 - w, ax, n), _along(w, ax, n)))
+        cell, count = np.unique(base, return_counts=True)
+        cells.append(_along(cell & 255, ax, n))
+        counts.append(count)
+    shape = tuple(int(c.sum()) for c in counts)
 
-    accum = np.zeros(pts.shape[0], dtype=np.float64)
+    def expand(a: np.ndarray, ax_off: int, off: np.ndarray) -> np.ndarray:
+        # one entry per lattice cell -> one per grid point (the runs of equal
+        # bases are consecutive), times ``off`` as soon as axis ``ax_off`` is
+        # expanded, while the array is still smaller than the grid
+        for ax in range(n - 1, -1, -1):
+            a = np.repeat(a, counts[ax], axis=ax)
+            if ax == ax_off:
+                a *= off
+        return a
+
+    accum = np.zeros(shape, dtype=np.float64)
     for corner in range(1 << n):
         bits = [(corner >> ax) & 1 for ax in range(n)]
-        h = perm[base[:, 0] + bits[0]]
+        h = perm[cells[0] + bits[0]]
         for ax in range(1, n):
-            h = perm[h + base[:, ax] + bits[ax]]
+            h = perm[h + cells[ax] + bits[ax]]
         g = grads[h % len(grads)]
-        offs = frac - np.asarray(bits, dtype=np.float64)
-        dot = np.einsum("ij,ij->i", g, offs)
-        weight = np.ones(pts.shape[0], dtype=np.float64)
-        for ax in range(n):
-            weight *= w[:, ax] if bits[ax] else (1.0 - w[:, ax])
-        accum += weight * dot
+        p = [expand(g[..., ax], ax, offs[ax][bits[ax]]) for ax in range(n)]
+        # The row dot in the order numpy's einsum sums an (m, n) row, with
+        # two accumulators taking the terms alternately: p0+p1 in 2D,
+        # (p0+p2)+p1 in 3D, (p0+p2)+(p1+p3) in 4D.  Floating-point addition
+        # is not associative, so this order is part of the output bytes.
+        dot, odd = p[0], p[1]
+        if n > 2:
+            dot += p[2]
+        if n > 3:
+            odd += p[3]
+        dot += odd
+        # the corner weight, multiplied left to right over the axes
+        weight = fades[0][bits[0]]
+        for ax in range(1, n):
+            weight = weight * fades[ax][bits[ax]]
+        dot *= weight
+        accum += dot
     return accum / _AMPLITUDE[n]
 
 
 def perlin_value(p, seed: int) -> float:
     """Noise value at one point; zero at integer lattice points."""
-    return float(_perlin_array(np.asarray(p, dtype=np.float64)[None, :], seed)[0])
+    axes = [np.array([x], dtype=np.float64) for x in np.asarray(p, dtype=np.float64)]
+    return float(_perlin_grid(axes, seed).reshape(-1)[0])
 
 
 @dataclass(frozen=True)
@@ -137,16 +182,12 @@ def noise_field(
         raise ValueError(f"scale must be positive, got {scale}")
     if octaves < 1:
         raise ValueError(f"octaves must be >= 1, got {octaves}")
-    coords = np.stack(
-        [c.ravel() for c in np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")],
-        axis=1,
-    ).astype(np.float64)
-    total = np.zeros(coords.shape[0], dtype=np.float64)
+    total = np.zeros(dims, dtype=np.float64)
     amp, freq, norm = 1.0, 1.0 / scale, 0.0
     for _ in range(octaves):
-        total += amp * _perlin_array(coords * freq, seed)
+        total += amp * _perlin_grid([np.arange(d, dtype=np.float64) * freq for d in dims], seed)
         norm += amp
         amp *= persistence
         freq *= lacunarity
-    values = (total / norm).reshape(dims)
+    values = total / norm
     return NoiseField(dims, float(scale), int(seed), values)

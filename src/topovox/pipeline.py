@@ -511,29 +511,32 @@ def _build_sample(
         label = betti_disjoint_union([c.label() for c in children])
 
     deform_doc = None
+    # deformation and noise-biased dilation read the same one-octave field
+    biased = cfg.dilate_iterations > 0 and cfg.dilate_noise_bias
+    noise = (
+        noise_field(cfg.dims, cfg.deform_noise_scale, sample_seed)
+        if cfg.deform_iterations > 0 or biased
+        else None
+    )
     if cfg.deform_iterations > 0:
         dcfg = DeformConfig(
             iterations=cfg.deform_iterations,
             noise_scale=cfg.deform_noise_scale,
             seed=sample_seed,
         )
-        grid, report = deform_volume_preserving(grid, dcfg)
+        grid, report = deform_volume_preserving(grid, dcfg, noise=noise)
         deform_doc = report.to_dict()
         construction.deformation_log = (
             {"kind": "volume_preserving", "iterations": cfg.deform_iterations,
              "noise_scale": cfg.deform_noise_scale, "seed": sample_seed},
         )
     if cfg.dilate_iterations > 0:
-        bias = (
-            noise_field(cfg.dims, cfg.deform_noise_scale, sample_seed)
-            if cfg.dilate_noise_bias
-            else None
-        )
         element = (
             element_from_spec(cfg.dilate_element) if cfg.dilate_element else None
         )
         grid = homology_safe_dilate(
-            grid, element, iterations=cfg.dilate_iterations, bias=bias, seed=sample_seed
+            grid, element, iterations=cfg.dilate_iterations,
+            bias=noise if biased else None, seed=sample_seed,
         )
         construction.deformation_log = construction.deformation_log + (
             {"kind": "homology_safe_dilate", "iterations": cfg.dilate_iterations,

@@ -12,6 +12,9 @@ from collections import deque
 
 import numpy as np
 
+from topovox.grid import UnsupportedDimensionError
+from topovox.noise import _AMPLITUDE, _GRADS, _fade, _perm_table
+
 
 def bfs_components(data: np.ndarray, adjacency: str) -> int:
     """Number of foreground components under face or full adjacency."""
@@ -315,3 +318,54 @@ def squash_reference(data: np.ndarray) -> np.ndarray | None:
             return None
         data = np.moveaxis(np.stack(kept), 0, ax)
     return data
+
+
+# The flat noise evaluator the library used before its per-axis one: every
+# query point and lattice corner is hashed, faded and dotted on its own, and
+# the row dot is numpy's einsum.  It shares only the constants (gradient
+# tables, permutation, fade, amplitude) and is the bit-exact reference for
+# ``noise.perlin_value``; ``noise_field_flat`` is the matching field.
+def perlin_array_flat(points: np.ndarray, seed: int) -> np.ndarray:
+    """Noise values for an (m, n) array of query points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = pts.shape[1]
+    if n not in _GRADS:
+        raise UnsupportedDimensionError(f"noise supports 2-4 dimensions, got {n}")
+    perm = _perm_table(seed)
+    grads = _GRADS[n]
+    base = np.floor(pts).astype(np.int64)
+    frac = pts - base
+    base &= 255
+    w = _fade(frac)
+
+    accum = np.zeros(pts.shape[0], dtype=np.float64)
+    for corner in range(1 << n):
+        bits = [(corner >> ax) & 1 for ax in range(n)]
+        h = perm[base[:, 0] + bits[0]]
+        for ax in range(1, n):
+            h = perm[h + base[:, ax] + bits[ax]]
+        g = grads[h % len(grads)]
+        offs = frac - np.asarray(bits, dtype=np.float64)
+        dot = np.einsum("ij,ij->i", g, offs)
+        weight = np.ones(pts.shape[0], dtype=np.float64)
+        for ax in range(n):
+            weight *= w[:, ax] if bits[ax] else (1.0 - w[:, ax])
+        accum += weight * dot
+    return accum / _AMPLITUDE[n]
+
+
+def noise_field_flat(dims, scale, seed, octaves=1, persistence=0.5, lacunarity=2.0):
+    """``noise.noise_field(...).values`` from a flat (voxels, n) point array."""
+    dims = tuple(int(d) for d in dims)
+    coords = np.stack(
+        [c.ravel() for c in np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")],
+        axis=1,
+    ).astype(np.float64)
+    total = np.zeros(coords.shape[0], dtype=np.float64)
+    amp, freq, norm = 1.0, 1.0 / scale, 0.0
+    for _ in range(octaves):
+        total += amp * perlin_array_flat(coords * freq, seed)
+        norm += amp
+        amp *= persistence
+        freq *= lacunarity
+    return (total / norm).reshape(dims)

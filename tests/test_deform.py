@@ -87,6 +87,22 @@ def test_deform_is_deterministic():
     assert ra.rejected_removals == rb.rejected_removals
 
 
+def test_deform_with_a_given_field_equals_building_it():
+    g = disc_grid()
+    cfg = DeformConfig(iterations=60, noise_scale=5.5, seed=9)
+    field = noise_field(g.dims, cfg.noise_scale, cfg.seed)
+    a, ra = deform_volume_preserving(g, cfg)
+    b, rb = deform_volume_preserving(g, cfg, noise=field)
+    assert a == b
+    assert ra.to_dict() == rb.to_dict()
+
+
+def test_deform_rejects_a_field_of_other_dims():
+    g = disc_grid()
+    with pytest.raises(ValueError, match="do not match"):
+        deform_volume_preserving(g, DeformConfig(iterations=5), noise=noise_field((40, 48), 8.0, 0))
+
+
 def test_deform_input_grid_untouched():
     g = disc_grid()
     snapshot = g.copy()

@@ -5,7 +5,9 @@ file and manifest in order.  The digests were recorded before the flip gate
 and the deform move selection were rewritten, so any change to the voxels,
 the labels or the deform counters of these datasets fails here.  The
 ``3d-tubes`` digest was recorded before the tube stamp was batched; it is the
-only case large enough to draw a trefoil, a Hopf link and a circle wedge.  A
+only case large enough to draw a trefoil, a Hopf link and a circle wedge.  The
+``2d-deform-dilate-bias`` digest was recorded while each such sample still
+built its noise field twice, once to deform and once to bias the dilation.  A
 change that alters the output on purpose must say why and update the digest.
 """
 import hashlib
@@ -22,6 +24,7 @@ CASES = {
     "2d-plain": (dict(dims=(32, 32), count=4), "b6b7c1d814012f765a445378345c96044a7306f3b50920b9eff8ace544d5073f"),
     "2d-deform": (dict(dims=(32, 32), count=3, deform_iterations=40), "50c71e4df0d96816f0211bed500cdb24e15d5913bfa8834a10b302b3063c79c8"),
     "2d-dilate": (dict(dims=(32, 32), count=3, dilate_iterations=2, dilate_noise_bias=True), "45c9aa317e296da8a269023e3089fdb77464ef5ce1776ac1b4b4dd19b6e18fae"),
+    "2d-deform-dilate-bias": (dict(dims=(32, 32), count=3, deform_iterations=20, dilate_iterations=1, dilate_noise_bias=True), "ca82a088510085b77d5d7c7b1c1766db934be839260b16a2249625f931f0e473"),
     "3d-plain": (dict(dims=(20, 20, 20), count=3, max_objects=2), "6dbdd61d33e814d231ad296b0ee5fd2f1261d5050c08b55d30a2ad24aa556d70"),
     "3d-deform": (dict(dims=(20, 20, 20), count=2, max_objects=2, deform_iterations=20), "813dd6d24af9b4edcff536ba3e4e7e220056ec82a30e4da1d4613f2aa02c9bc4"),
     "3d-dilate": (dict(dims=(20, 20, 20), count=2, max_objects=2, dilate_iterations=1), "e26137dc990b6269545d3cfcfc0cdf9394f7eff39359653a703667121fa232c8"),

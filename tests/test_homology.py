@@ -508,6 +508,13 @@ def test_flip_safety_rejects_noop():
     g = new_grid([5, 5])
     with pytest.raises(ValueError):
         is_local_flip_safe(g, (2, 2), 0)
+    g.set((2, 2), 1)
+    g.set((0, 3), 1)
+    for c, value in (((2, 2), 1), ((0, 3), 1), ((4, 4), 0), ((0, 0), 0)):
+        with pytest.raises(ValueError, match="already has value"):
+            is_local_flip_safe(g, c, value)
+    with pytest.raises(ValueError, match="already has value"):
+        is_local_flip_safe(g, (2, 2), 1, radius=2)
 
 
 def test_accepted_flips_preserve_global_betti(rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from topovox.grid import UnsupportedDimensionError
-from topovox.noise import NoiseField, _perlin_array, noise_field, perlin_value
+from topovox.noise import NoiseField, noise_field, perlin_value
+
+from oracles import noise_field_flat, perlin_array_flat
 
 # scalar reference implementation, written independently of the library's
 # vectorized evaluator; shares only the published constants (quintic fade,
@@ -51,8 +53,51 @@ def test_matches_reference_reimplementation(rng):
 def test_range_containment(rng):
     for n in (2, 3, 4):
         pts = rng.uniform(-100, 100, size=(1_000_000, n))
-        v = _perlin_array(pts, seed=5)
+        v = perlin_array_flat(pts, seed=5)
         assert v.min() >= -1.0 and v.max() <= 1.0
+    # the field itself, on grids of about 300k voxels at a scale that does
+    # not divide the lattice, so voxels land all over the noise cells
+    for dims in ((512, 512), (64, 64, 64), (24, 24, 24, 24)):
+        v = noise_field(dims, scale=3.3, seed=5).values
+        assert v.min() >= -1.0 and v.max() <= 1.0
+        assert v.min() < -0.3 and v.max() > 0.3
+
+
+# every dims the golden cases and the gen-edit benchmark use, and an odd one
+FIELD_DIMS = [
+    (32, 32), (64, 64), (20, 20, 20), (32, 32, 32), (40, 40, 40),
+    (12, 12, 12, 12), (13, 13, 13, 13), (14, 14, 14, 14), (7, 9, 5),
+]
+# the default scale and non-integer scales in [4, 8), as verify-noisy draws
+FIELD_SCALES = (8.0, 4.0, 4.37, 5.5, 6.91, 7.99)
+FIELD_SEEDS = (0, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("dims", FIELD_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_field_matches_flat_oracle_bit_for_bit(dims):
+    for scale in FIELD_SCALES:
+        for seed in FIELD_SEEDS:
+            got = noise_field(dims, scale, seed).values
+            assert np.array_equal(got, noise_field_flat(dims, scale, seed)), (scale, seed)
+    for scale in (8.0, 5.5):
+        got = noise_field(dims, scale, 2**64 - 1, octaves=3).values
+        assert np.array_equal(got, noise_field_flat(dims, scale, 2**64 - 1, octaves=3))
+
+
+def test_field_matches_flat_oracle_past_256_lattice_cells():
+    # the lattice index wraps at 256: bases 0..333 here
+    got = noise_field((300, 3), 0.9, 11).values
+    assert np.array_equal(got, noise_field_flat((300, 3), 0.9, 11))
+
+
+def test_point_value_matches_flat_oracle_bit_for_bit(rng):
+    for n in (2, 3, 4):
+        pts = rng.uniform(-300, 300, size=(100, n))
+        pts[:20] = np.round(pts[:20])  # lattice points, negative ones included
+        for seed in FIELD_SEEDS:
+            expected = perlin_array_flat(pts, seed)
+            got = np.array([perlin_value(p, seed) for p in pts])
+            assert np.array_equal(got, expected)
 
 
 def test_unsupported_dimension():

@@ -171,6 +171,33 @@ def test_deformed_samples_keep_labels(tmp_path):
         assert manifest.deform_report["volume_before"] == manifest.deform_report["volume_after"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "edits, builds",
+    [
+        (dict(deform_iterations=10, dilate_iterations=1, dilate_noise_bias=True), 1),
+        (dict(deform_iterations=10, dilate_iterations=1), 1),
+        (dict(dilate_iterations=1, dilate_noise_bias=True), 1),
+        (dict(dilate_iterations=1), 0),
+        (dict(), 0),
+    ],
+)
+def test_noise_field_is_built_at_most_once_per_sample(tmp_path, monkeypatch, edits, builds):
+    from topovox import deform, noise
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return noise.noise_field(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "noise_field", counting)
+    monkeypatch.setattr(deform, "noise_field", counting)
+    cfg = DatasetConfig(count=2, dims=(32, 32), mode="embed", out_dir=str(tmp_path / "ds"), **edits)
+    generate_dataset(cfg)
+    assert len(calls) == 2 * builds
+
+
 def test_4d_generation(tmp_path):
     cfg = DatasetConfig(
         count=2, dims=(18, 18, 18, 18), mode="mixed", out_dir=str(tmp_path / "q"), master_seed=5
