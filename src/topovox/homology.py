@@ -16,12 +16,16 @@ one coordinate piecewise linearly is a homeomorphism of R^n that maps the
 union of the voxels' closed cubes onto the squashed union and the
 complement onto its complement, so every number below is unchanged.  The
 solid margin of a cube complement squashes to one slab, so a 16^4 cut-out
-becomes 7^4 to 9^4 voxels before any lattice is built.  The engine then takes the Euler
-characteristic from the cell counts, beta_0 from the components of the
-1-skeleton and beta_(n-1) from the bounded face-adjacent components of the
-complement (Alexander duality); both component counts use the vectorized
-union-find of :func:`topovox.grid.component_roots`, which first merges the
-cells linked along the last axis into runs and then joins runs.  The Euler
+becomes 7^4 to 9^4 voxels before any lattice is built, and grids that
+differ only in placement or margins squash to the same grid.  The result
+is memoized per dimension on the squashed grid (:func:`_betti_whole`), so
+a squashed grid seen before costs one SHA-256 of its packed bits.  The
+engine then takes the Euler characteristic from the cell counts, beta_0
+from the components of the 1-skeleton and beta_(n-1) from the bounded
+face-adjacent components of the complement (Alexander duality); both
+component counts use the vectorized union-find of
+:func:`topovox.grid.component_roots`, which first merges the cells linked
+along the last axis into runs and then joins runs.  The Euler
 identity then settles 2D and 3D.  In 4D, beta_1 and beta_2 share one
 unknown, rank(d_2): the complex is collapsed in one sweep per axis (each
 free pair adds one to the rank in its coface's dimension), then d_3 and d_2
@@ -43,6 +47,7 @@ README's "Performance notes".
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -396,20 +401,47 @@ def _bounded_background_components(data: np.ndarray) -> int:
     return count_roots(component_roots(bg, links)) - 1
 
 
+#: Entries per dimension before the whole-grid memo starts over.
+_WHOLE_ENTRIES = 64
+
+#: Per dimension: (squashed shape, SHA-256 of its packed bits) -> (beta, chi).
+_whole_memo: dict[int, dict[tuple, tuple]] = {}
+
+
 def _betti_whole(data: np.ndarray) -> tuple:
     """Betti numbers and Euler characteristic of a whole grid.
 
-    Everything is computed on the grid as :func:`_squash` leaves it.  b0
-    counts the components of the 1-skeleton; by Alexander duality b_(n-1)
-    counts the bounded components of the complement; the Euler
-    characteristic comes from the cell counts.  That settles 2D and 3D.  In
-    4D, b1 and b2 share the one remaining unknown, rank d2: the other ranks
-    are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
+    The grid is squashed, and the result is memoized on the squashed grid:
+    everything :func:`_betti_squashed` computes depends on that grid alone.
+    An entry is a digest and a short tuple, whatever the grid size.  Each
+    dimension has its own memo, so the many distinct 3D grids of a run do
+    not push out the 4D ones, which cost the most and repeat the most; a
+    full memo is cleared and starts over.
     """
     n = data.ndim
     data = _squash(data)
     if data is None:
         return (0,) * (n + 1), 0
+    key = (data.shape, hashlib.sha256(np.packbits(data)).digest())
+    memo = _whole_memo.setdefault(n, {})
+    result = memo.get(key)
+    if result is None:
+        if len(memo) >= _WHOLE_ENTRIES:
+            memo.clear()
+        result = memo[key] = _betti_squashed(data)
+    return result
+
+
+def _betti_squashed(data: np.ndarray) -> tuple:
+    """Betti numbers and Euler characteristic of a squashed, nonempty grid.
+
+    b0 counts the components of the 1-skeleton; by Alexander duality
+    b_(n-1) counts the bounded components of the complement; the Euler
+    characteristic comes from the cell counts.  That settles 2D and 3D.  In
+    4D, b1 and b2 share the one remaining unknown, rank d2: the other ranks
+    are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
+    """
+    n = data.ndim
     present = _cell_lattice(data)
     c = _cell_counts(present)
     chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))

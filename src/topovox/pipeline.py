@@ -633,23 +633,35 @@ class VerificationReport:
     checksum_ok: bool
     expected: BettiVector
     measured: BettiVector | None
+    #: Why the sample failed before the engine ran, if it did.
+    reason: str | None = None
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         meas = None if self.measured is None else self.measured.betti
-        return (
+        line = (
             f"{state} expected={self.expected.betti} chi={self.expected.euler} "
             f"measured={meas} checksum_ok={self.checksum_ok}"
         )
+        return line if self.reason is None else f"{line}: {self.reason}"
 
 
 def verify_sample(voxel_path, manifest_path) -> VerificationReport:
-    """Recompute the Betti vector of a stored sample and compare to its label."""
+    """Recompute the Betti vector of a stored sample and compare to its label.
+
+    A sample whose voxel file fails its checksum, or whose manifest dims
+    differ from the voxel file's, fails without running the engine.
+    """
     manifest = SampleManifest.from_json(Path(manifest_path).read_text())
     checksum_ok = file_checksum(voxel_path) == manifest.voxel_checksum
     if not checksum_ok:
         return VerificationReport(False, False, manifest.label, None)
     grid = read_voxels(voxel_path)
+    if manifest.dims != grid.dims:
+        return VerificationReport(
+            False, True, manifest.label, None,
+            reason=f"manifest dims {manifest.dims} differ from voxel file dims {grid.dims}",
+        )
     measured = betti_numbers(grid, reduced=manifest.label.reduced)
     passed = measured == manifest.label
     return VerificationReport(passed, True, manifest.label, measured)

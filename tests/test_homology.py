@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topovox
+from topovox import homology
 from topovox.grid import BinaryGrid, connected_components, new_grid
 from topovox.homology import (
     BettiVector,
@@ -468,6 +469,80 @@ def test_squash_of_a_cut_out_keeps_only_the_cavity():
 
 
 # ---------------------------------------------------------------------------
+# the whole-grid memo
+
+
+@pytest.fixture
+def whole_memo(monkeypatch):
+    """A fresh, empty whole-grid memo for one test."""
+    memo = {}
+    monkeypatch.setattr(homology, "_whole_memo", memo)
+    return memo
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ndim=st.sampled_from((2, 3, 4)), fill=st.floats(0.1, 0.9))
+def test_memo_hits_give_what_the_engine_computes(seed, ndim, fill):
+    rng = np.random.default_rng(seed)
+    data = rng.random(tuple(rng.integers(1, 7 if ndim < 4 else 4, ndim))) < fill
+    homology._whole_memo.clear()
+    cold = betti_numbers(BinaryGrid(data))
+    entries = 0 if _squash(data) is None else 1
+    assert len(homology._whole_memo.get(ndim, {})) == entries
+    hit = betti_numbers(BinaryGrid(data.copy()))
+    reduced = betti_numbers(BinaryGrid(data), reduced=True)
+    assert len(homology._whole_memo.get(ndim, {})) == entries
+    assert hit == cold
+    assert reduced.reduced and reduced.euler == cold.euler
+    assert reduced.betti == (max(cold[0] - 1, 0),) + cold.betti[1:]
+    # an independent answer, so a wrong entry cannot agree with itself
+    assert cold.betti == _betti_from_boundary_ranks(BinaryGrid(data))
+
+
+def test_stretched_and_padded_copies_add_no_entry(rng, whole_memo):
+    for shape in [(5, 6), (4, 5, 3), (3, 4, 3, 3)]:
+        data = rng.random(shape) < 0.5
+        base = betti_numbers(BinaryGrid(data))
+        entries = len(whole_memo[data.ndim])
+        stretched = _repeat_slabs(rng, data, 3)
+        padded = np.pad(data, [tuple(int(w) for w in rng.integers(0, 3, 2)) for _ in shape])
+        for copy in (stretched, padded, np.pad(stretched, 1)):
+            assert np.array_equal(_squash(copy), _squash(data))
+            assert betti_numbers(BinaryGrid(copy)) == base
+        assert len(whole_memo[data.ndim]) == entries
+
+
+def test_equal_packed_bits_of_different_shapes_get_separate_entries(whole_memo):
+    # as a 4x4 grid these bits are one component, as a 2x8 grid four; both
+    # are their own squash, so only the shape tells the keys apart
+    bits = np.array([1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1], dtype=bool)
+    square, wide = bits.reshape(4, 4), bits.reshape(2, 8)
+    assert np.array_equal(_squash(square), square) and np.array_equal(_squash(wide), wide)
+    assert np.packbits(square).tobytes() == np.packbits(wide).tobytes()
+    assert betti_numbers(BinaryGrid(square)).betti == (1, 0, 0, 0)
+    assert betti_numbers(BinaryGrid(wide)).betti == (4, 0, 0, 0)
+    assert len(whole_memo[2]) == 2
+    assert betti_numbers(BinaryGrid(square)).betti == (1, 0, 0, 0)
+
+
+def test_whole_memo_starts_over_when_full(rng, monkeypatch, whole_memo):
+    monkeypatch.setattr(homology, "_WHOLE_ENTRIES", 4)
+    grids = []
+    while len(grids) < 11:
+        data = rng.random((5, 5)) < 0.5
+        if _squash(data) is not None and all(
+            not np.array_equal(_squash(data), _squash(g)) for g in grids
+        ):
+            grids.append(data)
+    for i, data in enumerate(grids):
+        assert betti_numbers(BinaryGrid(data)).betti[:3] == betti_oracle(data)
+        assert len(whole_memo[2]) == i % 4 + 1
+    # each dimension has its own memo
+    betti_numbers(BinaryGrid(np.ones((2, 2, 2), dtype=bool)))
+    assert len(whole_memo[2]) == 3 and len(whole_memo[3]) == 1
+
+
+# ---------------------------------------------------------------------------
 # local flip safety
 
 
@@ -607,8 +682,6 @@ def test_block_memo_tells_equal_sizes_apart():
 
 
 def test_block_memo_starts_over_when_full(monkeypatch):
-    from topovox import homology
-
     monkeypatch.setattr(homology, "_MEMO_ENTRIES", 4)
     block = homology._Block((3, 3))  # a fresh memo, not the shared one
     for bits in itertools.islice(itertools.product((False, True), repeat=9), 0, 512, 37):

@@ -22,7 +22,7 @@ from topovox.pipeline import (
     verify_sample,
     write_voxels,
 )
-from topovox import cli, pipeline
+from topovox import cli, homology, pipeline
 from topovox import seeds as sd
 
 
@@ -152,6 +152,23 @@ def test_tampered_label_fails_verification(tmp_path):
     assert report.checksum_ok and not report.passed
 
 
+def _set_manifest_dims(manifest_path, dims):
+    doc = json.loads(manifest_path.read_text())
+    doc["dims"] = dims
+    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def test_manifest_dims_that_differ_from_the_voxel_file_fail(tmp_path, monkeypatch):
+    cfg = DatasetConfig(count=1, dims=(16, 16), out_dir=str(tmp_path / "d"), master_seed=2)
+    [(voxel_path, manifest_path)] = generate_dataset(cfg)
+    _set_manifest_dims(manifest_path, [3, 5, 7])
+    monkeypatch.setattr(pipeline, "betti_numbers", None)  # the engine must not run
+    report = verify_sample(voxel_path, manifest_path)
+    assert not report.passed and report.checksum_ok and report.measured is None
+    assert report.reason == "manifest dims (3, 5, 7) differ from voxel file dims (16, 16)"
+    assert report.summary().startswith("FAIL ") and report.summary().endswith(report.reason)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_deformed_samples_keep_labels(tmp_path):
     cfg = DatasetConfig(
@@ -204,6 +221,31 @@ def test_4d_generation(tmp_path):
     )
     for voxel_path, manifest_path in generate_dataset(cfg):
         assert verify_sample(voxel_path, manifest_path).passed
+
+
+def test_deformed_4d_sample_computes_each_grid_once(tmp_path, monkeypatch):
+    # deform checks its input and its final grid, and the pipeline verifies
+    # the final grid again: the memo answers that last call
+    monkeypatch.setattr(homology, "_whole_memo", {})
+    whole, computed = [], []
+
+    def counting(fn, calls):
+        def wrapper(data):
+            calls.append(data.shape)
+            return fn(data)
+        return wrapper
+
+    monkeypatch.setattr(homology, "_betti_whole", counting(homology._betti_whole, whole))
+    monkeypatch.setattr(homology, "_betti_squashed", counting(homology._betti_squashed, computed))
+    cfg = DatasetConfig(
+        count=1, dims=(12,) * 4, mode="embed", max_objects=1, deform_iterations=20,
+        out_dir=str(tmp_path / "q"), master_seed=4,
+    )
+    [(_, manifest_path)] = generate_dataset(cfg)
+    manifest = SampleManifest.from_json(manifest_path.read_text())
+    assert manifest.engine_verified and manifest.deform_report["accepted_flips"] > 0
+    assert len(whole) == 3
+    assert len(computed) <= 2
 
 
 def test_4d_dilation_is_always_engine_verified(tmp_path):
@@ -390,6 +432,18 @@ def _verify_lines(out_dir, capsys):
     capsys.readouterr()
     rc = cli.main(["verify", str(out_dir)])
     return rc, capsys.readouterr().out.splitlines()
+
+
+def test_cli_verify_fails_on_manifest_dims_that_differ(tmp_path, capsys):
+    out_dir = tmp_path / "dims"
+    cli.main(["gen", "--count", "2", "--dims", "16", "16", "--seed", "3", "--out", str(out_dir)])
+    _set_manifest_dims(out_dir / "sample_0000.json", [3, 5, 7])
+    rc, lines = _verify_lines(out_dir, capsys)
+    assert rc == 1
+    assert lines[0].startswith("sample_0000.json: FAIL")
+    assert "(3, 5, 7)" in lines[0] and "(16, 16)" in lines[0]
+    assert lines[1].startswith("sample_0001.json: PASS")
+    assert lines[-1] == "1/2 samples passed"
 
 
 def test_cli_verify_reports_missing_voxel_file(tmp_path, capsys):
