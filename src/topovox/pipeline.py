@@ -219,6 +219,11 @@ EMBED_KINDS = {
 }
 
 
+#: Placement dilates by ``ball(spacing)``, which spans ``2 * spacing + 1``
+#: voxels per axis; structuring elements are capped at 9.
+MAX_SPACING = 4
+
+
 @dataclass
 class DatasetConfig:
     """Knobs for one generation run; serializable as JSON."""
@@ -250,6 +255,8 @@ class DatasetConfig:
             raise ValueError(f"max_objects must be at least 1, got {self.max_objects}")
         if self.spacing < 1:
             raise ValueError(f"spacing must be at least 1, got {self.spacing}")
+        if self.spacing > MAX_SPACING:
+            raise ValueError(f"spacing must be at most {MAX_SPACING}, got {self.spacing}")
         if self.shape_weights is not None:
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")

@@ -4,22 +4,27 @@ Shapes are rasterized by evaluating canonical implicit inequalities at voxel
 centers (integer coordinates).  Curves are dense polylines thickened by exact
 point-to-segment distance, so a reparametrized curve with the same geometry
 rasterizes to the same voxel set.  The segments of a tube are stamped in
-batches over one shared offset lattice; each (segment, voxel) pair evaluates
-exactly the arithmetic of a one-segment-at-a-time stamp, so batching changes
-no voxel.  Placement uses dilation of the existing content to enforce a
-minimum spacing between objects.
+batches over one shared offset lattice, each segment on the voxels of its
+tight box (the integer points within ``r + 1e-9`` of its endpoints' bounding
+box); each (segment, voxel) pair evaluates exactly the arithmetic of a
+one-segment-at-a-time stamp over the floor/ceil box, so neither the batching
+nor the tighter box changes a voxel.  Placement keeps a minimum spacing
+between objects by testing each drawn offset against the object's clearance
+zone (the object dilated by a ball of radius ``spacing``), which equals
+testing the object against the dilated scene.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .grid import BinaryGrid
 from .homology import BettiVector
 from .labels import embedded_label
-from .morphology import ball, dilate
+from .morphology import ball
 
 
 class PlacementError(ValueError):
@@ -338,6 +343,9 @@ def make_circle_wedge(center, radius: float, count: int) -> list[ParametricCurve
 #: pairs a generation run peaked about 1 MB higher, at the same speed.
 STAMP_CHUNK_PAIRS = 1 << 14
 
+#: How far past ``r`` a tube segment's box reaches along each axis.
+BOX_SLACK = 1e-9
+
 
 def rasterize_tube(
     g: BinaryGrid, c: ParametricCurve, tube_radius: float, value: int = 1
@@ -347,14 +355,19 @@ def rasterize_tube(
     Voxels within ``tube_radius`` of any segment of the polyline are set;
     closed curves yield solid-torus topology, open ones ball topology.
 
-    Each segment is a capsule tested on the voxels of its own box (its
-    endpoints' bounding box grown by the radius, floor/ceil, clipped to the
-    grid).  The segments are stamped in batches: one offset lattice the size
-    of the largest box is laid over every segment's box corner, pairs outside
-    their own segment's box are masked out, and the union of the capsules is
-    written with one index assignment per batch.  Every (segment, voxel) pair
-    evaluates the same float expressions in the same order as a one-segment-
-    at-a-time loop would, so the voxels do not depend on the batching.
+    Each segment is a capsule tested on the voxels of its own tight box:
+    ``ceil(min(p0, p1) - r - 1e-9)`` up to ``floor(max(p0, p1) + r + 1e-9)``
+    per axis, clipped to the grid.  A voxel outside it lies more than
+    ``r + 1e-9`` from the segment along one axis, far beyond the ~1e-14
+    rounding of ``dist2``, so it could never pass ``dist2 <= r * r``; and the
+    tight box lies inside the floor/ceil box, so the pairs it evaluates are a
+    subset of a floor/ceil stamp's.  The segments are stamped in batches: one
+    offset lattice the size of the largest box is laid over every segment's
+    box corner, pairs outside their own segment's box are masked out, and the
+    union of the capsules is written with one index assignment per batch.
+    Every (segment, voxel) pair evaluates the same float expressions in the
+    same order as a one-segment-at-a-time loop would, so the voxels depend
+    neither on the batching nor on the box rule.
     """
     if c.samples.shape[1] != g.ndim:
         raise InvalidCurveError(
@@ -372,8 +385,8 @@ def rasterize_tube(
     p0, p1 = seg[:, 0], seg[:, 1]
     r = tube_radius
     shape = g.data.shape
-    lo = np.maximum(np.floor(np.minimum(p0, p1) - r).astype(int), 0)
-    hi = np.minimum(np.ceil(np.maximum(p0, p1) + r).astype(int) + 1, shape)
+    lo = np.maximum(np.ceil(np.minimum(p0, p1) - r - BOX_SLACK).astype(int), 0)
+    hi = np.minimum(np.floor(np.maximum(p0, p1) + r + BOX_SLACK).astype(int) + 1, shape)
     ext = hi - lo
     lattice = np.maximum(ext.max(axis=0), 0)
     pairs = int(np.prod(lattice))
@@ -494,6 +507,35 @@ def rasterize_composite(g: BinaryGrid, comp: CompositeShape, value: int = 1) -> 
 # ---------------------------------------------------------------------------
 # placement
 
+def _check_same_ndim(sample: BinaryGrid, obj: BinaryGrid) -> None:
+    if obj.ndim != sample.ndim:
+        raise ValueError(
+            f"object dims {obj.dims} have {obj.ndim} axes but sample dims "
+            f"{sample.dims} have {sample.ndim}"
+        )
+
+
+@lru_cache(maxsize=64)
+def _ball_offsets(radius: float, ndim: int) -> tuple[tuple[int, ...], ...]:
+    return ball(radius, ndim).offsets
+
+
+def _offset_draws(rng: np.random.Generator, low: int, highs, trials: int):
+    """Yield ``trials`` offsets, each axis drawn uniformly from ``[low, high]``.
+
+    The offsets are drawn in growing blocks.  A block draw consumes the
+    generator exactly as one scalar ``rng.integers(low, high + 1)`` per axis
+    and offset would, so the offsets are the same as drawn one at a time.
+    """
+    ends = np.asarray(highs) + 1
+    block = 8
+    while trials > 0:
+        k = min(block, trials)
+        yield from map(tuple, rng.integers(low, ends, size=(k, len(ends))).tolist())
+        trials -= k
+        block = min(4 * block, 4096)
+
+
 def place_with_spacing(
     sample: BinaryGrid,
     obj: BinaryGrid,
@@ -504,29 +546,56 @@ def place_with_spacing(
 ) -> tuple[int, ...]:
     """Find an offset where ``obj`` clears existing content by ``spacing``.
 
-    The existing foreground is dilated by a ball of radius ``spacing``; an
-    offset is accepted when the translated object misses the dilation.
-    Offsets are drawn from a seeded generator, so placement is reproducible.
+    An offset is accepted when the translated object misses the existing
+    foreground dilated by a ball of radius ``spacing``.  The ball is
+    symmetric, so this is tested the other way round: the object, padded by
+    ``spacing``, is dilated once per call into its clearance zone, and each
+    offset is accepted when the zone misses the foreground in the window it
+    covers (clipped to the grid).  Offsets are drawn from a seeded generator,
+    so placement is reproducible; an offset drawn again is not tested again,
+    and once every candidate offset has failed the search raises at once, as
+    ``max_trials`` draws would have.
     """
     if spacing < 1:
         raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_same_ndim(sample, obj)
     if any(o > s - 2 * margin for o, s in zip(obj.dims, sample.dims)):
         raise PlacementError(
             f"object dims {obj.dims} do not fit in sample dims {sample.dims}"
         )
-    if sample.data.any():
-        blocked = dilate(sample, ball(spacing, sample.ndim)).data
-    else:
-        blocked = np.zeros_like(sample.data)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     highs = [s - o - margin for s, o in zip(sample.dims, obj.dims)]
-    for _ in range(max_trials):
-        off = tuple(
-            int(rng.integers(margin, hi + 1)) for hi in highs
-        )
-        region = tuple(slice(o, o + d) for o, d in zip(off, obj.dims))
-        if not (blocked[region] & obj.data).any():
+    draws = _offset_draws(rng, margin, highs, max_trials)
+    data = sample.data
+    if not data.any():
+        for off in draws:  # every offset clears an empty sample
             return off
+    else:
+        # the Minkowski sum of the object and the ball, framed so that the
+        # object's voxel i sits at i + reach
+        reach = int(spacing)
+        zone = np.zeros([d + 2 * reach for d in obj.dims], dtype=bool)
+        for shift in _ball_offsets(spacing, sample.ndim):
+            at = tuple(slice(reach + c, reach + c + d) for c, d in zip(shift, obj.dims))
+            zone[at] |= obj.data
+        candidates = math.prod(h - margin + 1 for h in highs)
+        failed = set()
+        for off in draws:
+            if off in failed:
+                continue
+            window, part = [], []
+            for o, z, s in zip(off, zone.shape, data.shape):
+                a, b = max(o - reach, 0), min(o - reach + z, s)
+                window.append(slice(a, b))
+                part.append(slice(a - o + reach, b - o + reach))
+            if not (data[tuple(window)] & zone[tuple(part)]).any():
+                return off
+            failed.add(off)
+            if len(failed) == candidates:
+                raise PlacementExhaustedError(
+                    f"no feasible offset among all {candidates} candidate "
+                    f"offsets at spacing {spacing}"
+                )
     raise PlacementExhaustedError(
         f"no feasible offset after {max_trials} trials at spacing {spacing}"
     )
@@ -534,6 +603,7 @@ def place_with_spacing(
 
 def blit(sample: BinaryGrid, obj: BinaryGrid, offset: tuple[int, ...], value: int = 1) -> None:
     """Write the object's foreground into the sample at the given offset."""
+    _check_same_ndim(sample, obj)
     region = tuple(slice(o, o + d) for o, d in zip(offset, obj.dims))
     if value:
         sample.data[region] |= obj.data

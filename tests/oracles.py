@@ -13,7 +13,9 @@ from collections import deque
 import numpy as np
 
 from topovox.grid import UnsupportedDimensionError
+from topovox.morphology import ball, dilate
 from topovox.noise import _AMPLITUDE, _GRADS, _fade, _perm_table
+from topovox.seeds import PlacementError, PlacementExhaustedError
 
 
 def bfs_components(data: np.ndarray, adjacency: str) -> int:
@@ -220,6 +222,39 @@ def stamp_tube_reference(data: np.ndarray, curve, r: float, value: int = 1) -> N
             data[region] |= mask
         else:
             data[region] &= ~mask
+
+
+def place_with_spacing_reference(
+    sample, obj, spacing: int, seed: int = 0, max_trials: int = 1000, margin: int = 0
+) -> tuple[int, ...]:
+    """Placement as it was before the clearance zone.
+
+    The whole scene is dilated by ``ball(spacing)``, offsets are drawn one
+    scalar per axis, every draw is tested (repeats too), and the search gives
+    up only after ``max_trials`` draws.
+    """
+    if spacing < 1:
+        raise ValueError(f"spacing must be positive, got {spacing}")
+    if any(o > s - 2 * margin for o, s in zip(obj.dims, sample.dims)):
+        raise PlacementError(
+            f"object dims {obj.dims} do not fit in sample dims {sample.dims}"
+        )
+    if sample.data.any():
+        blocked = dilate(sample, ball(spacing, sample.ndim)).data
+    else:
+        blocked = np.zeros_like(sample.data)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    highs = [s - o - margin for s, o in zip(sample.dims, obj.dims)]
+    for _ in range(max_trials):
+        off = tuple(
+            int(rng.integers(margin, hi + 1)) for hi in highs
+        )
+        region = tuple(slice(o, o + d) for o, d in zip(off, obj.dims))
+        if not (blocked[region] & obj.data).any():
+            return off
+    raise PlacementExhaustedError(
+        f"no feasible offset after {max_trials} trials at spacing {spacing}"
+    )
 
 
 def _axis_slices(ndim: int, ax: int, sl: slice) -> tuple[slice, ...]:

@@ -593,6 +593,7 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": ', "Expecting value"),
         ('{"count": 1, "max_objects": 0}', "max_objects must be at least 1, got 0"),
         ('{"count": 1, "spacing": 0}', "spacing must be at least 1, got 0"),
+        ('{"count": 1, "spacing": 5}', "spacing must be at most 4, got 5"),
         ('{"count": 1, "dims": [8, 8]}', "dims (8, 8) too small for any cut-out or object"),
     ],
 )

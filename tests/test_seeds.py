@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from oracles import stamp_tube_reference
+from oracles import place_with_spacing_reference, stamp_tube_reference
 
 from topovox.grid import BinaryGrid, count_ones, new_grid
 from topovox.homology import betti_numbers
@@ -258,6 +259,39 @@ def test_tube_matches_reference_on_integer_waypoints(dims):
             assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(12, 11), (9, 10, 8), (8, 9, 7, 8)])
+@pytest.mark.parametrize("r", [1.4, 1.6, 2.0])
+def test_tube_matches_reference_near_box_edges(dims, r):
+    # an endpoint sits so that min - r (or max + r) lies on, just past or just
+    # short of an integer, where the tight box starts (or ends); the voxel
+    # there on the segment's axis line is then a hair outside or inside
+    rng = np.random.default_rng(len(dims) * 10 + int(r * 10))
+    n = len(dims)
+    for delta in (0.0, 1e-12, 1e-10, 1e-8):
+        for sign in (1, -1):
+            for end in ("min", "max"):
+                for k in range(n):
+                    base = rng.integers(3, np.asarray(dims) - 3).astype(float)
+                    edge = int(base[k])
+                    p0 = base.copy()
+                    step = np.zeros(n)
+                    if end == "min":
+                        p0[k] = edge + r + sign * delta
+                        step[k] = 0.4
+                    else:
+                        p0[k] = edge - r + sign * delta
+                        step[k] = -0.4
+                    curve = ParametricCurve("custom", np.stack([p0, p0 + step]), closed=False)
+                    expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+                    assert got.tobytes() == expect.tobytes()
+                    voxel = tuple(int(c) for c in base[:k]) + (edge,) + tuple(
+                        int(c) for c in base[k + 1:]
+                    )
+                    if delta:
+                        # inside exactly when the edge voxel is short of r
+                        assert got[voxel] == ((sign < 0) == (end == "min"))
+
+
 def test_tube_outside_the_grid_sets_nothing():
     g = new_grid([12, 12])
     rasterize_tube(g, make_segment((-20.0, -20.0), (-10.0, -20.0)), 2.0)
@@ -383,6 +417,90 @@ def test_placement_satisfies_dilation_disjointness():
     blocked = dilate(sample, ball(2, 2)).data
     region = tuple(slice(o, o + 5) for o in off)
     assert not (blocked[region] & obj.data).any()
+
+
+def _placement_outcome(place, sample, obj, spacing, seed, max_trials, margin):
+    try:
+        return place(
+            BinaryGrid(sample.data.copy()), obj, spacing,
+            seed=seed, max_trials=max_trials, margin=margin,
+        )
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+@pytest.mark.parametrize("per_axis", [1, 2, 3, 7])
+def test_placement_matches_reference(ndim, per_axis):
+    # per_axis**ndim candidate offsets: 1, 8, 27 and 343 in 3D
+    rng = np.random.default_rng(ndim * 10 + per_axis)
+    outcomes = set()
+    for trial in range(20 if ndim < 4 else 10):
+        margin = int(rng.integers(0, 3))
+        spacing = int(rng.integers(1, 5))
+        odims = tuple(int(d) for d in rng.integers(2, 8 if ndim < 4 else 5, ndim))
+        sdims = tuple(d + 2 * margin + per_axis - 1 for d in odims)
+        obj = BinaryGrid(rng.random(odims) < rng.choice([0.3, 1.0]))
+        # empty, sparse, crowded and full samples
+        fill = (0.0, 0.003, 0.02, 0.1, 1.0)[trial % 5]
+        sample = BinaryGrid(rng.random(sdims) < fill)
+        max_trials = int(rng.choice([1, 6, 50, 1000]))
+        seed = int(rng.integers(2**32))
+        args = (sample, obj, spacing, seed, max_trials, margin)
+        got = _placement_outcome(place_with_spacing, *args)
+        assert got == _placement_outcome(place_with_spacing_reference, *args)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, type}
+
+
+def test_placement_matches_reference_on_crowded_scenes():
+    # objects placed one after another until the scene is full
+    rng = np.random.default_rng(7)
+    for ndim, side in ((2, 40), (3, 18)):
+        sample = new_grid([side + int(rng.integers(3)) for _ in range(ndim)])
+        exhausted = 0
+        for k in range(40):
+            obj = BinaryGrid(rng.random(tuple(rng.integers(3, 8, ndim))) < 0.7)
+            args = (sample, obj, int(rng.integers(1, 5)), k, 1000, int(rng.integers(3)))
+            got = _placement_outcome(place_with_spacing, *args)
+            assert got == _placement_outcome(place_with_spacing_reference, *args)
+            if isinstance(got, tuple):
+                sd.blit(sample, obj, got)
+            else:
+                exhausted += 1
+        assert exhausted >= 5
+
+
+def test_placement_finds_the_one_feasible_offset():
+    # 25 candidates, only (2, 2) clears the scene: the search must not give
+    # up before it has tested every candidate, whichever it draws last
+    sample = new_grid([5, 5], fill=1)
+    sample.data[1:4, 2] = sample.data[2, 1:4] = False
+    obj = new_grid([1, 1], fill=1)
+    for seed in range(200):
+        assert place_with_spacing(sample, obj, spacing=1, seed=seed, max_trials=10**6) == (2, 2)
+
+
+def test_placement_raises_once_every_candidate_failed():
+    # 4 candidate offsets: the 10**7 trials are never drawn
+    sample = new_grid([16, 16], fill=1)
+    obj = new_grid([15, 15], fill=1)
+    start = time.perf_counter()
+    with pytest.raises(PlacementExhaustedError, match="among all 4 candidate offsets"):
+        place_with_spacing(sample, obj, spacing=2, seed=0, max_trials=10**7)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_placement_and_blit_name_both_dims_on_ndim_mismatch():
+    sample = new_grid([4, 4, 16])
+    obj = new_grid([4, 4], fill=1)
+    for call in (
+        lambda: place_with_spacing(sample, obj, spacing=2),
+        lambda: sd.blit(sample, obj, (0, 0)),
+    ):
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(4, 4, 16\)") as info:
+            call()
+        assert type(info.value) is ValueError
 
 
 def test_polyline_chaining_is_dense():
