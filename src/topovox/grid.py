@@ -178,45 +178,60 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
     the smallest number in its component, so the roots are the cells whose
     value equals their own number.
 
-    Cells linked along the last axis have consecutive numbers, so they are
-    first merged into runs by one ``cumsum`` over the cells not linked to
-    their predecessor.  The other links join runs; consecutive duplicates
-    of a run pair are dropped.  Every round then hooks each root run onto
-    the smallest root run it shares a link with (``np.minimum.at``), and
-    pointer jumping points every run at its root.  Hooking only ever lowers
-    a parent, so no cycle can form, and each round removes every root that
-    has a smaller linked root.  The first cells of the runs ascend, so the
-    first cell of the root run is the component's smallest cell.
+    The work follows the runs and the run pairs, not the cells.  Cells
+    linked along the last axis have consecutive numbers and form a run:
+    ``cont`` marks a cell linked to its predecessor, and one ``cumsum`` of
+    the run starts over the whole grid gives every cell its run.  Every
+    other offset joins runs.  A link whose predecessor along the last axis
+    is also a link, with both ends continuing their runs, joins the same
+    run pair as that predecessor and is skipped, so the run ids are read
+    only where the pair changes, at the link's flat position and that
+    position plus the offset's flat step.
+    Overlapping runs need not be linked (a 1-skeleton edge may be missing
+    between two present vertices), so the links themselves decide.  Every
+    round then hooks each root run onto the smallest root run it shares a
+    link with (``np.minimum.at``), and pointer jumping points every run at
+    its root.  Hooking only ever lowers a parent, so no cycle can form, and
+    each round removes every root that has a smaller linked root.  The runs
+    ascend, so the first cell of the root run is the component's smallest
+    cell, and ``np.repeat`` hands it to every cell of every run.
     """
     last = (0,) * (mask.ndim - 1) + (1,)
-    linked = np.zeros(mask.shape, dtype=bool)
+    cont = np.zeros(mask.shape, dtype=bool)
     cross = []
     for off, joined in links:
         if tuple(off) == last:
-            linked[_pair_slices(off, mask.shape)[1]] |= joined
+            cont[..., 1:] |= joined
         else:
             cross.append((off, joined))
-    starts = ~linked[mask]
-    run = np.cumsum(starts, dtype=np.int32) - 1
-    first_cell = np.flatnonzero(starts).astype(np.int32)
-    ids = np.zeros(mask.shape, dtype=np.int32)
-    ids[mask] = run
+    starts = mask & ~cont
+    run = np.cumsum(starts, dtype=np.int32)
+    run -= 1
+    ends = mask.copy()
+    ends[..., :-1] &= ~cont[..., 1:]
+    start_at = np.flatnonzero(starts)
+    length = np.flatnonzero(ends) - start_at + 1
+    first = np.zeros(start_at.size, dtype=np.int32)  # true cells before a run
+    np.cumsum(length[:-1], out=first[1:])
     us, vs = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    kept = np.zeros(mask.shape, dtype=bool)
     for off, joined in cross:
         src, dst = _pair_slices(off, mask.shape)
-        us.append(ids[src][joined])
-        vs.append(ids[dst][joined])
+        new_pair = kept[src]
+        new_pair[...] = joined
+        new_pair[..., 1:] &= ~(joined[..., :-1] & cont[src][..., 1:] & cont[dst][..., 1:])
+        p = np.flatnonzero(kept)
+        kept[src] = False
+        us.append(run[p])
+        # ``kept`` is a contiguous bool array: its byte strides are flat steps
+        vs.append(run[p + sum(o * s for o, s in zip(off, kept.strides))])
     u, v = np.concatenate(us), np.concatenate(vs)
-    del linked, ids, us, vs  # the rounds need only the link ends
-    repeat = np.zeros(u.size, dtype=bool)
-    repeat[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
-    u, v = u[~repeat], v[~repeat]
-    parent = np.arange(first_cell.size, dtype=np.int32)
+    del cont, starts, ends, run, kept, us, vs  # the rounds need only the link ends
+    parent = np.arange(start_at.size, dtype=np.int32)
     while u.size:
         pu, pv = parent[u], parent[v]
-        low = np.minimum(pu, pv)
-        np.minimum.at(parent, pu, low)
-        np.minimum.at(parent, pv, low)
+        # both are roots, so only the larger one can move
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
@@ -224,7 +239,7 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
             parent = jumped
         open_ = parent[u] != parent[v]
         u, v = u[open_], v[open_]
-    return first_cell[parent[run]]
+    return np.repeat(first[parent], length)
 
 
 def count_roots(roots: np.ndarray) -> int:

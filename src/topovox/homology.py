@@ -24,9 +24,11 @@ engine then takes the Euler characteristic from the cell counts, beta_0
 from the components of the 1-skeleton and beta_(n-1) from the bounded
 face-adjacent components of the complement (Alexander duality); both
 component counts use the vectorized union-find of
-:func:`topovox.grid.component_roots`, which first merges the cells linked
-along the last axis into runs and then joins runs.  The Euler
-identity then settles 2D and 3D.  In 4D, beta_1 and beta_2 share one
+:func:`topovox.grid.component_roots`, whose cost follows runs and run
+pairs rather than cells: one ``cumsum`` over the grid numbers the runs of
+cells linked along the last axis, and the other links are read only where
+the pair of runs they join changes.  The Euler identity then settles 2D
+and 3D.  In 4D, beta_1 and beta_2 share one
 unknown, rank(d_2): the complex is collapsed in one sweep per axis (each
 free pair adds one to the rank in its coface's dimension), then d_3 and d_2
 of the remaining core are reduced as sparse columns with rows numbered per

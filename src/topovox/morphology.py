@@ -197,10 +197,16 @@ def thin_homotopic_2d(m: BinaryGrid, max_iter: int) -> BinaryGrid:
     return _thin_gated(m, max_iter, on_background=False)
 
 
+def _check_iterations(iterations: int) -> None:
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
+
+
 def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
     """Thicken seed objects by thinning the background around them."""
     if m.ndim != 2:
         raise UnsupportedDimensionError("thickening is 2D-only; see homology_safe_dilate")
+    _check_iterations(iterations)
     return _thin_gated(m, iterations, on_background=True)
 
 
@@ -219,6 +225,7 @@ def homology_safe_dilate(
     with probability proportional to the normalized noise value, which grows
     lumpy, thick-and-thin shapes instead of uniform offsets.
     """
+    _check_iterations(iterations)
     if b is None:
         b = ball(1, m.ndim)
     if bias is not None and bias.dims != m.dims:

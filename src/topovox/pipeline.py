@@ -127,6 +127,12 @@ def _betti_from_json(d: dict[str, Any]) -> BettiVector:
     return BettiVector.of(d["betti"], d["euler"], d.get("reduced", False))
 
 
+def _dims_from_json(value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and value and all(type(d) is int and d > 0 for d in value)):
+        raise ValueError(f"dims must be a list of positive integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class SampleManifest:
     """Everything needed to interpret and re-verify one sample."""
@@ -161,7 +167,7 @@ class SampleManifest:
         try:
             doc = json.loads(text)
             manifest = cls(
-                dims=tuple(doc["dims"]),
+                dims=_dims_from_json(doc["dims"]),
                 construction=ConstructionDescriptor.from_dict(doc["construction"]),
                 label=_betti_from_json(doc["label"]),
                 seed=doc["seed"],
@@ -257,6 +263,9 @@ class DatasetConfig:
             raise ValueError(f"spacing must be at least 1, got {self.spacing}")
         if self.spacing > MAX_SPACING:
             raise ValueError(f"spacing must be at most {MAX_SPACING}, got {self.spacing}")
+        for name in ("deform_iterations", "dilate_iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.shape_weights is not None:
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")

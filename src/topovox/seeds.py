@@ -393,8 +393,9 @@ def rasterize_tube(
     if pairs == 0:
         return g
     d = p1 - p0
-    # np.dot may go through BLAS, so the squared length stays per segment
-    l2 = np.array([float(np.dot(v, v)) for v in d])
+    # one stacked (1 x n) @ (n x 1) product per segment gives the same value
+    # as np.dot(v, v); the tube tests compare with a per-segment np.dot stamp
+    l2 = (d[:, None, :] @ d[:, :, None]).ravel()
     # a zero-length segment gets t = 0, which leaves dist2 = sum(rel ** 2)
     point = l2 == 0.0
     n = g.ndim

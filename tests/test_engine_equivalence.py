@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from topovox import pipeline
+from topovox import noise, pipeline
 from topovox.grid import _pair_slices, component_roots, neighbor_offsets
 from topovox.homology import _cell_dim_array, _cell_lattice, _squash, _sweep_collapse
 
@@ -98,8 +98,19 @@ def assert_same_roots(mask, links):
     links = list(links)
     want = component_roots_reference(mask, links)
     got = component_roots(mask, links)
-    assert got.shape == want.shape
+    assert got.shape == want.shape == (np.count_nonzero(mask),)
+    assert got.dtype == np.int32
     assert np.array_equal(got, want)
+
+
+def assert_same_engine_roots(data):
+    """Both passes of whole-grid verification: the 1-skeleton and the
+    padded complement, linked as ``_skeleton_components`` and
+    ``_bounded_background_components`` link them."""
+    assert_same_roots(*skeleton_links(_cell_lattice(data)))
+    bg = np.pad(~data, 1, constant_values=True)
+    face = [off for off in neighbor_offsets(data.ndim, "face") if off > (0,) * data.ndim]
+    assert_same_roots(bg, adjacency_links(bg, face))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -143,10 +154,75 @@ def test_roots_of_an_empty_mask():
 
 
 def test_roots_match_reference_on_gen_plain_4d_samples():
-    face = [off for off in neighbor_offsets(4, "face") if off > (0,) * 4]
     for grid in gen_plain_4d_grids():
         # the whole 16^4 grid, and the squashed one that verification sees
         for data in (grid, _squash(grid)):
-            assert_same_roots(*skeleton_links(_cell_lattice(data)))
-            bg = np.pad(~data, 1, constant_values=True)
-            assert_same_roots(bg, adjacency_links(bg, face))
+            assert_same_engine_roots(data)
+
+
+@pytest.mark.parametrize("side", [24, 31, 40])
+def test_roots_match_reference_on_verify_noisy_grids(side):
+    """The benchmark's verify-noisy kinds: 60% uniform fill, and a
+    thresholded noise field with 2-5% of its voxels flipped."""
+    rng = np.random.default_rng(side)
+    shape = (side,) * 3
+    uniform = rng.random(shape) < 0.6
+    field = noise.noise_field(shape, float(rng.uniform(4.0, 8.0)), int(rng.integers(2**31)))
+    salted = (field.values > 0) ^ (rng.random(shape) < rng.uniform(0.02, 0.05))
+    for data in (uniform, salted):
+        # nothing squashes away in noisy grids: the engine sees them whole
+        assert_same_engine_roots(data)
+
+
+def test_roots_when_links_skip_every_other_position_of_a_run_pair():
+    """Two full rows, each one run; only every other cross link is present,
+    so no link has a linked predecessor to stand in for it."""
+    for shape in [(2, 12), (2, 3, 11)]:
+        n = len(shape)
+        mask = np.ones(shape, dtype=bool)
+        links = adjacency_links(mask, [(0,) * (n - 1) + (1,)])
+        for off, joined in adjacency_links(mask, [(1,) + (0,) * (n - 1)]):
+            for parity in (0, 1):
+                cross = joined.copy()
+                cross[..., parity::2] = False
+                assert_same_roots(mask, links + [(off, cross)])
+            # a single link joins the pair, at either end or in the middle
+            for x in (0, shape[-1] // 2, shape[-1] - 1):
+                cross = np.zeros_like(joined)
+                cross[..., x] = True
+                assert_same_roots(mask, links + [(off, cross)])
+
+
+def test_roots_when_a_run_breaks_under_a_linked_stretch():
+    """Row 0 is one run, row 1 breaks in the middle.  The cross link where
+    row 1's second run starts has a linked predecessor and a source that
+    continues its run, but its target does not continue: it is the only
+    link of that run and must be kept."""
+    mask = np.ones((2, 10), dtype=bool)
+    along = mask[:, 1:].copy()
+    along[1, 4] = False  # row 1: cells 0-4 and 5-9
+    across = np.ones((1, 10), dtype=bool)
+    got = component_roots(mask, [((0, 1), along), ((1, 0), across)])
+    assert np.array_equal(got, np.zeros(20, dtype=np.int32))
+    assert_same_roots(mask, [((0, 1), along), ((1, 0), across)])
+    # the other way round: the source breaks, the target is one run
+    along = mask[:, 1:].copy()
+    along[0, 4] = False
+    assert_same_roots(mask, [((0, 1), along), ((1, 0), across)])
+
+
+def test_roots_with_a_backward_last_axis_offset(rng):
+    """``(0, ..., -1)`` is not the last-axis link that builds runs: it is
+    passed through as a cross link, alone or beside the forward one."""
+    for shape in [(7, 9), (5, 6, 7), (4, 3, 5, 4)]:
+        n = len(shape)
+        back = (0,) * (n - 1) + (-1,)
+        mask = rng.random(shape) < 0.6
+        assert_same_roots(mask, adjacency_links(mask, [back]))
+        face = [off for off in neighbor_offsets(n, "face") if off > (0,) * n]
+        assert_same_roots(mask, adjacency_links(mask, [back] + face))
+        some = [
+            (off, joined & (rng.random(joined.shape) < 0.5))
+            for off, joined in adjacency_links(mask, [back] + face)
+        ]
+        assert_same_roots(mask, some)

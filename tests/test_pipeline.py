@@ -422,6 +422,21 @@ def test_cli_deform_and_thicken(tmp_path, capsys):
     assert betti_numbers(thick).betti == (1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("method", ["morph", "dilate"])
+def test_cli_thicken_rejects_negative_iterations(tmp_path, capsys, method):
+    g = new_grid([16, 16])
+    g.data[5:11, 5:11] = True
+    src = tmp_path / "square.tvox"
+    write_voxels(src, g)
+    out = tmp_path / "t.tvox"
+    rc = cli.main(["thicken", str(src), "--method", method, "--iterations", "-2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "topovox thicken: error: iterations must be nonnegative, got -2"
+    ]
+    assert not out.exists()
+
+
 def _cli_dataset(tmp_path, name):
     out_dir = tmp_path / name
     cli.main(["gen", "--count", "2", "--dims", "24", "24", "--seed", "3", "--out", str(out_dir)])
@@ -442,6 +457,21 @@ def test_cli_verify_fails_on_manifest_dims_that_differ(tmp_path, capsys):
     assert rc == 1
     assert lines[0].startswith("sample_0000.json: FAIL")
     assert "(3, 5, 7)" in lines[0] and "(16, 16)" in lines[0]
+    assert lines[1].startswith("sample_0001.json: PASS")
+    assert lines[-1] == "1/2 samples passed"
+
+
+@pytest.mark.parametrize("dims", ["abc", [], [16, 0], [16, 16.0], [True, 16], None])
+def test_cli_verify_fails_on_manifest_dims_that_are_not_positive_integers(tmp_path, capsys, dims):
+    out_dir = tmp_path / "dims"
+    cli.main(["gen", "--count", "2", "--dims", "16", "16", "--seed", "3", "--out", str(out_dir)])
+    _set_manifest_dims(out_dir / "sample_0000.json", dims)
+    rc, lines = _verify_lines(out_dir, capsys)
+    assert rc == 1
+    assert lines[0] == (
+        f"sample_0000.json: FAIL not a sample manifest: "
+        f"dims must be a list of positive integers, got {dims!r}"
+    )
     assert lines[1].startswith("sample_0001.json: PASS")
     assert lines[-1] == "1/2 samples passed"
 
@@ -594,6 +624,8 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "max_objects": 0}', "max_objects must be at least 1, got 0"),
         ('{"count": 1, "spacing": 0}', "spacing must be at least 1, got 0"),
         ('{"count": 1, "spacing": 5}', "spacing must be at most 4, got 5"),
+        ('{"count": 1, "deform_iterations": -3}', "deform_iterations must be nonnegative, got -3"),
+        ('{"count": 1, "dilate_iterations": -1}', "dilate_iterations must be nonnegative, got -1"),
         ('{"count": 1, "dims": [8, 8]}', "dims (8, 8) too small for any cut-out or object"),
     ],
 )
