@@ -6,6 +6,10 @@ and the deform move selection were rewritten, so any change to the voxels,
 the labels or the deform counters of these datasets fails here.  The
 ``3d-tubes`` digest was recorded before the tube stamp was batched; it is the
 only case large enough to draw a trefoil, a Hopf link and a circle wedge.  The
+``3d-catalog``, ``4d-catalog`` and ``4d-cutout-catalog`` digests were
+recorded before the per-kind code moved into one table of kind records; they
+draw the 3D and 4D kinds no other case draws (every 4D kind but ``ball``,
+embedded and cut out, and the 3D shells, tori and wedge cut-outs).  The
 ``2d-deform-dilate-bias`` digest was recorded while each such sample still
 built its noise field twice, once to deform and once to bias the dilation.  A
 change that alters the output on purpose must say why and update the digest.
@@ -19,6 +23,9 @@ import pytest
 from topovox.pipeline import DatasetConfig, generate_dataset
 
 TUBE_WEIGHTS = {"open_tube": 1.0, "trefoil_tube": 1.0, "hopf_link": 1.0, "circle_wedge": 1.0}
+CATALOG_3D = {k: 1.0 for k in ("ball", "sphere_shell", "solid_torus", "torus_shell", "circle_wedge")}
+CATALOG_4D = {k: 1.0 for k in ("S1xB3", "S2xB2", "T2xB2", "tube_IxS2", "tube_I2xS1", "tube_IxT2")}
+CUTOUT_4D = {k: 1.0 for k in ("S1xB3", "S2xB2", "T2xB2")}
 
 CASES = {
     "2d-plain": (dict(dims=(32, 32), count=4), "b6b7c1d814012f765a445378345c96044a7306f3b50920b9eff8ace544d5073f"),
@@ -33,6 +40,9 @@ CASES = {
     "4d-cutout-deform": (dict(dims=(14, 14, 14, 14), count=1, max_objects=1, mode="cutout", deform_iterations=8), "feba306368c3ae61409f2d2aa682b0c099d2ffe72806e224694e9f8aa17c720f"),
     "4d-dilate": (dict(dims=(13, 13, 13, 13), count=1, max_objects=1, dilate_iterations=1), "f76ac170ac10260626f505909e39eb577ef41712291507e1ddd587cb41fe0c0c"),
     "3d-tubes": (dict(dims=(40, 40, 40), count=4, mode="embed", max_objects=1, shape_weights=TUBE_WEIGHTS), "0dc3b73adc16ba0146ac07443d458946161d2c1fe6b6774a7343bffef9a2e746"),
+    "3d-catalog": (dict(dims=(40, 40, 40), count=9, mode="mixed", max_objects=2, shape_weights=CATALOG_3D), "aa3fcb35e5f13a98ae474bca664a713bf48ada5879cdf6956037b05aac03235e"),
+    "4d-catalog": (dict(dims=(22, 22, 22, 22), count=8, mode="embed", max_objects=1, shape_weights=CATALOG_4D), "e6d8577f5b81d562704506171d9e726f49f2d267f417b51399f643dc399ad7a8"),
+    "4d-cutout-catalog": (dict(dims=(24, 24, 24, 24), count=4, mode="cutout", max_objects=1, shape_weights=CUTOUT_4D), "32f1a8f06c808eaa11d31dc29a6c025e916e477e6e960bfcd9a979bf53b94917"),
 }
 
 

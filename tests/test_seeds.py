@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -94,6 +95,45 @@ def test_shape_validation():
         ImplicitShape("solid_torus", (0, 0, 0), (2.0, 3.0))  # r >= R
     with pytest.raises(ValueError):
         ImplicitShape("ball", (0, 0), (-1.0,))
+
+
+#: Two radii tuples per arity: ball (r), round cores (R, r), torus (R1, R2, r).
+MASK_RADII = {1: ((3.3,), (2.6,)), 2: ((4.0, 1.6), (3.6, 1.2)), 3: ((4.0, 1.8, 0.8), (3.6, 1.6, 1.0))}
+MASK_ARITY = {"ball": 1, "torus_shell": 3, "T2xB2": 3, "tube_IxT2": 3}
+MASK_DIMS = {2: (22, 22), 3: (20, 20, 20), 4: (18, 18, 18, 18)}
+IMPLICIT_MASKS_DIGEST = "2a86deea63dba75f0f65a80cf33546918227b872d2f18e23141f78e5642dd07c"
+
+
+def implicit_mask_cases():
+    """Every implicit kind in each dimension it is labelled in, over two radii,
+    two centres and three (orientation, extents) pairs."""
+    from topovox.labels import _EMBEDDED_LABELS
+
+    for kind in sd.IMPLICIT_KINDS:
+        for ndim in sorted(_EMBEDDED_LABELS[kind]):
+            dims = MASK_DIMS[ndim]
+            shifted = tuple(c + s for c, s in zip(center_of(dims), (0.3, -0.5, 0.25, 0.0)))
+            poses = (
+                (None, ()),
+                (tuple(reversed(range(ndim))), (2.5,)),
+                (tuple(range(1, ndim)) + (0,), (0.8, 2.2)),
+            )
+            for radii in MASK_RADII[MASK_ARITY.get(kind, 2)]:
+                for center in (center_of(dims), shifted):
+                    for orientation, extents in poses:
+                        yield dims, ImplicitShape(kind, center, radii, orientation, extents)
+
+
+def test_implicit_masks_are_pinned():
+    # the voxels and axis reach of every implicit kind, digests recorded
+    # before the kinds moved into one table of records
+    digest = hashlib.sha256()
+    for dims, shape in implicit_mask_cases():
+        g = new_grid(dims)
+        rasterize_implicit(g, shape)
+        digest.update(repr((shape, shape.axis_reach(len(dims)))).encode())
+        digest.update(np.packbits(g.data).tobytes())
+    assert digest.hexdigest() == IMPLICIT_MASKS_DIGEST
 
 
 def test_interior_margin_enforced():
