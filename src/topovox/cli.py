@@ -67,7 +67,7 @@ def _gen(args: argparse.Namespace) -> int:
             fields[name] = value
     try:
         cfg = DatasetConfig(**fields)
-    except TypeError as exc:  # an unknown field or a value of the wrong type
+    except (TypeError, ValueError) as exc:  # an unknown field, a bad type or value
         raise ValueError(f"bad config: {exc}") from exc
     pairs = generate_dataset(cfg)
     for voxel_path, manifest_path in pairs:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .homology import BettiVector
+from .seeds import KINDS
 
 FAMILIES = (
     "closed_sum",
@@ -100,52 +101,25 @@ def betti_cube_multi_complement(cutouts: list[tuple[int, int, int, int]]) -> Bet
 
 
 # ---------------------------------------------------------------------------
-# embedded-object label catalog
-#
-# Homotopy-type labels of the rasterizable shape kinds, per grid dimension.
-# A None entry means the kind cannot be labeled in that dimension.
-
-_SHELL_LABELS = {2: (1, 1, 0, 0), 3: (1, 0, 1, 0), 4: (1, 0, 0, 1)}
-
-_EMBEDDED_LABELS: dict[str, dict[int, tuple[int, int, int, int]]] = {
-    "ball": {2: (1, 0, 0, 0), 3: (1, 0, 0, 0), 4: (1, 0, 0, 0)},
-    "sphere_shell": _SHELL_LABELS,
-    "solid_torus": {3: (1, 1, 0, 0), 4: (1, 1, 0, 0)},
-    "torus_shell": {3: (1, 2, 1, 0), 4: (1, 2, 1, 0)},
-    "S1xB3": {4: (1, 1, 0, 0)},
-    "S2xB2": {4: (1, 0, 1, 0)},
-    "T2xB2": {4: (1, 2, 1, 0)},
-    "tube_IxS2": {3: (1, 0, 1, 0), 4: (1, 0, 1, 0)},
-    "tube_I2xS1": {3: (1, 1, 0, 0), 4: (1, 1, 0, 0)},
-    "tube_IxT2": {3: (1, 2, 1, 0), 4: (1, 2, 1, 0)},
-    "open_tube": {2: (1, 0, 0, 0), 3: (1, 0, 0, 0), 4: (1, 0, 0, 0)},
-    "trefoil_tube": {3: (1, 1, 0, 0), 4: (1, 1, 0, 0)},
-    "hopf_link": {3: (2, 2, 0, 0), 4: (2, 2, 0, 0)},
-    "circle_wedge": {},  # genus-parametrized, handled below
-}
-
+# embedded-object labels: the catalog's records carry them
 
 def embedded_label(kind: str, ndim: int, genus: int = 0) -> BettiVector:
     """Homotopy-type label of an embedded catalog shape.
 
-    ``circle_wedge`` is a wedge of ``genus`` circles thickened into a tube,
-    i.e. a genus-``genus`` handlebody.
+    A wedge kind (``circle_wedge``) is a wedge of ``genus`` circles
+    thickened into a tube, i.e. a genus-``genus`` handlebody.
     """
-    if kind == "circle_wedge":
+    record = KINDS.get(kind)
+    if record is None or ndim not in record.betti:
+        raise InvalidDescriptorError(
+            f"no label for embedded kind {kind!r} in dimension {ndim}"
+        )
+    b0, b1, b2, b3 = record.betti[ndim]
+    if record.wedge:
         if genus < 1:
-            raise InvalidDescriptorError("circle_wedge requires genus >= 1")
-        if ndim < 2:
-            raise InvalidDescriptorError("circle_wedge needs a 2d+ grid")
-        betti = (1, genus, 0, 0)
-    else:
-        table = _EMBEDDED_LABELS.get(kind)
-        if table is None or ndim not in table:
-            raise InvalidDescriptorError(
-                f"no label for embedded kind {kind!r} in dimension {ndim}"
-            )
-        betti = table[ndim]
-    euler = betti[0] - betti[1] + betti[2] - betti[3]
-    return BettiVector.of(betti, euler)
+            raise InvalidDescriptorError(f"{kind} requires genus >= 1")
+        b1 += genus
+    return BettiVector.of((b0, b1, b2, b3), b0 - b1 + b2 - b3)
 
 
 def cavity_label(ndim: int, cutouts: list[tuple[int, int, int, int]]) -> BettiVector:

@@ -193,38 +193,6 @@ class SampleManifest:
 # ---------------------------------------------------------------------------
 # dataset configuration
 
-#: Cut-out shape kinds whose complement stays connected, per dimension.
-CUTOUT_KINDS = {
-    2: ("ball",),
-    3: ("ball", "solid_torus", "circle_wedge"),
-    4: ("ball", "S1xB3", "S2xB2", "T2xB2"),
-}
-
-#: Embeddable shape kinds, per dimension.
-EMBED_KINDS = {
-    2: ("ball", "sphere_shell", "open_tube"),
-    3: (
-        "ball",
-        "sphere_shell",
-        "solid_torus",
-        "torus_shell",
-        "open_tube",
-        "trefoil_tube",
-        "hopf_link",
-        "circle_wedge",
-    ),
-    4: (
-        "ball",
-        "S1xB3",
-        "S2xB2",
-        "T2xB2",
-        "tube_IxS2",
-        "tube_I2xS1",
-        "tube_IxT2",
-    ),
-}
-
-
 #: Placement dilates by ``ball(spacing)``, which spans ``2 * spacing + 1``
 #: voxels per axis; structuring elements are capped at 9.
 MAX_SPACING = 4
@@ -271,6 +239,9 @@ class DatasetConfig:
                 raise ValueError("shape weights must be nonnegative")
             if sum(self.shape_weights.values()) <= 0:
                 raise ValueError("shape weights must sum to a positive value")
+            for name in self.shape_weights:
+                if name not in seeds.KINDS:
+                    raise ValueError(f"shape_weights names an unknown kind {name!r}")
 
     @property
     def ndim(self) -> int:
@@ -310,7 +281,7 @@ class DatasetConfig:
 
 def _weighted_choice(rng: np.random.Generator, kinds, weights: dict[str, float] | None):
     if weights:
-        w = np.array([weights.get(k, 0.0) for k in kinds], dtype=float)
+        w = np.array([weights.get(k.name, 0.0) for k in kinds], dtype=float)
         if w.sum() <= 0:
             w = np.ones(len(kinds))
     else:
@@ -318,125 +289,7 @@ def _weighted_choice(rng: np.random.Generator, kinds, weights: dict[str, float] 
     return kinds[int(rng.choice(len(kinds), p=w / w.sum()))]
 
 
-def _tube_radius(ndim: int) -> float:
-    return 2.0 if ndim < 4 else 1.6
-
-
-def _min_side(kind: str, ndim: int) -> int:
-    """Smallest object box the kind can be drawn into without degenerating."""
-    tube = _tube_radius(ndim)
-    if kind == "ball":
-        return 10
-    if kind in ("sphere_shell", "S1xB3", "S2xB2", "solid_torus", "tube_IxS2", "tube_I2xS1"):
-        return int(math.ceil(2 * (4.0 + tube) + 4))
-    if kind in ("torus_shell", "T2xB2", "tube_IxT2"):
-        return int(math.ceil(2 * 7.7 + 4))
-    if kind == "open_tube":
-        return int(math.ceil(2 * (4.0 + tube) + 4))
-    if kind == "trefoil_tube":
-        # strands clear 0.915*scale; a radius-1.4 tube needs scale >= 4.7
-        return int(math.ceil(2 * (3.0 * 4.7 + 1.4) + 4))
-    if kind == "hopf_link":
-        # the two circles pass within one scale of each other
-        return int(math.ceil(2 * (1.5 * (2 * tube + 2) + tube) + 4))
-    if kind == "circle_wedge":
-        return int(math.ceil(2 * 2 * 4.0 + 2 * tube + 4))
-    raise ValueError(f"unknown catalog kind {kind!r}")
-
-
-def _make_object(
-    kind: str, ndim: int, rng: np.random.Generator, max_side: int
-) -> tuple[BinaryGrid, ConstructionDescriptor]:
-    """Rasterize one catalog object into its own minimal grid.
-
-    Parameter draws are clamped so the object's box never exceeds
-    ``max_side`` per axis.
-    """
-    tube = _tube_radius(ndim)
-    budget = (max_side - 4) / 2.0  # largest usable reach from the box center
-
-    def box_for(reach: float) -> tuple[BinaryGrid, tuple[float, ...]]:
-        side = int(math.ceil(2 * reach + 4))
-        grid = new_grid((side,) * ndim)
-        return grid, ((side - 1) / 2.0,) * ndim
-
-    def draw(lo: float, hi: float) -> float:
-        if hi < lo:
-            raise seeds.PlacementError(f"{kind} cannot fit a {max_side}-voxel box")
-        return float(rng.uniform(lo, hi))
-
-    genus = 0
-    if kind == "ball":
-        r = draw(2.5, min(4.0, budget))
-        g, center = box_for(r)
-        seeds.rasterize_implicit(g, seeds.ImplicitShape("ball", center, (r,)))
-    elif kind in ("sphere_shell", "S1xB3", "S2xB2", "solid_torus", "tube_IxS2", "tube_I2xS1"):
-        R = draw(4.0, min(5.5, budget - tube))
-        g, center = box_for(R + tube)
-        seeds.rasterize_implicit(g, seeds.ImplicitShape(kind, center, (R, tube)))
-    elif kind in ("torus_shell", "T2xB2", "tube_IxT2"):
-        R2, r = 2.2, 1.0
-        R1 = draw(4.5, min(5.5, budget - R2 - r))
-        g, center = box_for(R1 + R2 + r)
-        seeds.rasterize_implicit(g, seeds.ImplicitShape(kind, center, (R1, R2, r)))
-    elif kind == "open_tube":
-        length = draw(8.0, min(14.0, 2 * (budget - tube)))
-        g, center = box_for(length / 2 + tube)
-        p0 = np.array(center)
-        p0[0] -= length / 2
-        p1 = np.array(center)
-        p1[0] += length / 2
-        seeds.rasterize_tube(g, seeds.make_segment(p0, p1), tube)
-    elif kind == "trefoil_tube":
-        r = 1.4
-        scale = draw(4.7, min(6.5, (budget - r) / 3.0))
-        g, center = box_for(3.0 * scale + r)
-        seeds.rasterize_tube(g, seeds.make_trefoil(center, scale), r)
-    elif kind == "hopf_link":
-        scale = draw(2 * tube + 2, min(7.5, (budget - tube) / 1.5))
-        g, center = box_for(1.5 * scale + tube)
-        c = np.array(center)
-        c[0] -= scale / 2
-        for loop in seeds.make_hopf_link(c, scale):
-            seeds.rasterize_tube(g, loop, tube)
-    elif kind == "circle_wedge":
-        max_genus = min(3, int((budget - tube) // 4.0))
-        genus = int(rng.integers(2, max_genus + 1)) if max_genus > 2 else 2
-        R = draw(4.0, min(5.0, (budget - tube) / genus))
-        # loops sit at x = start + 2kR, so the chain spans 2*genus*R in x
-        side_x = int(math.ceil(2 * genus * R + 2 * tube + 4))
-        side = int(math.ceil(2 * (R + tube) + 4))
-        dims = (side_x,) + (side,) * (ndim - 1)
-        g = new_grid(dims)
-        start = np.array([(d - 1) / 2.0 for d in dims])
-        start[0] -= R * (genus - 1)
-        for loop in seeds.make_circle_wedge(start, R, genus):
-            seeds.rasterize_tube(g, loop, tube)
-    else:
-        raise ValueError(f"unknown catalog kind {kind!r}")
-
-    desc = ConstructionDescriptor(
-        family="embedded_object", kind=kind, genus=genus, ndim=ndim
-    )
-    return g, desc
-
-
-def _cutout_params(kind: str, genus: int) -> tuple[int, int, int, int]:
-    """Cut-out label parameters for a catalog kind."""
-    if kind == "ball":
-        return (0, 0, 0, 0)
-    if kind in ("solid_torus", "S1xB3"):
-        return (1, 0, 0, 0)
-    if kind == "S2xB2":
-        return (0, 1, 0, 0)
-    if kind == "T2xB2":
-        return (0, 0, 1, 1)
-    if kind == "circle_wedge":
-        return (genus, 0, 0, 0)
-    raise ValueError(f"kind {kind!r} is not a valid cut-out")
-
-
-def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[str], int, int]:
+def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[seeds.CatalogKind], int, int]:
     """The kinds of ``mode`` (cutout or embed) whose box fits ``dims``.
 
     Also returns the margin kept free at the grid border and the largest
@@ -445,8 +298,7 @@ def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[str], int, in
     ndim = len(dims)
     margin = 2 if mode == "cutout" else 1
     max_side = min(dims) - 2 * margin
-    table = CUTOUT_KINDS if mode == "cutout" else EMBED_KINDS
-    return [k for k in table[ndim] if _min_side(k, ndim) <= max_side], margin, max_side
+    return [k for k in seeds.drawn(mode, ndim) if k.min_side(ndim) <= max_side], margin, max_side
 
 
 def _check_some_kind_fits(cfg: DatasetConfig) -> None:
@@ -456,7 +308,7 @@ def _check_some_kind_fits(cfg: DatasetConfig) -> None:
     Dims with an unsupported number of axes are left to the grid to reject.
     """
     modes = ("cutout", "embed") if cfg.mode == "mixed" else (cfg.mode,)
-    if cfg.ndim in CUTOUT_KINDS and not any(_fitting_kinds(m, cfg.dims)[0] for m in modes):
+    if seeds.drawn("cutout", cfg.ndim) and not any(_fitting_kinds(m, cfg.dims)[0] for m in modes):
         what = " or ".join("cut-out" if m == "cutout" else "object" for m in modes)
         raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
 
@@ -480,7 +332,7 @@ def _build_sample(
         placements = []
         for k in range(n_objects):
             kind = _weighted_choice(rng, kinds, cfg.shape_weights)
-            obj, desc = _make_object(kind, ndim, rng, max_side)
+            obj, genus = kind.make(ndim, rng, max_side)
             offset = seeds.place_with_spacing(
                 carved,
                 obj,
@@ -490,8 +342,8 @@ def _build_sample(
             )
             seeds.blit(carved, obj, offset)
             seeds.blit(grid, obj, offset, value=0)
-            cutouts.append(_cutout_params(kind, desc.genus))
-            placements.append({"kind": kind, "offset": list(offset), "genus": desc.genus})
+            cutouts.append(kind.cutout(genus))
+            placements.append({"kind": kind.name, "offset": list(offset), "genus": genus})
         construction = ConstructionDescriptor(
             family="cube_complement",
             ndim=ndim,
@@ -507,7 +359,7 @@ def _build_sample(
         children = []
         for k in range(n_objects):
             kind = _weighted_choice(rng, kinds, cfg.shape_weights)
-            obj, desc = _make_object(kind, ndim, rng, max_side)
+            obj, genus = kind.make(ndim, rng, max_side)
             offset = seeds.place_with_spacing(
                 grid, obj, cfg.spacing, seed=int(rng.integers(0, 2**32)), margin=margin
             )
@@ -515,8 +367,8 @@ def _build_sample(
             children.append(
                 ConstructionDescriptor(
                     family="embedded_object",
-                    kind=kind,
-                    genus=desc.genus,
+                    kind=kind.name,
+                    genus=genus,
                     ndim=ndim,
                     placement=({"offset": list(offset)},),
                 )

@@ -11,19 +11,22 @@ one-segment-at-a-time stamp over the floor/ceil box, so neither the batching
 nor the tighter box changes a voxel.  Placement keeps a minimum spacing
 between objects by testing each drawn offset against the object's clearance
 zone (the object dilated by a ball of radius ``spacing``), which equals
-testing the object against the dilated scene.
+testing the object against the dilated scene.  :data:`CATALOG` holds one
+record per catalog kind with everything about it: its labels, where it is
+drawn, its cut-out parameters, its recipe and, for an implicit kind, the core
+and thickening of its inequality.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .grid import BinaryGrid
+from .grid import BinaryGrid, new_grid
 from .homology import BettiVector
-from .labels import embedded_label
 from .morphology import ball
 
 
@@ -37,21 +40,6 @@ class PlacementExhaustedError(RuntimeError):
 
 class InvalidCurveError(ValueError):
     """Raised for polylines sampled too sparsely to rasterize without gaps."""
-
-
-#: Shape kinds with an implicit-inequality rasterization.
-IMPLICIT_KINDS = (
-    "ball",
-    "sphere_shell",
-    "solid_torus",
-    "torus_shell",
-    "S1xB3",
-    "S2xB2",
-    "T2xB2",
-    "tube_IxS2",
-    "tube_I2xS1",
-    "tube_IxT2",
-)
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,8 @@ class ImplicitShape:
     extents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in IMPLICIT_KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None or kind.core is None:
             raise ValueError(f"unknown implicit shape kind {self.kind!r}")
         rs = [r for r in self.radii if r is not None]
         if any(r <= 0 for r in rs):
@@ -82,35 +71,19 @@ class ImplicitShape:
 
     def axis_reach(self, ndim: int) -> tuple[float, ...]:
         """Half-extent of the shape along each of its own axes."""
-        kind = self.kind
-        if kind == "ball":
-            (r,) = self.radii
-            return (r,) * ndim
-        if kind == "sphere_shell":
-            R, r = self.radii
-            return (R + r,) * ndim
-        if kind in ("solid_torus", "S1xB3"):
-            R, r = self.radii
-            return (R + r, R + r) + (r,) * (ndim - 2)
-        if kind == "tube_I2xS1":
-            R, r = self.radii
-            box = tuple(self_extent(self, k) for k in range(ndim - 2))
-            return (R + r, R + r) + box
-        if kind == "S2xB2":
-            R, r = self.radii
-            return (R + r,) * 3 + (r,) * (ndim - 3)
-        if kind == "tube_IxS2":
-            R, r = self.radii
-            box = tuple(self_extent(self, k) for k in range(ndim - 3))
-            return (R + r,) * 3 + box
-        if kind in ("torus_shell", "T2xB2"):
-            R1, R2, r = self.radii
-            return (R1 + R2 + r, R1 + R2 + r, R2 + r) + (r,) * (ndim - 3)
-        if kind == "tube_IxT2":
-            R1, R2, r = self.radii
-            box = tuple(self_extent(self, k) for k in range(ndim - 3))
-            return (R1 + R2 + r, R1 + R2 + r, R2 + r) + box
-        raise ValueError(f"unknown implicit shape kind {kind!r}")
+        kind = KINDS[self.kind]
+        *R, r = self.radii
+        if kind.core == "point":
+            reach = ()
+        elif kind.core == "torus":
+            R1, R2 = R
+            reach = (R1 + R2 + r, R1 + R2 + r, R2 + r)
+        else:
+            reach = (R[0] + r,) * _CORE_AXES.get(kind.core, ndim)
+        rest = ndim - len(reach)
+        if kind.boxed:
+            return reach + tuple(self_extent(self, k) for k in range(rest))
+        return reach + (r,) * rest
 
 
 def _shape_frame(shape: ImplicitShape, ndim: int, dims) -> list[np.ndarray]:
@@ -139,54 +112,29 @@ def _implicit_mask(shape: ImplicitShape, dims) -> np.ndarray:
 
 
 def _implicit_predicate(shape: ImplicitShape, x: list[np.ndarray]) -> np.ndarray:
-    kind = shape.kind
-    if kind == "ball":
-        (r,) = shape.radii
-        return sum(c * c for c in x) <= r * r
-    if kind == "sphere_shell":
-        R, r = shape.radii
-        rho = np.sqrt(sum(c * c for c in x))
-        return (rho - R) ** 2 <= r * r
-    if kind in ("solid_torus", "S1xB3", "tube_I2xS1"):
-        R, r = shape.radii
-        rho = np.sqrt(x[0] ** 2 + x[1] ** 2)
-        core = (rho - R) ** 2
-        if kind == "tube_I2xS1":
-            # circle thickened in-plane, boxed along the remaining axes
-            mask = core <= r * r
-            for k, c in enumerate(x[2:]):
-                half = self_extent(shape, k)
-                mask &= np.abs(c) <= half
-            return mask
-        for c in x[2:]:
-            core = core + c * c
-        return core <= r * r
-    if kind in ("S2xB2", "tube_IxS2"):
-        R, r = shape.radii
-        rho = np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-        core = (rho - R) ** 2
-        if kind == "tube_IxS2":
-            mask = core <= r * r
-            for k, c in enumerate(x[3:]):
-                mask &= np.abs(c) <= self_extent(shape, k)
-            return mask
-        for c in x[3:]:
-            core = core + c * c
-        return core <= r * r
-    if kind in ("torus_shell", "T2xB2", "tube_IxT2"):
-        R1, R2, r = shape.radii
+    """The core in the leading shape axes, thickened by a ball of radius r
+    over the other axes, or by a box of the shape's extents if ``boxed``."""
+    kind = KINDS[shape.kind]
+    *R, r = shape.radii
+    if kind.core == "point":
+        gap, rest = 0, x
+    elif kind.core == "torus":
+        R1, R2 = R
         rho = np.sqrt(x[0] ** 2 + x[1] ** 2)
         torus_dist = np.sqrt((rho - R1) ** 2 + x[2] ** 2)
-        core = (torus_dist - R2) ** 2
-        if kind == "tube_IxT2":
-            mask = core <= r * r
-            for k, c in enumerate(x[3:]):
-                mask &= np.abs(c) <= self_extent(shape, k)
-            return mask
-        for c in x[3:]:
-            core = core + c * c
-        return core <= r * r
-    raise ValueError(f"unknown implicit shape kind {kind!r}")
+        gap, rest = (torus_dist - R2) ** 2, x[3:]
+    else:
+        span = _CORE_AXES.get(kind.core, len(x))
+        rho = np.sqrt(sum(c * c for c in x[:span]))
+        gap, rest = (rho - R[0]) ** 2, x[span:]
+    if kind.boxed:
+        mask = gap <= r * r
+        for k, c in enumerate(rest):
+            mask &= np.abs(c) <= self_extent(shape, k)
+        return mask
+    for c in rest:
+        gap = gap + c * c
+    return gap <= r * r
 
 
 def self_extent(shape: ImplicitShape, k: int) -> float:
@@ -427,6 +375,215 @@ def rasterize_tube(
 
 
 # ---------------------------------------------------------------------------
+# the catalog.  A recipe draws one object's parameters and returns its box
+# dims, a painter that rasterizes it into a grid of those dims, and its genus.
+# Painters look the rasterizers up by module-level name when they run.
+
+
+def _tube_radius(ndim: int) -> float:
+    return 2.0 if ndim < 4 else 1.6
+
+
+def _cube(reach: float, ndim: int) -> tuple[int, ...]:
+    """The box that leaves two voxels around a shape of this reach."""
+    return (int(math.ceil(2 * reach + 4)),) * ndim
+
+
+def _center(g: BinaryGrid) -> tuple[float, ...]:
+    return tuple((d - 1) / 2.0 for d in g.dims)
+
+
+class _Draws:
+    """One object's parameter draws from ``rng``; with ``rng=None`` every draw
+    takes the low end of its range, which gives the kind's smallest box."""
+
+    def __init__(self, rng: np.random.Generator | None, failure: str) -> None:
+        self.rng, self.failure = rng, failure
+
+    def uniform(self, lo: float, hi: float) -> float:
+        if hi < lo:
+            raise PlacementError(self.failure)
+        return lo if self.rng is None else float(self.rng.uniform(lo, hi))
+
+    def integer(self, lo: int, hi: int) -> int:  # in [lo, hi]
+        return lo if self.rng is None else int(self.rng.integers(lo, hi + 1))
+
+
+def _solid(kind, ndim, draws, budget):
+    """An implicit kind; its core decides the radii: r, (R, tube) or (R1, 2.2, 1.0)."""
+    if kind.core == "point":
+        radii = (draws.uniform(2.5, min(4.0, budget)),)
+    elif kind.core == "torus":
+        R2, r = 2.2, 1.0
+        radii = (draws.uniform(4.5, min(5.5, budget - R2 - r)), R2, r)
+    else:
+        tube = _tube_radius(ndim)
+        radii = (draws.uniform(4.0, min(5.5, budget - tube)), tube)
+
+    def paint(g):
+        rasterize_implicit(g, ImplicitShape(kind.name, _center(g), radii))
+
+    # the reach r, R + tube or R1 + R2 + r: sum adds left to right from 0
+    return _cube(sum(radii), ndim), paint, 0
+
+
+def _open_tube(kind, ndim, draws, budget):
+    tube = _tube_radius(ndim)
+    length = draws.uniform(8.0, min(14.0, 2 * (budget - tube)))
+
+    def paint(g):
+        p0 = np.array(_center(g))
+        p0[0] -= length / 2
+        p1 = np.array(_center(g))
+        p1[0] += length / 2
+        rasterize_tube(g, make_segment(p0, p1), tube)
+
+    return _cube(length / 2 + tube, ndim), paint, 0
+
+
+def _trefoil_tube(kind, ndim, draws, budget):
+    r = 1.4  # strands clear 0.915*scale; a radius-1.4 tube needs scale >= 4.7
+    scale = draws.uniform(4.7, min(6.5, (budget - r) / 3.0))
+
+    def paint(g):
+        rasterize_tube(g, make_trefoil(_center(g), scale), r)
+
+    return _cube(3.0 * scale + r, ndim), paint, 0
+
+
+def _hopf_link(kind, ndim, draws, budget):
+    tube = _tube_radius(ndim)
+    # the two circles pass within one scale of each other
+    scale = draws.uniform(2 * tube + 2, min(7.5, (budget - tube) / 1.5))
+
+    def paint(g):
+        c = np.array(_center(g))
+        c[0] -= scale / 2
+        for loop in make_hopf_link(c, scale):
+            rasterize_tube(g, loop, tube)
+
+    return _cube(1.5 * scale + tube, ndim), paint, 0
+
+
+def _circle_wedge(kind, ndim, draws, budget):
+    tube = _tube_radius(ndim)
+    max_genus = min(3, int((budget - tube) // 4.0))
+    genus = draws.integer(2, max_genus) if max_genus > 2 else 2
+    R = draws.uniform(4.0, min(5.0, (budget - tube) / genus))
+    # loops sit at x = start + 2kR, so the chain spans 2*genus*R in x
+    side_x = int(math.ceil(2 * genus * R + 2 * tube + 4))
+    side = int(math.ceil(2 * (R + tube) + 4))
+
+    def paint(g):
+        start = np.array(_center(g))
+        start[0] -= R * (genus - 1)
+        for loop in make_circle_wedge(start, R, genus):
+            rasterize_tube(g, loop, tube)
+
+    return (side_x,) + (side,) * (ndim - 1), paint, genus
+
+
+#: Leading shape axes a round core spans; a full sphere spans them all.
+_CORE_AXES = {"circle": 2, "2-sphere": 3}
+
+
+@dataclass(frozen=True, eq=False)
+class CatalogKind:
+    """Everything about one catalog kind.
+
+    ``betti`` maps each grid dimension the kind is labelled in to its Betti
+    vector; a ``wedge`` kind adds its drawn genus to b1.  The kind is drawn
+    embedded in the dimensions ``embed`` and as a cut-out in ``carve``, with
+    cut-out parameters ``ghij`` (a wedge adds its genus to g).  ``recipe``
+    draws it into its own box.  An implicit kind names its ``core``, which
+    is thickened by a ball, or by a box along the interval axes if
+    ``boxed``.  ``floor`` raises the smallest box side the kind is drawn in.
+    """
+
+    name: str
+    betti: dict[int, tuple[int, int, int, int]]
+    recipe: Callable
+    embed: tuple[int, ...] = ()
+    carve: tuple[int, ...] = ()
+    ghij: tuple[int, int, int, int] = (0, 0, 0, 0)
+    wedge: bool = False
+    core: str | None = None
+    boxed: bool = False
+    floor: int = 0
+
+    def make(self, ndim: int, rng: np.random.Generator, max_side: int) -> tuple[BinaryGrid, int]:
+        """Draw and rasterize one object into its own minimal grid.
+
+        Returns the grid and the drawn genus.  Parameter draws are clamped so
+        the object's box never exceeds ``max_side`` per axis.
+        """
+        budget = (max_side - 4) / 2.0  # largest usable reach from the box center
+        draws = _Draws(rng, f"{self.name} cannot fit a {max_side}-voxel box")
+        dims, paint, genus = self.recipe(self, ndim, draws, budget)
+        g = new_grid(dims)
+        paint(g)
+        return g, genus
+
+    def min_side(self, ndim: int) -> int:
+        """Smallest object box the kind can be drawn into: that of its lowest draws."""
+        dims, _, _ = self.recipe(self, ndim, _Draws(None, ""), 1e9)  # a budget no draw meets
+        return max(self.floor, *dims)
+
+    def cutout(self, genus: int) -> tuple[int, int, int, int]:
+        """Cut-out label parameters (g, h, i, j) of an object of this genus."""
+        g, h, i, j = self.ghij
+        return (g + genus, h, i, j)
+
+
+#: Betti vectors of a contractible solid, a thickened circle, 2-sphere and torus.
+_CONTRACTIBLE, _CIRCLE, _TWO_SPHERE, _TORUS = (1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 2, 1, 0)
+
+
+def _in(betti, *dims) -> dict[int, tuple[int, int, int, int]]:
+    return dict.fromkeys(dims, betti)
+
+
+#: The catalog, in the order draws index it.  A new kind is one record.
+CATALOG = (
+    # the lowest draw (r = 2.5) fits a 9-voxel box, but a floor of 9 would
+    # let a cut-out ball fit a 13^4 grid and move the 4D golden digests
+    CatalogKind("ball", _in(_CONTRACTIBLE, 2, 3, 4), _solid, core="point",
+                embed=(2, 3, 4), carve=(2, 3, 4), floor=10),
+    CatalogKind("sphere_shell", {2: _CIRCLE, 3: _TWO_SPHERE, 4: (1, 0, 0, 1)}, _solid,
+                core="sphere", embed=(2, 3)),
+    CatalogKind("solid_torus", _in(_CIRCLE, 3, 4), _solid, core="circle",
+                embed=(3,), carve=(3,), ghij=(1, 0, 0, 0)),
+    CatalogKind("torus_shell", _in(_TORUS, 3, 4), _solid, core="torus", embed=(3,)),
+    CatalogKind("S1xB3", _in(_CIRCLE, 4), _solid, core="circle",
+                embed=(4,), carve=(4,), ghij=(1, 0, 0, 0)),
+    CatalogKind("S2xB2", _in(_TWO_SPHERE, 4), _solid, core="2-sphere",
+                embed=(4,), carve=(4,), ghij=(0, 1, 0, 0)),
+    CatalogKind("T2xB2", _in(_TORUS, 4), _solid, core="torus",
+                embed=(4,), carve=(4,), ghij=(0, 0, 1, 1)),
+    CatalogKind("tube_IxS2", _in(_TWO_SPHERE, 3, 4), _solid, core="2-sphere", boxed=True,
+                embed=(4,)),
+    CatalogKind("tube_I2xS1", _in(_CIRCLE, 3, 4), _solid, core="circle", boxed=True,
+                embed=(4,)),
+    CatalogKind("tube_IxT2", _in(_TORUS, 3, 4), _solid, core="torus", boxed=True,
+                embed=(4,)),
+    CatalogKind("open_tube", _in(_CONTRACTIBLE, 2, 3, 4), _open_tube, embed=(2, 3)),
+    CatalogKind("trefoil_tube", _in(_CIRCLE, 3, 4), _trefoil_tube, embed=(3,)),
+    CatalogKind("hopf_link", _in((2, 2, 0, 0), 3, 4), _hopf_link, embed=(3,)),
+    # genus-many circles in a row, thickened: a genus-g handlebody
+    CatalogKind("circle_wedge", _in(_CONTRACTIBLE, 2, 3, 4), _circle_wedge, wedge=True,
+                embed=(3,), carve=(3,)),
+)
+
+#: The catalog by kind name.
+KINDS = {kind.name: kind for kind in CATALOG}
+
+
+def drawn(mode: str, ndim: int) -> list[CatalogKind]:
+    """The kinds drawn in ``ndim`` dims in ``mode`` (cutout or embed), in table order."""
+    return [k for k in CATALOG if ndim in (k.carve if mode == "cutout" else k.embed)]
+
+
+# ---------------------------------------------------------------------------
 # boundary connected sums
 
 @dataclass(frozen=True)
@@ -472,9 +629,10 @@ def boundary_sum_carve(
         raise PlacementError("shapes too close together to bridge cleanly")
     p_start = tuple(ca + t_start * u)
     p_end = tuple(ca + t_end * u)
-    la = embedded_label(a.kind, n)
-    lb = embedded_label(b.kind, n)
-    betti = (1,) + tuple(la.betti[k] + lb.betti[k] for k in range(1, 4))
+    la, lb = (KINDS[part.kind].betti.get(n) for part in (a, b))
+    if la is None or lb is None:
+        raise ValueError(f"no label for {a.kind!r} or {b.kind!r} in dimension {n}")
+    betti = (1,) + tuple(la[k] + lb[k] for k in range(1, 4))
     euler = betti[0] - betti[1] + betti[2] - betti[3]
     return CompositeShape(
         parts=(a, b),

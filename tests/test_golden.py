@@ -21,6 +21,7 @@ import warnings
 import pytest
 
 from topovox.pipeline import DatasetConfig, generate_dataset
+from topovox.seeds import CATALOG
 
 TUBE_WEIGHTS = {"open_tube": 1.0, "trefoil_tube": 1.0, "hopf_link": 1.0, "circle_wedge": 1.0}
 CATALOG_3D = {k: 1.0 for k in ("ball", "sphere_shell", "solid_torus", "torus_shell", "circle_wedge")}
@@ -54,8 +55,20 @@ def generate(out_dir, **fields):
         )
 
 
-def dataset_digest(out_dir, **fields) -> str:
-    pairs = generate(out_dir, **fields)
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """Each case's (voxel path, manifest path) pairs, generated once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = generate(tmp_path_factory.mktemp(name), **CASES[name][0])
+        return cache[name]
+
+    return get
+
+
+def dataset_digest(pairs) -> str:
     digest = hashlib.sha256()
     for voxel_path, manifest_path in pairs:
         digest.update(voxel_path.read_bytes())
@@ -64,16 +77,24 @@ def dataset_digest(out_dir, **fields) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_digest(tmp_path, name):
-    fields, expected = CASES[name]
-    assert dataset_digest(tmp_path / name, **fields) == expected
+def test_golden_digest(datasets, name):
+    assert dataset_digest(datasets(name)) == CASES[name][1]
 
 
-def test_tube_case_draws_every_tube_kind(tmp_path):
-    fields, _ = CASES["3d-tubes"]
-    kinds = {
-        child["kind"]
-        for _, manifest in generate(tmp_path, **fields)
-        for child in json.loads(manifest.read_text())["construction"]["children"]
+def test_golden_cases_draw_every_kind_the_table_draws(datasets):
+    drawn = set()
+    for name in CASES:
+        for _, manifest in datasets(name):
+            doc = json.loads(manifest.read_text())["construction"]
+            if doc["family"] == "cube_complement":
+                drawn |= {("cutout", doc["ndim"], p["kind"]) for p in doc["placement"]}
+            else:
+                drawn |= {("embed", doc["ndim"], c["kind"]) for c in doc["children"]}
+    table = {
+        (mode, ndim, kind.name)
+        for kind in CATALOG
+        for mode, dims in (("cutout", kind.carve), ("embed", kind.embed))
+        for ndim in dims
     }
-    assert {"trefoil_tube", "hopf_link", "circle_wedge", "open_tube"} <= kinds
+    assert len(table) == 26
+    assert drawn == table

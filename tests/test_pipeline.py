@@ -302,6 +302,16 @@ def test_config_validation():
         DatasetConfig(shape_weights={"ball": -1.0})
 
 
+def test_shape_weights_name_only_catalog_kinds():
+    # a misspelled kind used to draw uniformly, as if no weights were given
+    with pytest.raises(ValueError, match="unknown kind 'torus'"):
+        DatasetConfig(dims=(32, 32, 32), shape_weights={"torus": 1.0})
+    with pytest.raises(ValueError, match="unknown kind 'Ball'"):
+        DatasetConfig(shape_weights={"ball": 1.0, "Ball": 1.0})
+    # a catalog kind that no mode draws in these dims is still a valid name
+    DatasetConfig(dims=(32, 32), shape_weights={"S2xB2": 1.0, "ball": 0.5})
+
+
 # ---------------------------------------------------------------------------
 # slice export
 
@@ -627,6 +637,7 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "deform_iterations": -3}', "deform_iterations must be nonnegative, got -3"),
         ('{"count": 1, "dilate_iterations": -1}', "dilate_iterations must be nonnegative, got -1"),
         ('{"count": 1, "dims": [8, 8]}', "dims (8, 8) too small for any cut-out or object"),
+        ('{"count": 1, "shape_weights": {"torus": 1.0}}', "bad config: shape_weights names an unknown kind 'torus'"),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):

@@ -8,6 +8,7 @@ from oracles import place_with_spacing_reference, stamp_tube_reference
 
 from topovox.grid import BinaryGrid, count_ones, new_grid
 from topovox.homology import betti_numbers
+from topovox.labels import cavity_label, embedded_label
 from topovox import seeds as sd
 from topovox.seeds import (
     ImplicitShape,
@@ -97,9 +98,9 @@ def test_shape_validation():
         ImplicitShape("ball", (0, 0), (-1.0,))
 
 
-#: Two radii tuples per arity: ball (r), round cores (R, r), torus (R1, R2, r).
+#: Two radii tuples per core arity: point (r), torus (R1, R2, r), others (R, r).
 MASK_RADII = {1: ((3.3,), (2.6,)), 2: ((4.0, 1.6), (3.6, 1.2)), 3: ((4.0, 1.8, 0.8), (3.6, 1.6, 1.0))}
-MASK_ARITY = {"ball": 1, "torus_shell": 3, "T2xB2": 3, "tube_IxT2": 3}
+MASK_ARITY = {"point": 1, "torus": 3}
 MASK_DIMS = {2: (22, 22), 3: (20, 20, 20), 4: (18, 18, 18, 18)}
 IMPLICIT_MASKS_DIGEST = "2a86deea63dba75f0f65a80cf33546918227b872d2f18e23141f78e5642dd07c"
 
@@ -107,10 +108,11 @@ IMPLICIT_MASKS_DIGEST = "2a86deea63dba75f0f65a80cf33546918227b872d2f18e23141f78e
 def implicit_mask_cases():
     """Every implicit kind in each dimension it is labelled in, over two radii,
     two centres and three (orientation, extents) pairs."""
-    from topovox.labels import _EMBEDDED_LABELS
-
-    for kind in sd.IMPLICIT_KINDS:
-        for ndim in sorted(_EMBEDDED_LABELS[kind]):
+    for record in sd.CATALOG:
+        if record.core is None:
+            continue
+        kind = record.name
+        for ndim in sorted(record.betti):
             dims = MASK_DIMS[ndim]
             shifted = tuple(c + s for c, s in zip(center_of(dims), (0.3, -0.5, 0.25, 0.0)))
             poses = (
@@ -118,7 +120,7 @@ def implicit_mask_cases():
                 (tuple(reversed(range(ndim))), (2.5,)),
                 (tuple(range(1, ndim)) + (0,), (0.8, 2.2)),
             )
-            for radii in MASK_RADII[MASK_ARITY.get(kind, 2)]:
+            for radii in MASK_RADII[MASK_ARITY.get(record.core, 2)]:
                 for center in (center_of(dims), shifted):
                     for orientation, extents in poses:
                         yield dims, ImplicitShape(kind, center, radii, orientation, extents)
@@ -552,17 +554,25 @@ def test_polyline_chaining_is_dense():
 def test_full_catalog_rasterizations_match_labels():
     # every embeddable catalog kind, in every dimension it supports, measures
     # exactly its descriptor label
-    from topovox.pipeline import EMBED_KINDS, _make_object
-
     rng = np.random.default_rng(5)
-    for ndim, kinds in EMBED_KINDS.items():
+    for ndim in (2, 3, 4):
         budget = {2: 60, 3: 44, 4: 20}[ndim]
-        for kind in kinds:
-            obj, desc = _make_object(kind, ndim, rng, budget)
+        for kind in sd.drawn("embed", ndim):
+            obj, genus = kind.make(ndim, rng, budget)
             measured = betti_numbers(obj)
-            assert measured == desc.label(), (
-                kind,
-                ndim,
-                measured.betti,
-                desc.label().betti,
-            )
+            label = embedded_label(kind.name, ndim, genus)
+            assert measured == label, (kind.name, ndim, measured.betti, label.betti)
+    # and every cut-out kind, carved from a solid box with margin 2, measures
+    # the cavity label of its (g, h, i, j)
+    carved = 0
+    for ndim in (2, 3, 4):
+        budget = {2: 60, 3: 44, 4: 20}[ndim]
+        for kind in sd.drawn("cutout", ndim):
+            obj, genus = kind.make(ndim, rng, budget)
+            box = new_grid([d + 4 for d in obj.dims], fill=1)
+            sd.blit(box, obj, (2,) * ndim, value=0)
+            label = cavity_label(ndim, [kind.cutout(genus)])
+            measured = betti_numbers(box)
+            assert measured == label, (kind.name, ndim, measured.betti, label.betti)
+            carved += 1
+    assert carved == sum(len(kind.carve) for kind in sd.CATALOG)
