@@ -124,6 +124,7 @@ def _implicit_predicate(shape: ImplicitShape, x: list[np.ndarray]) -> np.ndarray
         torus_dist = np.sqrt((rho - R1) ** 2 + x[2] ** 2)
         gap, rest = (torus_dist - R2) ** 2, x[3:]
     else:
+        # the squares add left to right after an exact 0, as x0**2 + x1**2 did
         span = _CORE_AXES.get(kind.core, len(x))
         rho = np.sqrt(sum(c * c for c in x[:span]))
         gap, rest = (rho - R[0]) ** 2, x[span:]

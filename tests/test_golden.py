@@ -5,7 +5,7 @@ file and manifest in order.  The digests were recorded before the flip gate
 and the deform move selection were rewritten, so any change to the voxels,
 the labels or the deform counters of these datasets fails here.  The
 ``3d-tubes`` digest was recorded before the tube stamp was batched; it is the
-only case large enough to draw a trefoil, a Hopf link and a circle wedge.  The
+only case that draws a trefoil, a Hopf link and an embedded circle wedge.  The
 ``3d-catalog``, ``4d-catalog`` and ``4d-cutout-catalog`` digests were
 recorded before the per-kind code moved into one table of kind records; they
 draw the 3D and 4D kinds no other case draws (every 4D kind but ``ball``,
