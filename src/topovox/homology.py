@@ -37,15 +37,25 @@ one contiguous copy of the lattice per axis, builds its per-dimension masks
 once per axis and runs the in-plane coface test only for a hyperplane and
 dimension that have candidates below the top dimension.
 
-The flip gate keys each (2r+1)^n block by one int and memoizes its Betti
-vector per block shape.  A block that misses the memo is solved
-bit-parallel on Python ints (see :class:`_Block`).  A 2D or 3D block uses
-the whole-grid formulas: beta_0 by a full-adjacency flood fill,
-beta_(n-1) from the padded complement, chi from popcounts of the doubled
-lattice's parity classes and beta_1 from the Euler identity.  A 4D block is
-collapsed on its doubled lattice, top dimension down, and only the core
-that is left (usually one vertex) is eliminated.  Measured costs are in the
-README's "Performance notes".
+The flip gate keys each (2r+1)^n block by one int.  Its verdict depends
+only on the neighbourhood, the block with its centre cleared, and is
+memoized on it per block shape.  A new neighbourhood is decided one side at
+a time (foreground, then background) from the centre voxel's attachment
+set A: the closed faces the centre shares with that side's voxels among
+its 3^n - 1 immediate neighbours (see :class:`_Block`).  Gluing the centre
+c onto the side X' gives chi(X' | c) = chi(X') + 1 - chi(A), so chi(A) != 1
+changes the Betti vector (Euler); and if A collapses to one vertex, the
+Mayer-Vietoris sequence gives H(X' | c) = H(X'), so that side is kept.
+Only otherwise are both blocks solved exactly, bit-parallel on Python ints.
+That fallback is needed beyond radius 1, where a non-contractible A can keep
+the Betti vector; in 3^n blocks it is rare and has not been seen to accept,
+but the gate does not rely on that.  A 2D or 3D block solve uses the
+whole-grid formulas: beta_0 by a full-adjacency flood fill, beta_(n-1) from
+the padded complement, chi from popcounts of the doubled lattice's parity
+classes and beta_1 from the Euler identity.  A 4D block is collapsed on its
+doubled lattice, top dimension down, by the same code that collapses an
+attachment set, and only the core that is left (usually one vertex) is
+eliminated.  Measured costs are in the README's "Performance notes".
 """
 from __future__ import annotations
 
@@ -473,12 +483,6 @@ def betti_numbers(g: BinaryGrid, reduced: bool = False) -> BettiVector:
 # ---------------------------------------------------------------------------
 # the flip gate
 
-@lru_cache(maxsize=None)
-def _shared(bv: BettiVector) -> BettiVector:
-    """The first ``BettiVector`` equal to ``bv``: memo entries share it."""
-    return bv
-
-
 def _bits_of(mask: np.ndarray) -> int:
     """A boolean array as an int: flat (C-order) index ``i`` is bit ``i``."""
     return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
@@ -503,24 +507,100 @@ def _eliminate_block(data: np.ndarray) -> BettiVector:
     return BettiVector.of(beta, chi)
 
 
-#: Entries per block shape before the gate's memo starts over.
+#: Verdicts per block shape before the gate's memo starts over.
 _MEMO_ENTRIES = 1 << 20
+
+#: Maps each byte of a boolean array to an ASCII binary digit.
+_DIGITS = b"0" + b"1" * 255
+
+
+def _padded_lattice(n: int, side: int) -> tuple:
+    """Bit layout of the doubled lattice of a ``side``^n block.
+
+    Lattice point ``p`` is bit ``sum(p[ax] * strides[ax])``.  Every axis but
+    the first has one zero margin point past the block's 2*side+1 points, so
+    a cell shifted by one stride lands on a cell or on a margin point, never
+    on a cell of another row.  The first axis needs no margin: a shift off it
+    leaves the box.  Returns the lattice shape, the strides, one mask per
+    cell dimension and the boolean array of the points inside the margins.
+    """
+    span = 2 * side + 1
+    shape2 = (span,) + (span + 1,) * (n - 1)
+    strides = tuple(math.prod(shape2[ax + 1 :]) for ax in range(n))
+    inner = np.zeros(shape2, dtype=bool)
+    inner[(slice(None),) + (slice(0, span),) * (n - 1)] = True
+    dim = _cell_dim_array(shape2)
+    return shape2, strides, tuple(_bits_of(inner & (dim == k)) for k in range(n + 1)), inner
+
+
+def _collapse_cells(cells: list[int], strides: tuple[int, ...]) -> None:
+    """Collapse a complex held as one int of cells per dimension, in place.
+
+    The cells sit on a padded lattice (:func:`_padded_lattice`).  From the
+    top dimension down, each dimension k is collapsed to a fixpoint in
+    rounds: a half-adder over the 2n coface sets, each shifted by one axis
+    stride, finds the free k-faces (exactly one coface; a face of a
+    (k+2)-cell has two), and the free faces claim their cofaces one
+    direction at a time, so that no coface is taken twice.  Pairing k-faces
+    with (k+1)-cells frees no face one dimension up, so one top-down pass
+    leaves no free face.
+    """
+    for k in range(len(cells) - 2, -1, -1):
+        faces, cofaces = cells[k], cells[k + 1]
+        while faces and cofaces:
+            once = twice = 0
+            for t in strides:
+                for s in (cofaces >> t, cofaces << t):
+                    twice |= once & s
+                    once |= s
+            free = faces & once & ~twice
+            if not free:
+                break
+            for t in strides:
+                up = free & (cofaces >> t)
+                cofaces ^= up << t
+                down = free & (cofaces << t)
+                cofaces ^= down >> t
+                faces ^= up | down
+        cells[k], cells[k + 1] = faces, cofaces
 
 
 class _Block:
-    """Bit layout of one cubic block shape and its memoized Betti function.
+    """Bit layout of one cubic block shape, its Betti function and its verdicts.
 
     A block is keyed by one int: voxel ``i`` in raster order is bit
-    ``size - 1 - i``.  Flipping the centre and taking the complement are
-    then one XOR each.  The memo is a plain dict per shape, so blocks of
-    equal size but different shape (3^4 and 9^2) never share an entry, and
-    an entry costs one int and one dict slot (about 60 bytes for a 3^3
-    block, half an LRU entry); a full memo is cleared and starts over.
+    ``size - 1 - i``.  Clearing the centre and taking the complement are
+    then one mask each.  The gate's verdict depends only on the
+    neighbourhood, the key with the centre cleared: both flip directions
+    compare that block with and without its centre, for the foreground and
+    for the background.  :meth:`verdict` memoizes it in a plain dict per
+    shape, so blocks of equal size but different shape (3^4 and 9^2) never
+    share an entry; a full memo is cleared and starts over.
 
-    2D and 3D blocks are solved bit-parallel.  The voxels are copied into an
-    int laid out over the block padded by one voxel, where shifting by an
-    axis stride moves every block voxel one step along that axis; only a
-    padding voxel can wrap into another row, and only onto padding:
+    A verdict is settled one side at a time, foreground first.  Let X' be
+    the union of the side's closed voxels without the centre c (| and &
+    below are union and intersection).  The attachment set A = X' & c is
+    the union of the closed faces that c shares with the side's voxels
+    among its 3^n - 1 immediate neighbours (:meth:`_attached`).  Two exact
+    facts decide most sides without solving a block:
+
+    * Euler: chi(X' | c) = chi(X') + 1 - chi(A), so chi(A) != 1 changes
+      the Betti vector;
+    * Mayer-Vietoris: if A collapses to one vertex it is contractible and
+      nonempty, so H(X' | c) = H(X') and the side is unchanged.
+
+    Otherwise both blocks are solved exactly by :meth:`betti`.  That
+    fallback matters beyond radius 1: a non-contractible A can leave the
+    block's Betti vector unchanged (it does for most random 5^3 blocks that
+    reach it).  In a 3^n block the fallback is rare and has not been seen
+    to accept, perhaps because the block retracts onto A; the gate does not
+    rely on it.
+
+    :meth:`betti` solves a block exactly, uncached.  2D and 3D blocks are
+    solved bit-parallel.  The voxels are copied into an int laid out over
+    the block padded by one voxel, where shifting by an axis stride moves
+    every block voxel one step along that axis; only a padding voxel can
+    wrap into another row, and only onto padding:
 
     * beta_0 counts full-adjacency components, flooded by a separable box
       dilation;
@@ -531,26 +611,21 @@ class _Block:
       class's even axes;
     * beta_1 follows from the Euler identity.
 
-    4D blocks are collapsed (:meth:`_collapse`).  The cells sit on the
-    block's doubled lattice with one int per cell dimension.  From the top
-    dimension down, each dimension k is collapsed to a fixpoint in rounds:
-    a half-adder over the 2n coface sets, each shifted by one axis stride,
-    finds the free k-faces (exactly one coface), and the free faces claim
-    their cofaces one direction at a time, so that no coface is taken
-    twice.  Pairing k-faces with (k+1)-cells frees no face one dimension
-    up, so one top-down pass leaves no free face.  A collapse keeps the
-    homology, so the Betti numbers are those of the core, whose boundary
-    ranks :func:`_rank_columns` computes; chi comes from the popcounts of
-    the dimension masks.
+    4D blocks are collapsed on the block's doubled lattice, one int per cell
+    dimension (:func:`_collapse_cells`, the same code that collapses an
+    attachment set).  A collapse keeps the homology, so the Betti numbers
+    are those of the core, whose boundary ranks :func:`_rank_columns`
+    computes; chi comes from the popcounts of the dimension masks.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         n, side = len(shape), shape[0]
         size = side**n
-        self.shape, self.size, self.nbytes = shape, size, (size + 7) // 8
-        self.pad = 8 * self.nbytes - size
+        self.shape, self.size = shape, size
         self.full = (1 << size) - 1
         self.center = 1 << (size // 2)
+        self.hood = self.full ^ self.center
+        self.verdicts: dict[int, bool] = {}
         m = side + 2
         self.strides = tuple(m ** (n - 1 - ax) for ax in range(n))
         # each run of `side` key bits along the last axis, and where it lands
@@ -567,31 +642,19 @@ class _Block:
         # the other n - popcount(i) axes
         self.signs = tuple((-1) ** (n - bin(i).count("1")) for i in range(1 << n))
         if n < 4:
-            self._solve = self._bitwise
+            self.betti = self._bitwise
         else:
-            self._solve = self._collapse
+            self.betti = self._collapse
             self._lattice_layout()
-        self.betti = lru_cache(maxsize=None)(self._miss)
+        self._face_layout()
 
     def _lattice_layout(self) -> None:
         """Bit layout of the block's doubled lattice, for :meth:`_collapse`.
 
-        Lattice point ``p`` is bit ``sum(p[ax] * lattice_strides[ax])``.  Every
-        axis but the first has one zero margin point past the block's 2s+1
-        points, so a cell shifted by one stride lands on a cell or on a
-        margin point, never on a cell of another row.  The first axis needs
-        no margin: a shift off it leaves the box, and the box mask drops it.
         Built on the first gate call for the shape, not at import.
         """
         n, side = len(self.shape), self.shape[0]
-        span = 2 * side + 1
-        shape2 = (span,) + (span + 1,) * (n - 1)
-        self.lattice_shape = shape2
-        self.lattice_strides = tuple(math.prod(shape2[ax + 1 :]) for ax in range(n))
-        inner = np.zeros(shape2, dtype=bool)
-        inner[(slice(None),) + (slice(0, span),) * (n - 1)] = True
-        dim = _cell_dim_array(shape2)
-        self.dim_masks = tuple(_bits_of(inner & (dim == k)) for k in range(n + 1))
+        self.lattice_shape, self.lattice_strides, self.dim_masks, inner = _padded_lattice(n, side)
         self.lattice_box = _bits_of(inner)
         # one row of key bits, with voxel j at lattice point 2j + 1
         self.spread = tuple(
@@ -605,13 +668,71 @@ class _Block:
             )
         )
 
-    def key(self, data: np.ndarray) -> int:
-        return int.from_bytes(np.packbits(data).tobytes(), "big") >> self.pad
+    def _face_layout(self) -> None:
+        """Bit layout of the centre voxel's closed faces, for :meth:`_attached`.
 
-    def _miss(self, key: int) -> BettiVector:
-        if self.betti.cache_info().currsize >= _MEMO_ENTRIES:
-            self.betti.cache_clear()
-        return _shared(self._solve(key))
+        The faces of one voxel are the doubled lattice of a one-voxel block:
+        face ``d`` in {0, 1, 2}^n spans the axes where ``d`` is 1, and it is
+        the face shared with the neighbour at offset ``d - 1``.  So each row
+        of three neighbours is copied over as it is (mirrored along the last
+        axis, which keeps chi and collapsibility).
+        """
+        n, side = len(self.shape), self.shape[0]
+        r = side // 2
+        _, self.face_strides, dims, inner = _padded_lattice(n, 1)
+        self.face_dims = dims[:n]  # the centre's own n-cell is never attached
+        # chi is the popcount of the even-dimensional cells minus the odd
+        self.face_even = sum(dims[0:n:2])
+        self.face_odd = sum(dims[1:n:2])
+        coords = np.indices(inner.shape)
+        self.face_spans = tuple(_bits_of(inner & (coords[ax] == 1)) for ax in range(n))
+        # the key bit of neighbour (ys, r + 1) and the lattice point of face (ys - r + 1, 0)
+        self.face_rows = tuple(
+            (
+                self.size - 2 - r - sum(y * side ** (n - 1 - ax) for ax, y in enumerate(ys)),
+                sum((y - r + 1) * t for y, t in zip(ys, self.face_strides)),
+            )
+            for ys in itertools.product(range(r - 1, r + 2), repeat=n - 1)
+        )
+
+    def key(self, data: np.ndarray) -> int:
+        # one byte per voxel, read as binary digits: voxel i is bit size - 1 - i
+        return int(data.tobytes().translate(_DIGITS), 2)
+
+    def verdict(self, hood: int) -> bool:
+        """Whether flipping the centre of a block with neighbourhood ``hood``
+        keeps the Betti vectors of its foreground and background; memoized."""
+        if len(self.verdicts) >= _MEMO_ENTRIES:
+            self.verdicts.clear()
+        safe = self.verdicts[hood] = self._kept(hood) and self._kept(self.hood ^ hood)
+        return safe
+
+    def _kept(self, rest: int) -> bool:
+        """Whether the voxels ``rest`` (no centre) and ``rest`` with the
+        centre have equal Betti vectors."""
+        kept = self._attached(rest)
+        if kept is None:
+            kept = self.betti(rest) == self.betti(rest | self.center)
+        return kept
+
+    def _attached(self, rest: int) -> bool | None:
+        """:meth:`_kept` from the attachment set alone, or None if it does not
+        decide: False if its chi is not 1, True if it collapses to a vertex."""
+        x = 0
+        for at_key, at in self.face_rows:
+            x |= ((rest >> at_key) & 7) << at
+        # close each shared face: a face spanning an axis brings the two
+        # faces at its ends along that axis
+        for t, span in zip(self.face_strides, self.face_spans):
+            mid = x & span
+            x |= (mid << t) | (mid >> t)
+        if (x & self.face_even).bit_count() - (x & self.face_odd).bit_count() != 1:
+            return False
+        cells = [x & m for m in self.face_dims]
+        _collapse_cells(cells, self.face_strides)
+        if cells[0].bit_count() == 1 and not any(cells[1:]):
+            return True
+        return None
 
     def _flood(self, seed: int, mask: int, full: bool) -> int:
         """The part of ``mask`` connected to ``seed`` (a subset of it)."""
@@ -658,29 +779,7 @@ class _Block:
             x = (x | (x << t) | (x >> t)) & box
         cells = [x & m for m in self.dim_masks]
         chi = sum((-1) ** k * c.bit_count() for k, c in enumerate(cells))
-        # top down: pairing k-faces with (k+1)-cells frees no face one
-        # dimension up, so each dimension is collapsed to a fixpoint once
-        for k in range(len(cells) - 2, -1, -1):
-            faces, cofaces = cells[k], cells[k + 1]
-            while faces and cofaces:
-                # half-adder over the 2n shifted coface sets: a free face is
-                # one with exactly one coface
-                once = twice = 0
-                for t in strides:
-                    for s in (cofaces >> t, cofaces << t):
-                        twice |= once & s
-                        once |= s
-                free = faces & once & ~twice
-                if not free:
-                    break
-                # one direction at a time, so that no coface is taken twice
-                for t in strides:
-                    up = free & (cofaces >> t)
-                    cofaces ^= up << t
-                    down = free & (cofaces << t)
-                    cofaces ^= down >> t
-                    faces ^= up | down
-            cells[k], cells[k + 1] = faces, cofaces
+        _collapse_cells(cells, strides)
         beta = self._core_betti(cells)
         return BettiVector.of(beta, chi)
 
@@ -725,8 +824,8 @@ def is_local_flip_safe(
     True iff the Betti vectors of both the foreground and the background
     restricted to the (2*radius+1)^n block around ``c`` are unchanged by the
     flip.  The background check guards against silently creating or merging
-    cavities.  Block results are memoized, so repeated queries over similar
-    neighborhoods are cheap.
+    cavities.  The verdict depends only on the block with its centre cleared
+    and is memoized on it, so a repeated neighbourhood costs one dict lookup.
     """
     new_value = int(bool(new_value))
     interior = (
@@ -743,10 +842,8 @@ def is_local_flip_safe(
     else:  # zero-padded at the border; validates the radius and centre
         data = extract_neighborhood(g, c, radius).data
     block = _block(data.shape)
-    before = block.key(data)
-    after = before ^ block.center
-    betti = block.betti
-    # memo values are shared instances: equal vectors are the same object
-    if betti(before) is not betti(after):
-        return False
-    return betti(before ^ block.full) is betti(after ^ block.full)
+    hood = block.key(data) & block.hood
+    safe = block.verdicts.get(hood)
+    if safe is None:
+        safe = block.verdict(hood)
+    return safe

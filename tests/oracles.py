@@ -129,6 +129,25 @@ def betti_oracle(data: np.ndarray) -> tuple[int, ...]:
     raise ValueError("betti_oracle supports 2D and 3D only")
 
 
+def flip_safe_reference(g, c, new_value, radius: int = 1) -> bool:
+    """The flip gate's verdict from four block solves, as the gate once was.
+
+    Eliminates every boundary map of the block before and after the flip
+    and of both complements, and compares the Betti vectors.  The gate
+    decides most verdicts from the centre voxel's attachment set instead;
+    this checks it against its own predicate.
+    """
+    from topovox.grid import extract_neighborhood
+    from topovox.homology import _eliminate_block
+
+    before = extract_neighborhood(g, c, radius).data
+    after = before.copy()
+    after[(radius,) * before.ndim] = bool(new_value)
+    return _eliminate_block(before) == _eliminate_block(after) and (
+        _eliminate_block(~before) == _eliminate_block(~after)
+    )
+
+
 def select_move_reference(g, noise, cfg, move_filter=None):
     """Deform move selection by a full rescan, as it was before the front.
 

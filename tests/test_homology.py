@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -26,7 +27,13 @@ from topovox.homology import (
 )
 from topovox.grid import extract_neighborhood
 
-from oracles import betti_oracle, cell_counts_bruteforce, chi_bruteforce, squash_reference
+from oracles import (
+    betti_oracle,
+    cell_counts_bruteforce,
+    chi_bruteforce,
+    flip_safe_reference,
+    squash_reference,
+)
 
 
 def annulus_2d():
@@ -686,8 +693,91 @@ def test_block_memo_starts_over_when_full(monkeypatch):
     block = homology._Block((3, 3))  # a fresh memo, not the shared one
     for bits in itertools.islice(itertools.product((False, True), repeat=9), 0, 512, 37):
         data = np.array(bits).reshape(3, 3)
-        assert block.betti(block.key(data)) == _eliminate_block(data)
-        assert block.betti.cache_info().currsize <= 4
+        hood = block.key(data) & block.hood
+        assert block.verdict(hood) == flip_safe_reference(BinaryGrid(data), (1, 1), not data[1, 1])
+        assert block.verdicts[hood] == block.verdict(hood)
+        assert len(block.verdicts) <= 4
+
+
+@pytest.fixture
+def fresh_gate(monkeypatch):
+    """Empty verdict memos for one test, so every verdict is computed."""
+    monkeypatch.setattr(homology, "_block", functools.lru_cache(maxsize=None)(homology._Block))
+
+
+def _check_gate(g, c, radius):
+    """The gate's verdict, and each attachment-set answer, against elimination."""
+    new = 1 - g.get(c)
+    assert is_local_flip_safe(g, c, new, radius) == flip_safe_reference(g, c, new, radius)
+    data = extract_neighborhood(g, c, radius).data
+    block = homology._block(data.shape)
+    centre = (radius,) * g.ndim
+    for side in (data, ~data):
+        rest = side.copy()
+        rest[centre] = False
+        attached = block._attached(block.key(rest))
+        if attached is not None:
+            with_centre = rest.copy()
+            with_centre[centre] = True
+            assert attached == (_eliminate_block(rest) == _eliminate_block(with_centre))
+
+
+def test_gate_matches_reference_on_all_2d_blocks(fresh_gate):
+    for bits in itertools.product((False, True), repeat=9):
+        _check_gate(BinaryGrid(np.array(bits).reshape(3, 3)), (1, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "shape, per_rate",
+    [((3, 3, 3), 60), ((3, 3, 3, 3), 12), ((5, 5), 40), ((5, 5, 5), 12)],
+)
+def test_gate_matches_reference_on_random_blocks(fresh_gate, shape, per_rate):
+    rng = np.random.default_rng(100 + len(shape) * 10 + shape[0])
+    centre = tuple(s // 2 for s in shape)
+    for rate in np.linspace(0.1, 0.9, 9):
+        for _ in range(per_rate):
+            _check_gate(BinaryGrid(rng.random(shape) < rate), centre, shape[0] // 2)
+
+
+@pytest.mark.parametrize(
+    "dims, radius",
+    [((4, 4), 1), ((4, 4, 4), 1), ((3, 3, 3, 3), 1), ((5, 5), 2), ((4, 4, 4), 2)],
+)
+def test_gate_matches_reference_at_border_centres(fresh_gate, rng, dims, radius):
+    border = [
+        c
+        for c in itertools.product(*map(range, dims))
+        if any(x in (0, d - 1) for x, d in zip(c, dims))
+    ]
+    for _ in range(20):
+        g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
+        for k in rng.choice(len(border), size=min(len(border), 12), replace=False):
+            _check_gate(g, border[k], radius)
+
+
+def test_fallback_accepts_where_the_attachment_set_does_not_decide(fresh_gate):
+    # a radius-2 block whose foreground attachment set has chi 1 but does not
+    # collapse to a vertex, and whose Betti vector the centre still keeps
+    rng = np.random.default_rng(445)
+    data = rng.random((5, 5, 5)) < 0.5
+    data[2, 2, 2] = False
+    block = homology._block(data.shape)
+    assert block._attached(block.key(data)) is None
+    g = BinaryGrid(data)
+    assert flip_safe_reference(g, (2, 2, 2), 1, 2)
+    assert is_local_flip_safe(g, (2, 2, 2), 1, radius=2)
+
+
+def test_both_flip_directions_share_one_verdict(fresh_gate):
+    data = np.zeros((3, 3, 3), dtype=bool)
+    data[0] = True  # a slab the centre touches along one face
+    g = BinaryGrid(data)
+    assert is_local_flip_safe(g, (1, 1, 1), 1)
+    block = homology._block(data.shape)
+    assert len(block.verdicts) == 1
+    g.set((1, 1, 1), 1)
+    assert is_local_flip_safe(g, (1, 1, 1), 0)
+    assert len(block.verdicts) == 1
 
 
 def test_gate_matches_elimination_on_random_grids(rng):
@@ -703,10 +793,4 @@ def test_gate_matches_elimination_on_random_grids(rng):
             g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
             c = tuple(int(rng.integers(0, d)) for d in dims)
             new = 1 - g.get(c)
-            before = extract_neighborhood(g, c, radius).data
-            after = before.copy()
-            after[(radius,) * len(dims)] = new
-            expected = _eliminate_block(before) == _eliminate_block(after) and (
-                _eliminate_block(~before) == _eliminate_block(~after)
-            )
-            assert is_local_flip_safe(g, c, new, radius) == expected
+            assert is_local_flip_safe(g, c, new, radius) == flip_safe_reference(g, c, new, radius)
