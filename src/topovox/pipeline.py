@@ -242,6 +242,14 @@ class DatasetConfig:
             for name in self.shape_weights:
                 if name not in seeds.KINDS:
                     raise ValueError(f"shape_weights names an unknown kind {name!r}")
+            for mode in _modes(self.mode):
+                kinds = _fitting_kinds(mode, self.dims)[0]
+                if kinds and not any(self.shape_weights.get(k.name, 0) > 0 for k in kinds):
+                    names = ", ".join(k.name for k in kinds)
+                    raise ValueError(
+                        f"shape_weights gives no {mode} kind that fits dims {self.dims} "
+                        f"a positive weight (those kinds: {names})"
+                    )
 
     @property
     def ndim(self) -> int:
@@ -280,13 +288,21 @@ class DatasetConfig:
 # object synthesis
 
 def _weighted_choice(rng: np.random.Generator, kinds, weights: dict[str, float] | None):
+    """One of ``kinds``, drawn by ``weights`` (uniformly without them).
+
+    :class:`DatasetConfig` ensures that some kind of every list drawn from
+    has a positive weight.
+    """
     if weights:
         w = np.array([weights.get(k.name, 0.0) for k in kinds], dtype=float)
-        if w.sum() <= 0:
-            w = np.ones(len(kinds))
     else:
         w = np.ones(len(kinds))
     return kinds[int(rng.choice(len(kinds), p=w / w.sum()))]
+
+
+def _modes(mode: str) -> tuple[str, ...]:
+    """The modes a config's ``mode`` draws samples in."""
+    return ("cutout", "embed") if mode == "mixed" else (mode,)
 
 
 def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[seeds.CatalogKind], int, int]:
@@ -297,7 +313,7 @@ def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[seeds.Catalog
     """
     ndim = len(dims)
     margin = 2 if mode == "cutout" else 1
-    max_side = min(dims) - 2 * margin
+    max_side = min(dims, default=0) - 2 * margin
     return [k for k in seeds.drawn(mode, ndim) if k.min_side(ndim) <= max_side], margin, max_side
 
 
@@ -307,7 +323,7 @@ def _check_some_kind_fits(cfg: DatasetConfig) -> None:
 
     Dims with an unsupported number of axes are left to the grid to reject.
     """
-    modes = ("cutout", "embed") if cfg.mode == "mixed" else (cfg.mode,)
+    modes = _modes(cfg.mode)
     if seeds.drawn("cutout", cfg.ndim) and not any(_fitting_kinds(m, cfg.dims)[0] for m in modes):
         what = " or ".join("cut-out" if m == "cutout" else "object" for m in modes)
         raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")

@@ -312,6 +312,21 @@ def test_shape_weights_name_only_catalog_kinds():
     DatasetConfig(dims=(32, 32), shape_weights={"S2xB2": 1.0, "ball": 0.5})
 
 
+def test_shape_weights_weigh_a_fitting_kind_in_every_drawn_mode():
+    # weights for 4D kinds alone used to be ignored: a 3D embed run drew uniformly
+    with pytest.raises(ValueError, match="no embed kind that fits dims"):
+        DatasetConfig(dims=(32, 32, 32), mode="embed", shape_weights={"S2xB2": 1.0})
+    with pytest.raises(ValueError, match="no embed kind"):
+        DatasetConfig(dims=(32, 32, 32), mode="embed", shape_weights={"ball": 0.0, "S2xB2": 1.0})
+    # mixed draws both modes: open_tube is never cut out
+    with pytest.raises(ValueError, match="no cutout kind that fits dims"):
+        DatasetConfig(dims=(32, 32, 32), mode="mixed", shape_weights={"open_tube": 1.0})
+    DatasetConfig(dims=(32, 32, 32), mode="embed", shape_weights={"open_tube": 1.0})
+    DatasetConfig(dims=(32, 32, 32), mode="mixed", shape_weights={"open_tube": 1.0, "ball": 1.0})
+    # a mode in which no kind fits is left out: no cut-out fits 13^4
+    DatasetConfig(dims=(13, 13, 13, 13), mode="mixed", shape_weights={"ball": 1.0})
+
+
 # ---------------------------------------------------------------------------
 # slice export
 
@@ -638,6 +653,10 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "dilate_iterations": -1}', "dilate_iterations must be nonnegative, got -1"),
         ('{"count": 1, "dims": [8, 8]}', "dims (8, 8) too small for any cut-out or object"),
         ('{"count": 1, "shape_weights": {"torus": 1.0}}', "bad config: shape_weights names an unknown kind 'torus'"),
+        (
+            '{"count": 1, "dims": [32, 32, 32], "mode": "embed", "shape_weights": {"S2xB2": 1}}',
+            "bad config: shape_weights gives no embed kind that fits dims (32, 32, 32) a positive weight",
+        ),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
