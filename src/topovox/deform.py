@@ -9,14 +9,17 @@ topology is conserved because no gated step can change the Betti vector, and
 a periodic full-sample re-verification guards against the (4D) cases where
 local checks are known to be insufficient.
 
-Move selection is incremental.  A front built once per run holds the fixed
-(noise, raster) order of all voxels, each source's current target and the
-gate verdict on each move it has judged.  After a move it recomputes targets
-only within the move distance of the two flipped voxels, and forgets
-verdicts only within the move distance plus the safety radius, so a move
-costs a few small array updates and the gate calls of the verdicts it
-forgot, not a rescan of the boundary.  The moves and rejection counters are
-those of a full rescan.
+Move selection is incremental.  A front built once per run holds the
+sources with a target as a sorted list of (noise, index) pairs, each
+source's current target and the gate verdict on each move it has judged.
+Its set-up computes targets on the face boundary only, not on every
+occupied voxel, and sorts only the sources, not the grid.  After a move it
+recomputes targets only within the move distance of the two flipped voxels,
+and forgets verdicts only within the move distance plus the safety radius,
+so a move costs a few small array updates and the gate calls of the
+verdicts it forgot, not a rescan of the boundary.  A source whose move the
+gate has already rejected is passed over without converting it to
+coordinates.  The moves and rejection counters are those of a full rescan.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .grid import BinaryGrid, Coord, count_ones, neighbor_offsets
+from .grid import BinaryGrid, Coord, boundary_mask, count_ones, neighbor_offsets
 from .homology import BettiVector, betti_numbers, is_local_flip_safe
 from .noise import NoiseField, noise_field
 
@@ -111,6 +114,7 @@ def _move_offsets(ndim: int, dist: int) -> tuple[Coord, ...]:
 #: thickness or convexity without this module claiming such monitors.
 MoveFilter = Callable[[BinaryGrid, Coord, Coord], bool]
 
+# gate verdicts on a move; the two rejections compare above _OK
 _UNKNOWN, _OK, _REMOVAL_REJECTED, _PLACEMENT_REJECTED = range(4)
 
 
@@ -121,9 +125,11 @@ class _MoveFront:
     neighbor; its target is the highest-noise empty voxel within the move
     distance, the first in lexicographic offset order among equals, and
     only if it out-noises the source.  Sources with a target are kept as a
-    sorted list of their ranks in the fixed (noise, raster) order, and
-    each keeps the gate verdict on its move until a flip nearby could
-    change it.
+    sorted list of (noise, index) pairs; the index order is the raster
+    order, so noise ties go to the earlier voxel.  Each source keeps the
+    gate verdict on its move until a flip nearby could change it.  Set-up
+    computes targets on the face boundary of the grid only, since no other
+    voxel can be a source.
 
     Voxels are addressed by flat index into the grid padded by the move
     distance plus the safety radius, so every window around an in-range
@@ -162,18 +168,14 @@ class _MoveFront:
         # noise of the empty in-range voxels, the only possible targets
         self.open = padded(np.where(g.data, -np.inf, values), -np.inf)
 
-        # a stable sort of the raster order breaks noise ties by position
-        voxels = np.flatnonzero(self.inside)
-        self.by_rank = voxels[np.argsort(self.noise[voxels], kind="stable")]
-        self.rank = np.zeros(self.noise.size, dtype=np.int64)
-        self.rank[self.by_rank] = np.arange(voxels.size)
         self.target = np.full(self.noise.size, -1, dtype=np.int64)
         self.verdict = np.zeros(self.noise.size, dtype=np.int8)
-        ones = voxels[self.occupied[voxels]]
-        for lo in range(0, ones.size, 4096):  # bounds the (cells, offsets) arrays
-            chunk = ones[lo : lo + 4096]
+        edge = np.flatnonzero(padded(boundary_mask(g.data), False))
+        for lo in range(0, edge.size, 4096):  # bounds the (cells, offsets) arrays
+            chunk = edge[lo : lo + 4096]
             self.target[chunk] = self._targets(chunk)
-        self.sources = sorted(self.rank[self.target >= 0].tolist())
+        found = edge[self.target[edge] >= 0]
+        self.sources = sorted(zip(self.noise[found].tolist(), found.tolist()))
 
     def coord(self, v: int) -> Coord:
         out = []
@@ -214,20 +216,22 @@ class _MoveFront:
         to the accepted one and is never cached.
         """
         rej_rm = rej_pl = 0
-        for rank in self.sources:
-            v = int(self.by_rank[rank])
-            src, tgt = self.coord(v), self.coord(int(self.target[v]))
-            if move_filter is not None and not move_filter(self.grid, src, tgt):
-                continue
+        for _, v in self.sources:
             verdict = self.verdict[v]
-            if verdict == _UNKNOWN:
-                verdict = self.verdict[v] = self._judge(src, tgt)
+            # a cached rejection is counted without coordinates, unless the
+            # filter must see its move first
+            if verdict <= _OK or move_filter is not None:
+                src, tgt = self.coord(v), self.coord(int(self.target[v]))
+                if move_filter is not None and not move_filter(self.grid, src, tgt):
+                    continue
+                if verdict == _UNKNOWN:
+                    verdict = self.verdict[v] = self._judge(src, tgt)
+                if verdict == _OK:
+                    return (src, tgt), rej_rm, rej_pl
             if verdict == _REMOVAL_REJECTED:
                 rej_rm += 1
-            elif verdict == _PLACEMENT_REJECTED:
-                rej_pl += 1
             else:
-                return (src, tgt), rej_rm, rej_pl
+                rej_pl += 1
         return None, rej_rm, rej_pl
 
     def move(self, src: Coord, tgt: Coord) -> None:
@@ -242,11 +246,11 @@ class _MoveFront:
         old, new = self.target[cells], self._targets(cells)
         for c, was, now in zip(cells.tolist(), old.tolist(), new.tolist()):
             if (was < 0) != (now < 0):
-                r = int(self.rank[c])
+                key = (float(self.noise[c]), c)
                 if was < 0:
-                    bisect.insort(self.sources, r)
+                    bisect.insort(self.sources, key)
                 else:
-                    del self.sources[bisect.bisect_left(self.sources, r)]
+                    del self.sources[bisect.bisect_left(self.sources, key)]
         self.target[cells] = new
         for p in flipped:
             self.verdict[p + self.stale] = _UNKNOWN

@@ -130,18 +130,26 @@ def count_ones(g: BinaryGrid) -> int:
     return int(np.count_nonzero(g.data))
 
 
+def boundary_mask(a: np.ndarray, adj: Adjacency = "face") -> np.ndarray:
+    """Mask of the true cells of ``a`` with a false neighbor under ``adj``.
+
+    Out-of-range neighbors read as false, so cells on the array border are
+    boundary whenever the adjacency reaches past the edge.
+    """
+    interior = a.copy()
+    for off in neighbor_offsets(a.ndim, adj):
+        # neighbor value at x+off equals a translated by -off
+        interior &= _shifted(a, tuple(-o for o in off))
+    return a & ~interior
+
+
 def boundary_voxels(g: BinaryGrid, adj: Adjacency = "face") -> set[Coord]:
     """1-valued voxels with at least one 0-valued neighbor under ``adj``.
 
     Out-of-range neighbors count as background, so voxels on the grid border
     are boundary whenever the adjacency reaches past the edge.
     """
-    a = g.data
-    has_bg = np.zeros_like(a)
-    for off in neighbor_offsets(g.ndim, adj):
-        # neighbor value at x+off equals a translated by -off
-        has_bg |= ~_shifted(a, tuple(-o for o in off))
-    return {tuple(int(c) for c in idx) for idx in np.argwhere(a & has_bg)}
+    return {tuple(int(c) for c in idx) for idx in np.argwhere(boundary_mask(g.data, adj))}
 
 
 def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGrid:

@@ -84,11 +84,21 @@ def element_from_spec(spec: dict) -> StructuringElement:
         origin = tuple(int(c) for c in spec["origin"])
     except (KeyError, TypeError) as exc:
         raise InvalidElementError(f"element spec needs 'mask' and 'origin': {exc}")
+    if not mask.any():
+        raise InvalidElementError("element mask has no set voxel")
     return StructuringElement(mask, origin)
+
+
+def _check_ndim(m: BinaryGrid, b: StructuringElement) -> None:
+    if b.mask.ndim != m.ndim:
+        raise ValueError(
+            f"a {b.mask.ndim}D structuring element cannot probe a {m.ndim}D grid"
+        )
 
 
 def dilate(m: BinaryGrid, b: StructuringElement) -> BinaryGrid:
     """Minkowski sum of the foreground with the element, clipped to bounds."""
+    _check_ndim(m, b)
     out = np.zeros_like(m.data)
     for off in b.offsets:
         out |= _shifted(m.data, off)
@@ -97,6 +107,7 @@ def dilate(m: BinaryGrid, b: StructuringElement) -> BinaryGrid:
 
 def erode(m: BinaryGrid, b: StructuringElement) -> BinaryGrid:
     """Voxels where the translated element fits entirely in the foreground."""
+    _check_ndim(m, b)
     out = np.ones_like(m.data)
     for off in b.offsets:
         out &= _shifted(m.data, tuple(-o for o in off))
@@ -228,6 +239,7 @@ def homology_safe_dilate(
     _check_iterations(iterations)
     if b is None:
         b = ball(1, m.ndim)
+    _check_ndim(m, b)
     if bias is not None and bias.dims != m.dims:
         raise ValueError(f"bias dims {bias.dims} do not match grid dims {m.dims}")
     cur = m.copy()
@@ -235,19 +247,19 @@ def homology_safe_dilate(
         cand = np.argwhere(dilate(cur, b).data & ~cur.data)
         if cand.size == 0:
             break
+        coords = list(map(tuple, cand.tolist()))
         if bias is None:
-            order = range(len(cand))
-            accept = None
+            order = range(len(coords))
         else:
             vals = bias.values[tuple(cand.T)]
             order = np.lexsort(tuple(cand.T[::-1]) + (-vals,))
             accept = (vals + 1.0) / 2.0
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, it))))
             draws = rng.random(len(cand))
+            order = order[draws[order] < accept[order]].tolist()
+        # every candidate is empty and in range, and is visited once
         for k in order:
-            if accept is not None and draws[k] >= accept[k]:
-                continue
-            c = tuple(int(x) for x in cand[k])
-            if cur.get(c) == 0 and is_local_flip_safe(cur, c, 1):
-                cur.set(c, 1)
+            c = coords[k]
+            if is_local_flip_safe(cur, c, 1):
+                cur.data[c] = True
     return cur

@@ -234,6 +234,13 @@ class DatasetConfig:
         for name in ("deform_iterations", "dilate_iterations"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.dilate_element is not None:
+            element = element_from_spec(self.dilate_element)
+            if element.mask.ndim != len(self.dims):
+                raise ValueError(
+                    f"dilate_element is {element.mask.ndim}D but dims {self.dims} "
+                    f"are {len(self.dims)}D"
+                )
         if self.shape_weights is not None:
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")

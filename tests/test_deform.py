@@ -328,3 +328,54 @@ def test_front_matches_full_rescan_when_stagnating():
     g.data[4:6, 4:6] = True
     flat = NoiseField((10, 10), 1.0, 0, np.zeros((10, 10)))
     assert _lockstep(g, flat, cfg, 5) == 0
+
+
+def _box_with_cavities(dims, cavities):
+    """A full grid with each ``(lo, hi)`` box of ``cavities`` emptied."""
+    g = new_grid(dims, fill=1)
+    for lo, hi in cavities:
+        g.data[tuple(slice(a, b) for a, b in zip(lo, hi))] = False
+    return g
+
+
+@pytest.mark.parametrize("move_filter", [None, _veto])
+@pytest.mark.parametrize(
+    "dims, dist, radius, moves, cavities",
+    [
+        # one cavity one layer in from the border: border voxels are sources
+        # through their out-of-range neighbours and reach the cavity
+        ((14, 15), 1, 1, 40, [((1, 1), (5, 7))]),
+        ((14, 15), 2, 1, 30, [((1, 2), (4, 4)), ((7, 8), (10, 12))]),
+        ((9, 10, 11), 1, 1, 20, [((1, 1, 1), (4, 3, 4))]),
+        ((9, 10, 11), 1, 2, 12, [((2, 1, 1), (4, 4, 3)), ((5, 6, 6), (7, 8, 9))]),
+        ((7, 7, 8, 7), 1, 1, 6, [((1, 1, 1, 1), (3, 3, 4, 3))]),
+        ((7, 7, 8, 7), 1, 1, 4, [((1, 1, 1, 1), (3, 3, 3, 3)), ((4, 4, 5, 4), (6, 6, 7, 6))]),
+    ],
+)
+def test_front_matches_full_rescan_on_cutouts(dims, dist, radius, moves, cavities, move_filter):
+    # most occupied voxels are interior, so set-up must find the sources on
+    # the face boundary alone
+    cfg = DeformConfig(iterations=moves, max_move_distance=dist, safety_radius=radius)
+    g = _box_with_cavities(dims, cavities)
+    for seed in range(2):
+        noise = noise_field(dims, 4.0, seed)
+        quantized = NoiseField(dims, 4.0, seed, np.round(noise.values, 1))
+        for field in (noise, quantized):
+            assert _lockstep(g, field, cfg, moves, move_filter) > 0
+
+
+def test_no_filter_deforms_like_an_accept_all_filter():
+    # without a filter, select passes over a cached rejection without
+    # converting it to coordinates; a filter that accepts everything takes
+    # the other branch and must make the same moves and count the same
+    rng = np.random.default_rng(7)
+    for dims, iterations in (((32, 32), 60), ((16, 16, 16), 30)):
+        g = _random_blob(rng, dims, 3)
+        cfg = DeformConfig(iterations=iterations, noise_scale=5.0, seed=3)
+        bare, bare_report = deform_volume_preserving(g, cfg)
+        vetted, vetted_report = deform_volume_preserving(
+            g, cfg, move_filter=lambda *a: True
+        )
+        assert bare == vetted
+        assert bare_report.to_dict() == vetted_report.to_dict()
+        assert bare_report.rejected_removals + bare_report.rejected_placements > 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from topovox.grid import (
     BinaryGrid,
     UnsupportedDimensionError,
+    boundary_mask,
     boundary_voxels,
     connected_components,
     count_ones,
@@ -94,6 +95,21 @@ def test_boundary_subset_of_foreground(rng):
     fg = {tuple(map(int, c)) for c in np.argwhere(g.data)}
     assert boundary_voxels(g, "face") <= fg
     assert boundary_voxels(g, "full") <= fg
+
+
+@pytest.mark.parametrize("dims", [(7, 9), (5, 6, 4), (4, 5, 3, 4)])
+@pytest.mark.parametrize("adj", ["face", "full"])
+def test_boundary_mask_brute_force(rng, dims, adj):
+    for fill in (0.3, 0.8, 1.0):
+        a = rng.random(dims) < fill
+        expect = np.zeros(dims, dtype=bool)
+        for c in map(tuple, np.argwhere(a)):
+            for off in neighbor_offsets(len(dims), adj):
+                n = tuple(x + o for x, o in zip(c, off))
+                if not all(0 <= x < s for x, s in zip(n, dims)) or not a[n]:
+                    expect[c] = True
+                    break
+        assert np.array_equal(boundary_mask(a, adj), expect)
 
 
 def test_count_ones_disc_enumeration():

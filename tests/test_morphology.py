@@ -12,6 +12,7 @@ from topovox.morphology import (
     ball,
     box,
     dilate,
+    element_from_spec,
     erode,
     hit_or_miss,
     homology_safe_dilate,
@@ -259,3 +260,20 @@ def test_safe_dilate_bias_dims_must_match():
     g.set((4, 4), 1)
     with pytest.raises(ValueError):
         homology_safe_dilate(g, bias=noise_field([9, 9], 4.0, 0))
+
+
+@pytest.mark.parametrize("op", [dilate, erode, homology_safe_dilate])
+def test_element_of_another_dimension_is_rejected(op):
+    # a 2D element would probe a 3D grid in one plane only
+    g = new_grid([6, 6, 6])
+    g.set((3, 3, 3), 1)
+    with pytest.raises(ValueError, match="2D structuring element cannot probe a 3D grid"):
+        op(g, box(2))
+    with pytest.raises(ValueError, match="4D structuring element"):
+        op(g, ball(1, 4))
+
+
+def test_element_spec_needs_a_set_voxel():
+    with pytest.raises(InvalidElementError, match="no set voxel"):
+        element_from_spec({"mask": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "origin": [1, 1]})
+    assert element_from_spec({"mask": [[0, 1], [0, 0]], "origin": [0, 0]}).offsets == ((0, 1),)

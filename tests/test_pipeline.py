@@ -302,6 +302,22 @@ def test_config_validation():
         DatasetConfig(shape_weights={"ball": -1.0})
 
 
+PLANE_ELEMENT = {"mask": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "origin": [1, 1]}
+
+
+def test_dilate_element_must_match_dims():
+    with pytest.raises(ValueError, match=r"dilate_element is 2D but dims \(16, 16, 16\) are 3D"):
+        DatasetConfig(dims=(16, 16, 16), dilate_iterations=1, dilate_element=PLANE_ELEMENT)
+    # a bad element is a bad config even when no dilation is asked for
+    with pytest.raises(ValueError, match="2D but dims"):
+        DatasetConfig(dims=(16, 16, 16), dilate_element=PLANE_ELEMENT)
+    with pytest.raises(ValueError, match="no set voxel"):
+        DatasetConfig(dims=(16, 16), dilate_element={"mask": [[0, 0], [0, 0]], "origin": [0, 0]})
+    with pytest.raises(ValueError, match="needs 'mask' and 'origin'"):
+        DatasetConfig(dims=(16, 16), dilate_element={})
+    DatasetConfig(dims=(16, 16), dilate_element=PLANE_ELEMENT)
+
+
 def test_shape_weights_name_only_catalog_kinds():
     # a misspelled kind used to draw uniformly, as if no weights were given
     with pytest.raises(ValueError, match="unknown kind 'torus'"):
@@ -657,6 +673,10 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
             '{"count": 1, "dims": [32, 32, 32], "mode": "embed", "shape_weights": {"S2xB2": 1}}',
             "bad config: shape_weights gives no embed kind that fits dims (32, 32, 32) a positive weight",
         ),
+        (
+            json.dumps({"dims": [16, 16, 16], "dilate_iterations": 1, "dilate_element": PLANE_ELEMENT}),
+            "bad config: dilate_element is 2D but dims (16, 16, 16) are 3D",
+        ),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
@@ -667,6 +687,7 @@ def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reaso
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("topovox gen: error: ")
     assert reason in err[0]
+    assert not (tmp_path / "ds").exists()
 
 
 def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):
