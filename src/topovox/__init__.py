@@ -17,7 +17,6 @@ from .homology import (
     betti_numbers,
     build_cubical_complex,
     euler_from_cells,
-    gf2_rank,
     is_local_flip_safe,
 )
 from .labels import (
@@ -55,7 +54,6 @@ __all__ = [
     "count_ones",
     "euler_from_cells",
     "extract_neighborhood",
-    "gf2_rank",
     "is_local_flip_safe",
     "new_grid",
     "noise_field",

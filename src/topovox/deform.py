@@ -95,9 +95,7 @@ class DeformReport:
             "stagnated": self.stagnated,
         }
         for key, bv in (("betti_before", self.betti_before), ("betti_after", self.betti_after)):
-            out[key] = None if bv is None else {
-                "betti": list(bv.betti), "euler": bv.euler, "reduced": bv.reduced
-            }
+            out[key] = None if bv is None else bv.to_dict()
         return out
 
 

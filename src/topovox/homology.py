@@ -46,16 +46,14 @@ its 3^n - 1 immediate neighbours (see :class:`_Block`).  Gluing the centre
 c onto the side X' gives chi(X' | c) = chi(X') + 1 - chi(A), so chi(A) != 1
 changes the Betti vector (Euler); and if A collapses to one vertex, the
 Mayer-Vietoris sequence gives H(X' | c) = H(X'), so that side is kept.
-Only otherwise are both blocks solved exactly, bit-parallel on Python ints.
-That fallback is needed beyond radius 1, where a non-contractible A can keep
-the Betti vector; in 3^n blocks it is rare and has not been seen to accept,
-but the gate does not rely on that.  A 2D or 3D block solve uses the
-whole-grid formulas: beta_0 by a full-adjacency flood fill, beta_(n-1) from
-the padded complement, chi from popcounts of the doubled lattice's parity
-classes and beta_1 from the Euler identity.  A 4D block is collapsed on its
-doubled lattice, top dimension down, by the same code that collapses an
-attachment set, and only the core that is left (usually one vertex) is
-eliminated.  Measured costs are in the README's "Performance notes".
+Only otherwise are both blocks solved exactly.  That fallback is needed
+beyond radius 1, where a non-contractible A can keep the Betti vector; in
+3^n blocks it is rare and has not been seen to accept, but the gate does not
+rely on that.  A block of any dimension is solved the same way: spread onto
+its doubled lattice as one Python int per cell dimension, collapsed top
+dimension down by the same code that collapses an attachment set, and only
+the core that is left (usually one vertex) eliminated.  Measured costs are
+in the README's "Performance notes".
 """
 from __future__ import annotations
 
@@ -92,6 +90,10 @@ class BettiVector:
 
     def __getitem__(self, k: int) -> int:
         return self.betti[k]
+
+    def to_dict(self) -> dict:
+        """JSON form, as manifests and deform reports write it."""
+        return {"betti": list(self.betti), "euler": self.euler, "reduced": self.reduced}
 
     @classmethod
     def of(cls, values, euler: int, reduced: bool = False) -> "BettiVector":
@@ -229,16 +231,6 @@ def _rank_columns(columns) -> tuple[int, set[int]]:
                 bits = (bits << (base - other_base)) ^ other_bits
                 base = other_base
     return len(pivots), set(pivots)
-
-
-def gf2_rank(matrix) -> int:
-    """Rank of a dense 0/1 matrix over GF(2) by column elimination."""
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    bits = np.asarray(m, dtype=np.uint8) & 1
-    rank, _ = _rank_columns(np.flatnonzero(col).tolist() for col in bits.T)
-    return rank
 
 
 def _core_ranks(present: np.ndarray, par: np.ndarray, dims) -> np.ndarray:
@@ -496,17 +488,6 @@ def _set_bits(x: int):
         x ^= low
 
 
-def _eliminate_block(data: np.ndarray) -> BettiVector:
-    """Betti vector of a small block by direct elimination of every d_k."""
-    n = data.ndim
-    present = _cell_lattice(data)
-    c = _cell_counts(present)
-    ranks = _core_ranks(present, _cell_dim_array(present.shape), range(n, 0, -1))
-    beta = tuple(int(c[k] - ranks[k] - ranks[k + 1]) for k in range(n + 1))
-    chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
-    return BettiVector.of(beta, chi)
-
-
 #: Verdicts per block shape before the gate's memo starts over.
 _MEMO_ENTRIES = 1 << 20
 
@@ -596,26 +577,13 @@ class _Block:
     to accept, perhaps because the block retracts onto A; the gate does not
     rely on it.
 
-    :meth:`betti` solves a block exactly, uncached.  2D and 3D blocks are
-    solved bit-parallel.  The voxels are copied into an int laid out over
-    the block padded by one voxel, where shifting by an axis stride moves
-    every block voxel one step along that axis; only a padding voxel can
-    wrap into another row, and only onto padding:
-
-    * beta_0 counts full-adjacency components, flooded by a separable box
-      dilation;
-    * beta_(n-1) counts the face-adjacent components of the padded
-      complement that the padding ring does not reach (Alexander duality);
-    * chi sums the popcounts of the parity classes of the doubled lattice:
-      the cells of a class are the voxels dilated by {0, +1} along the
-      class's even axes;
-    * beta_1 follows from the Euler identity.
-
-    4D blocks are collapsed on the block's doubled lattice, one int per cell
-    dimension (:func:`_collapse_cells`, the same code that collapses an
-    attachment set).  A collapse keeps the homology, so the Betti numbers
-    are those of the core, whose boundary ranks :func:`_rank_columns`
-    computes; chi comes from the popcounts of the dimension masks.
+    :meth:`betti` solves a block exactly, uncached, in any dimension.  The
+    block is spread onto its doubled lattice, one int per cell dimension,
+    and collapsed there (:func:`_collapse_cells`, the same code that
+    collapses an attachment set).  A collapse keeps the homology, so the
+    Betti numbers are those of the core, whose boundary ranks
+    :func:`_rank_columns` computes; chi comes from the popcounts of the
+    dimension masks.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -626,47 +594,15 @@ class _Block:
         self.center = 1 << (size // 2)
         self.hood = self.full ^ self.center
         self.verdicts: dict[int, bool] = {}
-        m = side + 2
-        self.strides = tuple(m ** (n - 1 - ax) for ax in range(n))
-        # each run of `side` key bits along the last axis, and where it lands
-        # in the padded layout (mirrored along that axis, which keeps the
-        # Betti numbers)
-        self.row_mask = (1 << side) - 1
-        self.rows = tuple(
-            (size - side * (r + 1), 1 + sum((y + 1) * t for y, t in zip(ys, self.strides)))
-            for r, ys in enumerate(itertools.product(range(side), repeat=n - 1))
-        )
-        self.box = (1 << m**n) - 1
-        self.ring = self.box ^ sum(self.row_mask << at for _, at in self.rows)
-        # ds[i] dilates along the axes of the set bits of i: its cells span
-        # the other n - popcount(i) axes
-        self.signs = tuple((-1) ** (n - bin(i).count("1")) for i in range(1 << n))
-        if n < 4:
-            self.betti = self._bitwise
-        else:
-            self.betti = self._collapse
-            self._lattice_layout()
-        self._face_layout()
-
-    def _lattice_layout(self) -> None:
-        """Bit layout of the block's doubled lattice, for :meth:`_collapse`.
-
-        Built on the first gate call for the shape, not at import.
-        """
-        n, side = len(self.shape), self.shape[0]
         self.lattice_shape, self.lattice_strides, self.dim_masks, inner = _padded_lattice(n, side)
         self.lattice_box = _bits_of(inner)
-        # one row of key bits, with voxel j at lattice point 2j + 1
-        self.spread = tuple(
-            sum(1 << (2 * j + 1) for j in range(side) if v >> (side - 1 - j) & 1)
-            for v in range(1 << side)
-        )
-        self.lattice_rows = tuple(
-            (at_key, sum((2 * y + 1) * t for y, t in zip(ys, self.lattice_strides)))
-            for (at_key, _), ys in zip(
-                self.rows, itertools.product(range(side), repeat=n - 1)
-            )
-        )
+        # key bit size - 1 - i is voxel i in raster order, and the voxel's
+        # n-cell sits at lattice point 2 * voxel + 1
+        self.points = tuple(
+            sum((2 * y + 1) * t for y, t in zip(ys, self.lattice_strides))
+            for ys in itertools.product(range(side), repeat=n)
+        )[::-1]
+        self._face_layout()
 
     def _face_layout(self) -> None:
         """Bit layout of the centre voxel's closed faces, for :meth:`_attached`.
@@ -734,46 +670,10 @@ class _Block:
             return True
         return None
 
-    def _flood(self, seed: int, mask: int, full: bool) -> int:
-        """The part of ``mask`` connected to ``seed`` (a subset of it)."""
-        strides = self.strides
-        while True:
-            grown = seed
-            for t in strides:
-                src = grown if full else seed
-                grown |= (src << t) | (src >> t)
-            grown &= mask
-            if grown == seed:
-                return seed
-            seed = grown
-
-    def _components(self, mask: int, full: bool) -> int:
-        count = 0
-        while mask:
-            mask ^= self._flood(mask & -mask, mask, full)
-            count += 1
-        return count
-
-    def _bitwise(self, key: int) -> BettiVector:
-        x, rm = 0, self.row_mask
-        for at_key, at_pad in self.rows:
-            x |= ((key >> at_key) & rm) << at_pad
-        b0 = self._components(x, full=True)
-        ds = [x]
-        for t in self.strides:
-            ds += [d | (d << t) for d in ds]
-        chi = sum(s * d.bit_count() for s, d in zip(self.signs, ds))
-        if len(self.shape) == 2:
-            return BettiVector.of((b0, b0 - chi), chi)
-        bg = self.box ^ x
-        # flooding from the whole ring reaches the outside in a few steps
-        top = self._components(bg ^ self._flood(self.ring, bg, full=False), full=False)
-        return BettiVector.of((b0, b0 + top - chi, top), chi)
-
-    def _collapse(self, key: int) -> BettiVector:
-        x, rm, spread = 0, self.row_mask, self.spread
-        for at_key, at in self.lattice_rows:
-            x |= spread[(key >> at_key) & rm] << at
+    def betti(self, key: int) -> BettiVector:
+        x, points = 0, self.points
+        for b in _set_bits(key):
+            x |= 1 << points[b]
         strides, box = self.lattice_strides, self.lattice_box
         for t in strides:
             x = (x | (x << t) | (x >> t)) & box

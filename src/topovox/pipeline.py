@@ -15,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -119,10 +121,6 @@ def file_checksum(path) -> str:
 # ---------------------------------------------------------------------------
 # manifests
 
-def _betti_to_json(bv: BettiVector) -> dict[str, Any]:
-    return {"betti": list(bv.betti), "euler": bv.euler, "reduced": bv.reduced}
-
-
 def _betti_from_json(d: dict[str, Any]) -> BettiVector:
     return BettiVector.of(d["betti"], d["euler"], d.get("reduced", False))
 
@@ -152,7 +150,7 @@ class SampleManifest:
             "schema_version": self.schema_version,
             "dims": list(self.dims),
             "construction": self.construction.to_dict(),
-            "label": _betti_to_json(self.label),
+            "label": self.label.to_dict(),
             "seed": self.seed,
             "voxel_file": self.voxel_file,
             "voxel_checksum": self.voxel_checksum,
@@ -193,6 +191,22 @@ class SampleManifest:
 # ---------------------------------------------------------------------------
 # dataset configuration
 
+#: DatasetConfig fields that must be integers (a numpy integer is accepted).
+_INTEGER_FIELDS = (
+    "count", "max_objects", "spacing", "deform_iterations", "dilate_iterations", "master_seed"
+)
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is an Integral too, but not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 #: Placement dilates by ``ball(spacing)``, which spans ``2 * spacing + 1``
 #: voxels per axis; structuring elements are capped at 9.
 MAX_SPACING = 4
@@ -218,7 +232,20 @@ class DatasetConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(_is_integer(d) for d in self.dims):
+            raise ValueError(f"dims must be integers, got {self.dims!r}")
         self.dims = tuple(int(d) for d in self.dims)
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if not (_is_number(self.deform_noise_scale) and self.deform_noise_scale > 0):
+            raise ValueError(
+                f"deform_noise_scale must be a positive number, got {self.deform_noise_scale!r}"
+            )
         if self.mode not in ("cutout", "embed", "mixed"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.verify_rate <= 1.0:
@@ -242,6 +269,12 @@ class DatasetConfig:
                     f"are {len(self.dims)}D"
                 )
         if self.shape_weights is not None:
+            if not isinstance(self.shape_weights, Mapping) or not all(
+                _is_number(w) for w in self.shape_weights.values()
+            ):
+                raise ValueError(
+                    f"shape_weights must map kind names to finite numbers, got {self.shape_weights!r}"
+                )
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")
             if sum(self.shape_weights.values()) <= 0:

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's algorithms: components come
 from plain BFS, cell counts from enumerating every voxel's closed faces into
 a set, and low-dimensional Betti numbers from complement-counting duality
-plus the Euler identity.  Slow and simple on purpose.
+plus the Euler identity.  Slow and simple on purpose.  The exceptions are
+:func:`gf2_rank` and :func:`eliminate_block`, which reduce every boundary
+map with the engine's sparse GF(2) elimination instead of collapsing first
+or reading Betti numbers off components, as the engine and the flip gate do.
 """
 from __future__ import annotations
 
@@ -13,6 +16,14 @@ from collections import deque
 import numpy as np
 
 from topovox.grid import UnsupportedDimensionError
+from topovox.homology import (
+    BettiVector,
+    _cell_counts,
+    _cell_dim_array,
+    _cell_lattice,
+    _core_ranks,
+    _rank_columns,
+)
 from topovox.morphology import ball, dilate
 from topovox.noise import _AMPLITUDE, _GRADS, _fade, _perm_table
 from topovox.seeds import PlacementError, PlacementExhaustedError
@@ -129,6 +140,27 @@ def betti_oracle(data: np.ndarray) -> tuple[int, ...]:
     raise ValueError("betti_oracle supports 2D and 3D only")
 
 
+def gf2_rank(matrix) -> int:
+    """Rank of a dense 0/1 matrix over GF(2) by column elimination."""
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    bits = np.asarray(m, dtype=np.uint8) & 1
+    rank, _ = _rank_columns(np.flatnonzero(col).tolist() for col in bits.T)
+    return rank
+
+
+def eliminate_block(data: np.ndarray) -> BettiVector:
+    """Betti vector of a small block by direct elimination of every d_k."""
+    n = data.ndim
+    present = _cell_lattice(data)
+    c = _cell_counts(present)
+    ranks = _core_ranks(present, _cell_dim_array(present.shape), range(n, 0, -1))
+    beta = tuple(int(c[k] - ranks[k] - ranks[k + 1]) for k in range(n + 1))
+    chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
+    return BettiVector.of(beta, chi)
+
+
 def flip_safe_reference(g, c, new_value, radius: int = 1) -> bool:
     """The flip gate's verdict from four block solves, as the gate once was.
 
@@ -138,13 +170,12 @@ def flip_safe_reference(g, c, new_value, radius: int = 1) -> bool:
     this checks it against its own predicate.
     """
     from topovox.grid import extract_neighborhood
-    from topovox.homology import _eliminate_block
 
     before = extract_neighborhood(g, c, radius).data
     after = before.copy()
     after[(radius,) * before.ndim] = bool(new_value)
-    return _eliminate_block(before) == _eliminate_block(after) and (
-        _eliminate_block(~before) == _eliminate_block(~after)
+    return eliminate_block(before) == eliminate_block(after) and (
+        eliminate_block(~before) == eliminate_block(~after)
     )
 
 

@@ -19,10 +19,8 @@ from topovox.homology import (
     betti_numbers,
     build_cubical_complex,
     euler_from_cells,
-    gf2_rank,
     is_local_flip_safe,
     _block,
-    _eliminate_block,
     _squash,
 )
 from topovox.grid import extract_neighborhood
@@ -31,7 +29,9 @@ from oracles import (
     betti_oracle,
     cell_counts_bruteforce,
     chi_bruteforce,
+    eliminate_block,
     flip_safe_reference,
+    gf2_rank,
     squash_reference,
 )
 
@@ -620,8 +620,8 @@ def test_block_bits_match_elimination_on_all_2d_blocks():
     for bits in itertools.product((False, True), repeat=9):
         data = np.array(bits).reshape(3, 3)
         key = block.key(data)
-        assert block.betti(key) == _eliminate_block(data), data
-        assert block.betti(key ^ block.full) == _eliminate_block(~data), data
+        assert block.betti(key) == eliminate_block(data), data
+        assert block.betti(key ^ block.full) == eliminate_block(~data), data
 
 
 @pytest.mark.parametrize(
@@ -634,45 +634,65 @@ def test_block_bits_match_elimination_on_random_blocks(shape, per_rate):
     for rate in np.linspace(0.1, 0.9, 9):
         for _ in range(per_rate):
             data = rng.random(shape) < rate
-            assert block.betti(block.key(data)) == _eliminate_block(data), data
+            assert block.betti(block.key(data)) == eliminate_block(data), data
 
 
-def _shell(side):
-    data = np.ones((side,) * 4, dtype=bool)
-    data[(slice(1, -1),) * 4] = False
+def _shell(n, side):
+    data = np.ones((side,) * n, dtype=bool)
+    data[(slice(1, -1),) * n] = False
     return data
 
 
-def _plane_removed(side):
-    data = np.ones((side,) * 4, dtype=bool)
+def _plane_removed(n, side):
+    data = np.ones((side,) * n, dtype=bool)
     data[:, :, side // 2, side // 2] = False
     return data
 
 
-def _loop(side):
-    data = np.zeros((side,) * 4, dtype=bool)
-    ring = data[:, :, side // 2, side // 2]
+def _loop(n, side):
+    data = np.zeros((side,) * n, dtype=bool)
+    ring = data[(slice(None), slice(None)) + (side // 2,) * (n - 2)]
     ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
     return data
 
 
+def _full(n, side):
+    return np.ones((side,) * n, dtype=bool)
+
+
+def _empty(n, side):
+    return np.zeros((side,) * n, dtype=bool)
+
+
 @pytest.mark.parametrize("side", [3, 5])
 @pytest.mark.parametrize(
-    "make, betti",
+    "n, make, betti",
     [
-        (_shell, (1, 0, 0, 1)),
-        (_plane_removed, (1, 1, 0, 0)),
-        (_loop, (1, 1, 0, 0)),
-        (lambda side: np.ones((side,) * 4, dtype=bool), (1, 0, 0, 0)),
-        (lambda side: np.zeros((side,) * 4, dtype=bool), (0, 0, 0, 0)),
+        (4, _shell, (1, 0, 0, 1)),
+        (4, _plane_removed, (1, 1, 0, 0)),
+        (4, _loop, (1, 1, 0, 0)),
+        (4, _full, (1, 0, 0, 0)),
+        (4, _empty, (0, 0, 0, 0)),
+        (3, _shell, (1, 0, 1, 0)),
+        (3, _loop, (1, 1, 0, 0)),
+        (3, _full, (1, 0, 0, 0)),
+        (3, _empty, (0, 0, 0, 0)),
+        (2, _shell, (1, 1, 0, 0)),
+        (2, _loop, (1, 1, 0, 0)),
+        (2, _full, (1, 0, 0, 0)),
+        (2, _empty, (0, 0, 0, 0)),
     ],
-    ids=["shell", "plane_removed", "loop", "full", "empty"],
+    ids=[
+        "shell", "plane_removed", "loop", "full", "empty",
+        "shell_3d", "loop_3d", "full_3d", "empty_3d",
+        "shell_2d", "loop_2d", "full_2d", "empty_2d",
+    ],
 )
-def test_4d_blocks_that_do_not_collapse_to_a_point(make, betti, side):
-    data = make(side)
+def test_4d_blocks_that_do_not_collapse_to_a_point(n, make, betti, side):
+    data = make(n, side)
     block = _block(data.shape)
     for d in (data, ~data):
-        assert block.betti(block.key(d)) == _eliminate_block(d), d
+        assert block.betti(block.key(d)) == eliminate_block(d), d
     assert block.betti(block.key(data)).betti == betti
 
 
@@ -684,7 +704,7 @@ def test_block_memo_tells_equal_sizes_apart():
     quad = _block((3, 3, 3, 3))
     assert flat.key(data) == quad.key(data.reshape((3,) * 4))
     assert flat.betti(flat.key(data)).betti == (2, 0, 0, 0)
-    assert quad.betti(quad.key(data)) == _eliminate_block(data.reshape((3,) * 4))
+    assert quad.betti(quad.key(data)) == eliminate_block(data.reshape((3,) * 4))
     assert quad.betti(quad.key(data)).betti == (1, 1, 0, 0)
 
 
@@ -719,7 +739,7 @@ def _check_gate(g, c, radius):
         if attached is not None:
             with_centre = rest.copy()
             with_centre[centre] = True
-            assert attached == (_eliminate_block(rest) == _eliminate_block(with_centre))
+            assert attached == (eliminate_block(rest) == eliminate_block(with_centre))
 
 
 def test_gate_matches_reference_on_all_2d_blocks(fresh_gate):

@@ -302,6 +302,18 @@ def test_config_validation():
         DatasetConfig(shape_weights={"ball": -1.0})
 
 
+def test_config_takes_numpy_integers_as_plain_ints():
+    cfg = DatasetConfig(
+        count=np.int64(2), dims=(np.int32(24), 24), max_objects=np.uint8(2),
+        deform_iterations=np.int16(3), master_seed=np.int64(5),
+    )
+    assert (cfg.count, cfg.dims, cfg.max_objects, cfg.deform_iterations, cfg.master_seed) == (
+        2, (24, 24), 2, 3, 5
+    )
+    assert all(type(v) is int for v in (cfg.count, *cfg.dims, cfg.max_objects, cfg.master_seed))
+    assert DatasetConfig.from_json(cfg.to_json()) == cfg
+
+
 PLANE_ELEMENT = {"mask": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "origin": [1, 1]}
 
 
@@ -677,6 +689,21 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
             json.dumps({"dims": [16, 16, 16], "dilate_iterations": 1, "dilate_element": PLANE_ELEMENT}),
             "bad config: dilate_element is 2D but dims (16, 16, 16) are 3D",
         ),
+        ('{"dims": [16, 16], "shape_weights": [1]}', "bad config: shape_weights must map kind names to finite numbers, got [1]"),
+        ('{"count": 1, "shape_weights": {"ball": "1"}}', "bad config: shape_weights must map kind names to finite numbers"),
+        ('{"count": 1, "shape_weights": {"ball": true}}', "bad config: shape_weights must map kind names to finite numbers"),
+        ('{"count": 1, "shape_weights": {"ball": NaN}}', "bad config: shape_weights must map kind names to finite numbers"),
+        ('{"count": 2.5}', "bad config: count must be an integer, got 2.5"),
+        ('{"count": true}', "bad config: count must be an integer, got True"),
+        ('{"count": 1, "max_objects": 2.5}', "bad config: max_objects must be an integer, got 2.5"),
+        ('{"count": 1, "spacing": 2.0}', "bad config: spacing must be an integer, got 2.0"),
+        ('{"count": 1, "deform_iterations": 2.5}', "bad config: deform_iterations must be an integer, got 2.5"),
+        ('{"count": 1, "dilate_iterations": 1.5}', "bad config: dilate_iterations must be an integer, got 1.5"),
+        ('{"count": 1, "master_seed": 7.0}', "bad config: master_seed must be an integer, got 7.0"),
+        ('{"count": 1, "master_seed": -1}', "bad config: master_seed must be nonnegative, got -1"),
+        ('{"count": 1, "dims": [32.5, 32]}', "bad config: dims must be integers, got [32.5, 32]"),
+        ('{"count": 1, "deform_noise_scale": "8"}', "bad config: deform_noise_scale must be a positive number, got '8'"),
+        ('{"count": 1, "deform_noise_scale": 0}', "bad config: deform_noise_scale must be a positive number, got 0"),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
