@@ -174,7 +174,13 @@ def _render_slice(args: argparse.Namespace) -> int:
     fixed = {}
     for spec in args.fix or []:
         axis, _, coord = spec.partition("=")
-        fixed[int(axis)] = int(coord)
+        try:
+            axis, coord = int(axis), int(coord)
+        except ValueError:
+            raise ValueError(f"bad --fix {spec!r}: expected AXIS=COORD") from None
+        if axis in fixed:
+            raise ValueError(f"bad --fix {spec!r}: axis {axis} is fixed twice")
+        fixed[axis] = coord
     export_slice(args.voxels, fixed, args.out)
     print(f"wrote {args.out}")
     return 0

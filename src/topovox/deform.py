@@ -5,9 +5,11 @@ voxel with a higher-noise empty voxel within the move distance is removed and
 re-placed at the highest-noise such voxel, with both steps gated by the local
 homology check; a source whose move fails the gate is passed over for the
 next.  Volume is conserved exactly because every move is a paired flip;
-topology is conserved because no gated step can change the Betti vector, and
-a periodic full-sample re-verification guards against the (4D) cases where
-local checks are known to be insufficient.
+topology is conserved because the gate accepts only simple-voxel flips,
+which keep the homotopy type of the foreground and the background.  A
+periodic full-sample re-verification by the engine checks this
+independently: a change it finds is a defect, raised as
+:class:`TopologyDriftError`.
 
 Move selection is incremental.  A front built once per run holds the
 sources with a target as a sorted list of (noise, index) pairs, each
@@ -15,9 +17,9 @@ source's current target and the gate verdict on each move it has judged.
 Its set-up computes targets on the face boundary only, not on every
 occupied voxel, and sorts only the sources, not the grid.  After a move it
 recomputes targets only within the move distance of the two flipped voxels,
-and forgets verdicts only within the move distance plus the safety radius,
-so a move costs a few small array updates and the gate calls of the
-verdicts it forgot, not a rescan of the boundary.  A source whose move the
+and forgets verdicts only within the move distance plus one, so a move
+costs a few small array updates and the gate calls of the verdicts it
+forgot, not a rescan of the boundary.  A source whose move the
 gate has already rejected is passed over without converting it to
 coordinates.  The moves and rejection counters are those of a full rescan.
 """
@@ -41,13 +43,9 @@ from .noise import NoiseField, noise_field
 class TopologyDriftError(RuntimeError):
     """Raised when global re-verification detects a Betti-vector change.
 
-    ``verified`` holds the last grid state that passed verification, so the
-    caller can resume or discard it.
+    The gate accepts only simple-voxel flips, so this means a defect, not
+    bad luck.
     """
-
-    def __init__(self, message: str, verified: BinaryGrid | None = None):
-        super().__init__(message)
-        self.verified = verified
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,6 @@ class DeformConfig:
     iterations: int
     noise_scale: float = 8.0
     noise_octaves: int = 1
-    safety_radius: int = 1
     max_move_distance: int = 1
     global_check_every: int = 100
     seed: int = 0
@@ -65,7 +62,7 @@ class DeformConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        for name in ("safety_radius", "max_move_distance", "global_check_every"):
+        for name in ("max_move_distance", "global_check_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -130,18 +127,18 @@ class _MoveFront:
     voxel can be a source.
 
     Voxels are addressed by flat index into the grid padded by the move
-    distance plus the safety radius, so every window around an in-range
-    voxel stays in bounds.  A flip at ``p`` can only change the targets
-    and the source status of voxels within the move distance of ``p``, and
-    only the verdicts of sources within the move distance plus the safety
-    radius (both gated blocks lie that close), so :meth:`move` recomputes
-    and forgets no more than that.
+    distance plus one, so every window around an in-range voxel stays in
+    bounds.  A flip at ``p`` can only change the targets and the source
+    status of voxels within the move distance of ``p``, and only the
+    verdicts of sources within the move distance plus one (both gated 3^n
+    blocks lie that close), so :meth:`move` recomputes and forgets no more
+    than that.
     """
 
     def __init__(self, g: BinaryGrid, noise: NoiseField, cfg: DeformConfig):
-        self.grid, self.radius = g, cfg.safety_radius
+        self.grid = g
         dist = cfg.max_move_distance
-        self.pad = pad = dist + cfg.safety_radius
+        self.pad = pad = dist + 1
         self.shape = shape = tuple(s + 2 * pad for s in g.dims)
         self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
         inner = tuple(slice(pad, pad + s) for s in g.dims)
@@ -198,10 +195,10 @@ class _MoveFront:
 
     def _judge(self, src: Coord, tgt: Coord) -> int:
         g = self.grid
-        if not is_local_flip_safe(g, src, 0, self.radius):
+        if not is_local_flip_safe(g, src, 0):
             return _REMOVAL_REJECTED
         g.data[src] = False
-        placeable = is_local_flip_safe(g, tgt, 1, self.radius)
+        placeable = is_local_flip_safe(g, tgt, 1)
         g.data[src] = True
         return _OK if placeable else _PLACEMENT_REJECTED
 
@@ -275,8 +272,8 @@ def deform_volume_preserving(
     ``noise`` is the field the moves climb; by default it is built from
     ``cfg`` (``noise_scale``, ``seed``, ``noise_octaves``), and a caller that
     already holds that field passes it to skip building it again.
-    Raises :class:`TopologyDriftError` carrying the last verified state if a
-    periodic global check ever sees the Betti vector change.
+    Raises :class:`TopologyDriftError` if a periodic or the final global
+    check sees the Betti vector change.
     """
     if not g.data.any() or g.data.all():
         raise ValueError("deformation needs a grid that is neither empty nor full")
@@ -289,7 +286,6 @@ def deform_volume_preserving(
     report = DeformReport(
         volume_before=count_ones(g), betti_before=betti_numbers(g)
     )
-    verified = cur.copy()
     since_check = 0
     front = _MoveFront(cur, noise, cfg)
     for _ in range(cfg.iterations):
@@ -308,17 +304,13 @@ def deform_volume_preserving(
         if since_check >= cfg.global_check_every:
             if betti_numbers(cur) != report.betti_before:
                 raise TopologyDriftError(
-                    f"global re-verification found a Betti change; discarding "
-                    f"the last {since_check} flips",
-                    verified=verified,
+                    f"global re-verification found a Betti change within the "
+                    f"last {since_check} flips"
                 )
-            verified = cur.copy()
             since_check = 0
     report.betti_after = betti_numbers(cur)
     if report.betti_after != report.betti_before:
-        raise TopologyDriftError(
-            "final verification found a Betti change", verified=verified
-        )
+        raise TopologyDriftError("final verification found a Betti change")
     report.volume_after = count_ones(cur)
     report.wall_time = time.perf_counter() - t0
     return cur, report

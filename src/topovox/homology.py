@@ -37,22 +37,16 @@ one contiguous copy of the lattice per axis, builds its per-dimension masks
 once per axis and runs the in-plane coface test only for a hyperplane and
 dimension that have candidates below the top dimension.
 
-The flip gate keys each (2r+1)^n block by one int.  Its verdict depends
-only on the neighbourhood, the block with its centre cleared, and is
-memoized on it per block shape.  A new neighbourhood is decided one side at
-a time (foreground, then background) from the centre voxel's attachment
-set A: the closed faces the centre shares with that side's voxels among
-its 3^n - 1 immediate neighbours (see :class:`_Block`).  Gluing the centre
-c onto the side X' gives chi(X' | c) = chi(X') + 1 - chi(A), so chi(A) != 1
-changes the Betti vector (Euler); and if A collapses to one vertex, the
-Mayer-Vietoris sequence gives H(X' | c) = H(X'), so that side is kept.
-Only otherwise are both blocks solved exactly.  That fallback is needed
-beyond radius 1, where a non-contractible A can keep the Betti vector; in
-3^n blocks it is rare and has not been seen to accept, but the gate does not
-rely on that.  A block of any dimension is solved the same way: spread onto
-its doubled lattice as one Python int per cell dimension, collapsed top
-dimension down by the same code that collapses an attachment set, and only
-the core that is left (usually one vertex) eliminated.  Measured costs are
+The flip gate keys each 3^n block by one int.  Its verdict depends only
+on the neighbourhood, the block with its centre cleared, and is memoized on
+it per block shape.  A new neighbourhood is decided one side at a time
+(foreground, then background) from the centre voxel's attachment set A:
+the closed faces the centre shares with that side's voxels among its
+3^n - 1 immediate neighbours (see :class:`_Block`).  The flip is accepted
+only if A collapses to one vertex on both sides, that is, only if the
+centre is a simple voxel (Couprie-Bertrand, TPAMI 2009): the flip then
+keeps the homotopy type of the whole foreground and of the whole
+background, not only the Betti numbers of the block.  Measured costs are
 in the README's "Performance notes".
 """
 from __future__ import annotations
@@ -480,14 +474,6 @@ def _bits_of(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
 
 
-def _set_bits(x: int):
-    """Indices of the set bits of ``x``, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 #: Verdicts per block shape before the gate's memo starts over.
 _MEMO_ENTRIES = 1 << 20
 
@@ -495,29 +481,29 @@ _MEMO_ENTRIES = 1 << 20
 _DIGITS = b"0" + b"1" * 255
 
 
-def _padded_lattice(n: int, side: int) -> tuple:
-    """Bit layout of the doubled lattice of a ``side``^n block.
+def _face_lattice(n: int) -> tuple:
+    """Bit layout of the closed faces of one voxel.
 
-    Lattice point ``p`` is bit ``sum(p[ax] * strides[ax])``.  Every axis but
-    the first has one zero margin point past the block's 2*side+1 points, so
-    a cell shifted by one stride lands on a cell or on a margin point, never
-    on a cell of another row.  The first axis needs no margin: a shift off it
-    leaves the box.  Returns the lattice shape, the strides, one mask per
-    cell dimension and the boolean array of the points inside the margins.
+    Face ``d`` in {0, 1, 2}^n is bit ``sum(d[ax] * strides[ax])``: it spans
+    the axes where ``d`` is 1.  Every axis but the first has one zero margin
+    point past its three points, so a face shifted by one stride lands on a
+    face or on a margin point, never on a face of another row.  The first
+    axis needs no margin: a shift off it leaves the box.  Returns the
+    strides, one mask per face dimension and the boolean array of the
+    points inside the margins.
     """
-    span = 2 * side + 1
-    shape2 = (span,) + (span + 1,) * (n - 1)
-    strides = tuple(math.prod(shape2[ax + 1 :]) for ax in range(n))
-    inner = np.zeros(shape2, dtype=bool)
-    inner[(slice(None),) + (slice(0, span),) * (n - 1)] = True
-    dim = _cell_dim_array(shape2)
-    return shape2, strides, tuple(_bits_of(inner & (dim == k)) for k in range(n + 1)), inner
+    shape = (3,) + (4,) * (n - 1)
+    strides = tuple(math.prod(shape[ax + 1 :]) for ax in range(n))
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(None),) + (slice(0, 3),) * (n - 1)] = True
+    dim = _cell_dim_array(shape)
+    return strides, tuple(_bits_of(inner & (dim == k)) for k in range(n + 1)), inner
 
 
 def _collapse_cells(cells: list[int], strides: tuple[int, ...]) -> None:
     """Collapse a complex held as one int of cells per dimension, in place.
 
-    The cells sit on a padded lattice (:func:`_padded_lattice`).  From the
+    The cells sit on a padded lattice (:func:`_face_lattice`).  From the
     top dimension down, each dimension k is collapsed to a fixpoint in
     rounds: a half-adder over the 2n coface sets, each shifted by one axis
     stride, finds the free k-faces (exactly one coface; a face of a
@@ -547,7 +533,7 @@ def _collapse_cells(cells: list[int], strides: tuple[int, ...]) -> None:
 
 
 class _Block:
-    """Bit layout of one cubic block shape, its Betti function and its verdicts.
+    """Bit layout of one 3^n block shape, its verdict function and its verdicts.
 
     A block is keyed by one int: voxel ``i`` in raster order is bit
     ``size - 1 - i``.  Clearing the centre and taking the complement are
@@ -555,80 +541,50 @@ class _Block:
     neighbourhood, the key with the centre cleared: both flip directions
     compare that block with and without its centre, for the foreground and
     for the background.  :meth:`verdict` memoizes it in a plain dict per
-    shape, so blocks of equal size but different shape (3^4 and 9^2) never
-    share an entry; a full memo is cleared and starts over.
+    shape, so the 3^2, 3^3 and 3^4 blocks never share an entry; a full memo
+    is cleared and starts over.
 
     A verdict is settled one side at a time, foreground first.  Let X' be
     the union of the side's closed voxels without the centre c (| and &
     below are union and intersection).  The attachment set A = X' & c is
     the union of the closed faces that c shares with the side's voxels
-    among its 3^n - 1 immediate neighbours (:meth:`_attached`).  Two exact
-    facts decide most sides without solving a block:
+    among its 3^n - 1 immediate neighbours (:meth:`_attached`).  The side
+    is kept only if A collapses to one vertex.  Then A is contractible and
+    nonempty, so H(X' | c) = H(X') (Mayer-Vietoris), and a flip kept on
+    both sides is a simple-voxel flip (Couprie-Bertrand, TPAMI 2009), which
+    keeps the homotopy type of each side of the whole grid.  When
+    chi(A) != 1, gluing c changes chi (chi(X' | c) = chi(X') + 1 - chi(A)),
+    so the block's Betti vector changes too.  The one remaining case,
+    chi(A) = 1 without a collapse, is rejected as well; on random 3^3 and
+    3^4 blocks it has always changed the block's Betti vector.
 
-    * Euler: chi(X' | c) = chi(X') + 1 - chi(A), so chi(A) != 1 changes
-      the Betti vector;
-    * Mayer-Vietoris: if A collapses to one vertex it is contractible and
-      nonempty, so H(X' | c) = H(X') and the side is unchanged.
-
-    Otherwise both blocks are solved exactly by :meth:`betti`.  That
-    fallback matters beyond radius 1: a non-contractible A can leave the
-    block's Betti vector unchanged (it does for most random 5^3 blocks that
-    reach it).  In a 3^n block the fallback is rare and has not been seen
-    to accept, perhaps because the block retracts onto A; the gate does not
-    rely on it.
-
-    :meth:`betti` solves a block exactly, uncached, in any dimension.  The
-    block is spread onto its doubled lattice, one int per cell dimension,
-    and collapsed there (:func:`_collapse_cells`, the same code that
-    collapses an attachment set).  A collapse keeps the homology, so the
-    Betti numbers are those of the core, whose boundary ranks
-    :func:`_rank_columns` computes; chi comes from the popcounts of the
-    dimension masks.
+    The faces of one voxel are the doubled lattice of a one-voxel block
+    (:func:`_face_lattice`): face ``d`` in {0, 1, 2}^n is the face shared
+    with the neighbour at offset ``d - 1``.  So each row of three
+    neighbours is copied over as it is (mirrored along the last axis,
+    which keeps chi and collapsibility).
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        n, side = len(shape), shape[0]
-        size = side**n
-        self.shape, self.size = shape, size
-        self.full = (1 << size) - 1
+        n = len(shape)
+        size = 3**n
         self.center = 1 << (size // 2)
-        self.hood = self.full ^ self.center
+        self.hood = ((1 << size) - 1) ^ self.center
         self.verdicts: dict[int, bool] = {}
-        self.lattice_shape, self.lattice_strides, self.dim_masks, inner = _padded_lattice(n, side)
-        self.lattice_box = _bits_of(inner)
-        # key bit size - 1 - i is voxel i in raster order, and the voxel's
-        # n-cell sits at lattice point 2 * voxel + 1
-        self.points = tuple(
-            sum((2 * y + 1) * t for y, t in zip(ys, self.lattice_strides))
-            for ys in itertools.product(range(side), repeat=n)
-        )[::-1]
-        self._face_layout()
-
-    def _face_layout(self) -> None:
-        """Bit layout of the centre voxel's closed faces, for :meth:`_attached`.
-
-        The faces of one voxel are the doubled lattice of a one-voxel block:
-        face ``d`` in {0, 1, 2}^n spans the axes where ``d`` is 1, and it is
-        the face shared with the neighbour at offset ``d - 1``.  So each row
-        of three neighbours is copied over as it is (mirrored along the last
-        axis, which keeps chi and collapsibility).
-        """
-        n, side = len(self.shape), self.shape[0]
-        r = side // 2
-        _, self.face_strides, dims, inner = _padded_lattice(n, 1)
+        self.face_strides, dims, inner = _face_lattice(n)
         self.face_dims = dims[:n]  # the centre's own n-cell is never attached
         # chi is the popcount of the even-dimensional cells minus the odd
         self.face_even = sum(dims[0:n:2])
         self.face_odd = sum(dims[1:n:2])
         coords = np.indices(inner.shape)
         self.face_spans = tuple(_bits_of(inner & (coords[ax] == 1)) for ax in range(n))
-        # the key bit of neighbour (ys, r + 1) and the lattice point of face (ys - r + 1, 0)
+        # the key bit of neighbour (ys, 2) and the lattice point of face (ys, 0)
         self.face_rows = tuple(
             (
-                self.size - 2 - r - sum(y * side ** (n - 1 - ax) for ax, y in enumerate(ys)),
-                sum((y - r + 1) * t for y, t in zip(ys, self.face_strides)),
+                size - 3 - sum(y * 3 ** (n - 1 - ax) for ax, y in enumerate(ys)),
+                sum(y * t for y, t in zip(ys, self.face_strides)),
             )
-            for ys in itertools.product(range(r - 1, r + 2), repeat=n - 1)
+            for ys in itertools.product(range(3), repeat=n - 1)
         )
 
     def key(self, data: np.ndarray) -> int:
@@ -637,23 +593,16 @@ class _Block:
 
     def verdict(self, hood: int) -> bool:
         """Whether flipping the centre of a block with neighbourhood ``hood``
-        keeps the Betti vectors of its foreground and background; memoized."""
+        is a simple-voxel flip: the attachment sets of both sides collapse
+        to a vertex; memoized."""
         if len(self.verdicts) >= _MEMO_ENTRIES:
             self.verdicts.clear()
-        safe = self.verdicts[hood] = self._kept(hood) and self._kept(self.hood ^ hood)
+        safe = self.verdicts[hood] = self._attached(hood) and self._attached(self.hood ^ hood)
         return safe
 
-    def _kept(self, rest: int) -> bool:
-        """Whether the voxels ``rest`` (no centre) and ``rest`` with the
-        centre have equal Betti vectors."""
-        kept = self._attached(rest)
-        if kept is None:
-            kept = self.betti(rest) == self.betti(rest | self.center)
-        return kept
-
-    def _attached(self, rest: int) -> bool | None:
-        """:meth:`_kept` from the attachment set alone, or None if it does not
-        decide: False if its chi is not 1, True if it collapses to a vertex."""
+    def _attached(self, rest: int) -> bool:
+        """Whether the attachment set of the centre to the voxels ``rest``
+        (no centre) collapses to one vertex."""
         x = 0
         for at_key, at in self.face_rows:
             x |= ((rest >> at_key) & 7) << at
@@ -666,48 +615,7 @@ class _Block:
             return False
         cells = [x & m for m in self.face_dims]
         _collapse_cells(cells, self.face_strides)
-        if cells[0].bit_count() == 1 and not any(cells[1:]):
-            return True
-        return None
-
-    def betti(self, key: int) -> BettiVector:
-        x, points = 0, self.points
-        for b in _set_bits(key):
-            x |= 1 << points[b]
-        strides, box = self.lattice_strides, self.lattice_box
-        for t in strides:
-            x = (x | (x << t) | (x >> t)) & box
-        cells = [x & m for m in self.dim_masks]
-        chi = sum((-1) ** k * c.bit_count() for k, c in enumerate(cells))
-        _collapse_cells(cells, strides)
-        beta = self._core_betti(cells)
-        return BettiVector.of(beta, chi)
-
-    def _core_betti(self, cells: list[int]) -> list[int]:
-        """Betti numbers of a core, one int of cells per dimension.
-
-        Rows and columns are numbered per dimension in lattice order; the
-        pivot rows of d_(k+1) clear the matching columns of d_k.
-        """
-        counts = [c.bit_count() for c in cells]
-        if not any(counts[1:]):  # the usual core: isolated vertices
-            return counts
-        strides, shape2 = self.lattice_strides, self.lattice_shape
-        index = [{p: i for i, p in enumerate(_set_bits(c))} for c in cells]
-        ranks = [0] * (len(cells) + 1)
-        cleared: set[int] = set()
-        for k in range(len(cells) - 1, 0, -1):
-            below, columns = index[k - 1], []
-            for c, p in enumerate(index[k]):
-                if c in cleared:
-                    continue
-                rows = []
-                for t, m in zip(strides, shape2):
-                    if (p // t) % m % 2:
-                        rows += (below[p - t], below[p + t])
-                columns.append(sorted(rows))
-            ranks[k], cleared = _rank_columns(columns)
-        return [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(cells))]
+        return cells[0].bit_count() == 1 and not any(cells[1:])
 
 
 @lru_cache(maxsize=None)
@@ -716,31 +624,28 @@ def _block(shape: tuple[int, ...]) -> _Block:
     return _Block(shape)
 
 
-def is_local_flip_safe(
-    g: BinaryGrid, c: Coord, new_value: int, radius: int = 1
-) -> bool:
-    """Whether flipping voxel ``c`` preserves local homology.
+def is_local_flip_safe(g: BinaryGrid, c: Coord, new_value: int) -> bool:
+    """Whether flipping voxel ``c`` keeps the topology of both sides.
 
-    True iff the Betti vectors of both the foreground and the background
-    restricted to the (2*radius+1)^n block around ``c`` are unchanged by the
-    flip.  The background check guards against silently creating or merging
-    cavities.  The verdict depends only on the block with its centre cleared
-    and is memoized on it, so a repeated neighbourhood costs one dict lookup.
+    True iff ``c`` is a simple voxel: its attachment set to the foreground
+    and to the background (within the 3^n block around ``c``, zero-padded
+    at the border) each collapse to a vertex.  Such a flip keeps the
+    homotopy type of the foreground and of the background, so the Betti
+    vectors of both.  The background side guards against silently creating
+    or merging cavities.  The verdict depends only on the block with its
+    centre cleared and is memoized on it, so a repeated neighbourhood costs
+    one dict lookup.
     """
     new_value = int(bool(new_value))
-    interior = (
-        radius >= 1
-        and len(c) == g.ndim
-        and all(radius <= x < s - radius for x, s in zip(c, g.dims))
-    )
+    interior = len(c) == g.ndim and all(1 <= x < s - 1 for x, s in zip(c, g.dims))
     # an interior centre is in range, so its value is read directly (as an
     # int: comparing a numpy bool with an int costs a ufunc call)
     if (int(g.data[c]) if interior else g.get(c)) == new_value:
         raise ValueError(f"voxel {c} already has value {new_value}")
     if interior:
-        data = g.data[tuple(slice(x - radius, x + radius + 1) for x in c)]
-    else:  # zero-padded at the border; validates the radius and centre
-        data = extract_neighborhood(g, c, radius).data
+        data = g.data[tuple(slice(x - 1, x + 2) for x in c)]
+    else:  # zero-padded at the border; validates the centre
+        data = extract_neighborhood(g, c, 1).data
     block = _block(data.shape)
     hood = block.key(data) & block.hood
     safe = block.verdicts.get(hood)

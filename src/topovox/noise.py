@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -178,8 +178,8 @@ def noise_field(
     usual persistence/lacunarity weighting, renormalized back into [-1, 1].
     """
     dims = tuple(int(d) for d in dims)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale}")
     if octaves < 1:
         raise ValueError(f"octaves must be >= 1, got {octaves}")
     total = np.zeros(dims, dtype=np.float64)

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .deform import DeformConfig, TopologyDriftError, deform_volume_preserving
+from .deform import DeformConfig, deform_volume_preserving
 from .grid import BinaryGrid, new_grid
 from .homology import BettiVector, betti_numbers
 from .labels import ConstructionDescriptor, betti_disjoint_union, cavity_label
@@ -474,15 +474,17 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
 
     Dims that no catalog kind fits in any mode ``cfg.mode`` allows raise
     :class:`seeds.PlacementError` before the first attempt.  Placement
-    exhaustion and topology drift trigger regeneration of the affected
-    sample under a fresh derived seed, up to 10 attempts; after the last one
+    exhaustion triggers regeneration of the affected sample under a fresh
+    derived seed, up to 10 attempts; after the last one
     :class:`SampleAttemptsExhaustedError` names its cause.  A label
-    verification failure is a hard error: labels are construction-exact by
-    design, so a mismatch means a defect, not bad luck.  Each file is written
-    under a temp name and renamed, voxels before manifest, so an interrupted
-    run leaves no truncated file and no manifest without its voxels.  The
-    output directory is created just before the first file is written, so a
-    run whose first sample fails leaves no empty directory behind.
+    verification failure and a :class:`deform.TopologyDriftError` are hard
+    errors: labels are construction-exact by design and the flip gate
+    accepts only simple-voxel flips, so either means a defect, not bad
+    luck.  Each file is written under a temp name and renamed, voxels
+    before manifest, so an interrupted run leaves no truncated file and no
+    manifest without its voxels.  The output directory is created just
+    before the first file is written, so a run whose first sample fails
+    leaves no empty directory behind.
     """
     _check_some_kind_fits(cfg)
     out = cfg.resolved_out_dir()
@@ -499,11 +501,7 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
                     cfg, rng, sample_seed
                 )
                 break
-            except (
-                seeds.PlacementExhaustedError,
-                seeds.PlacementError,
-                TopologyDriftError,
-            ) as exc:
+            except (seeds.PlacementExhaustedError, seeds.PlacementError) as exc:
                 cause = exc
         else:
             raise SampleAttemptsExhaustedError(
@@ -513,8 +511,8 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
         verify_draw = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i, 999)))
         ).random()
-        # the 4D flip gate is known to be incomplete and dilation, unlike
-        # deformation, has no global re-check: verify every such sample
+        # dilation, unlike deformation, has no global re-check of its own:
+        # verify every dilated 4D sample (the flag is part of the manifest)
         engine_verified = verify_draw < cfg.verify_rate or (
             cfg.ndim == 4 and cfg.dilate_iterations > 0
         )

@@ -161,19 +161,19 @@ def eliminate_block(data: np.ndarray) -> BettiVector:
     return BettiVector.of(beta, chi)
 
 
-def flip_safe_reference(g, c, new_value, radius: int = 1) -> bool:
+def flip_safe_reference(g, c, new_value) -> bool:
     """The flip gate's verdict from four block solves, as the gate once was.
 
-    Eliminates every boundary map of the block before and after the flip
-    and of both complements, and compares the Betti vectors.  The gate
-    decides most verdicts from the centre voxel's attachment set instead;
-    this checks it against its own predicate.
+    Eliminates every boundary map of the 3^n block before and after the
+    flip and of both complements, and compares the Betti vectors.  The gate
+    decides from the centre voxel's attachment sets instead; on 3^n blocks
+    the two agree, which the gate tests check.
     """
     from topovox.grid import extract_neighborhood
 
-    before = extract_neighborhood(g, c, radius).data
+    before = extract_neighborhood(g, c, 1).data
     after = before.copy()
-    after[(radius,) * before.ndim] = bool(new_value)
+    after[(1,) * before.ndim] = bool(new_value)
     return eliminate_block(before) == eliminate_block(after) and (
         eliminate_block(~before) == eliminate_block(~after)
     )
@@ -229,11 +229,11 @@ def select_move_reference(g, noise, cfg, move_filter=None):
             continue
         if move_filter is not None and not move_filter(g, src, best):
             continue
-        if not is_local_flip_safe(g, src, 0, cfg.safety_radius):
+        if not is_local_flip_safe(g, src, 0):
             rej_rm += 1
             continue
         g.data[src] = False
-        placeable = is_local_flip_safe(g, best, 1, cfg.safety_radius)
+        placeable = is_local_flip_safe(g, best, 1)
         g.data[src] = True
         if not placeable:
             rej_pl += 1

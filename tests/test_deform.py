@@ -224,9 +224,24 @@ def test_report_serialization_excludes_wall_time():
     assert doc["betti_before"]["betti"] == list(report.betti_before.betti)
 
 
-def test_drift_error_carries_verified_state():
-    err = TopologyDriftError("boom", verified=disc_grid())
-    assert err.verified is not None
+def test_drift_leaves_generate_dataset_on_the_first_attempt(tmp_path, monkeypatch):
+    # a drift means a gate defect: it must not be retried under a fresh seed
+    from topovox import pipeline
+
+    calls = []
+
+    def drift(grid, cfg, **kwargs):
+        calls.append(cfg.seed)
+        raise TopologyDriftError("final verification found a Betti change")
+
+    monkeypatch.setattr(pipeline, "deform_volume_preserving", drift)
+    cfg = pipeline.DatasetConfig(
+        count=1, dims=(24, 24), deform_iterations=5, out_dir=str(tmp_path / "ds")
+    )
+    with pytest.raises(TopologyDriftError):
+        pipeline.generate_dataset(cfg)
+    assert len(calls) == 1
+    assert not (tmp_path / "ds").exists()
 
 
 def test_move_filter_vetoes_moves():
@@ -287,7 +302,7 @@ def _veto(grid, src, dst):
 
 @pytest.mark.parametrize("move_filter", [None, _veto])
 @pytest.mark.parametrize(
-    "dims, dist, radius, moves",
+    "dims, dist, seed, moves",
     [
         ((18, 21), 1, 1, 60),
         ((16, 16), 2, 1, 40),
@@ -297,11 +312,9 @@ def _veto(grid, src, dst):
         ((8, 8, 9, 8), 1, 1, 6),
     ],
 )
-def test_front_matches_full_rescan(dims, dist, radius, moves, move_filter):
-    rng = np.random.default_rng(sum(dims) + 10 * dist + radius)
-    cfg = DeformConfig(
-        iterations=moves, max_move_distance=dist, safety_radius=radius
-    )
+def test_front_matches_full_rescan(dims, dist, seed, moves, move_filter):
+    rng = np.random.default_rng(sum(dims) + 10 * dist + seed)
+    cfg = DeformConfig(iterations=moves, max_move_distance=dist)
     for trial in range(2):
         g = _random_blob(rng, dims, 3) if trial == 0 else new_grid(dims)
         if trial == 1:
@@ -340,7 +353,7 @@ def _box_with_cavities(dims, cavities):
 
 @pytest.mark.parametrize("move_filter", [None, _veto])
 @pytest.mark.parametrize(
-    "dims, dist, radius, moves, cavities",
+    "dims, dist, seed, moves, cavities",
     [
         # one cavity one layer in from the border: border voxels are sources
         # through their out-of-range neighbours and reach the cavity
@@ -352,14 +365,14 @@ def _box_with_cavities(dims, cavities):
         ((7, 7, 8, 7), 1, 1, 4, [((1, 1, 1, 1), (3, 3, 3, 3)), ((4, 4, 5, 4), (6, 6, 7, 6))]),
     ],
 )
-def test_front_matches_full_rescan_on_cutouts(dims, dist, radius, moves, cavities, move_filter):
+def test_front_matches_full_rescan_on_cutouts(dims, dist, seed, moves, cavities, move_filter):
     # most occupied voxels are interior, so set-up must find the sources on
     # the face boundary alone
-    cfg = DeformConfig(iterations=moves, max_move_distance=dist, safety_radius=radius)
+    cfg = DeformConfig(iterations=moves, max_move_distance=dist)
     g = _box_with_cavities(dims, cavities)
-    for seed in range(2):
-        noise = noise_field(dims, 4.0, seed)
-        quantized = NoiseField(dims, 4.0, seed, np.round(noise.values, 1))
+    for field_seed in (seed - 1, seed):
+        noise = noise_field(dims, 4.0, field_seed)
+        quantized = NoiseField(dims, 4.0, field_seed, np.round(noise.values, 1))
         for field in (noise, quantized):
             assert _lockstep(g, field, cfg, moves, move_filter) > 0
 

@@ -20,7 +20,6 @@ from topovox.homology import (
     build_cubical_complex,
     euler_from_cells,
     is_local_flip_safe,
-    _block,
     _squash,
 )
 from topovox.grid import extract_neighborhood
@@ -595,33 +594,41 @@ def test_flip_safety_rejects_noop():
     for c, value in (((2, 2), 1), ((0, 3), 1), ((4, 4), 0), ((0, 0), 0)):
         with pytest.raises(ValueError, match="already has value"):
             is_local_flip_safe(g, c, value)
-    with pytest.raises(ValueError, match="already has value"):
-        is_local_flip_safe(g, (2, 2), 1, radius=2)
 
 
-def test_accepted_flips_preserve_global_betti(rng):
+def _complement_betti(g):
+    """Betti vector of the complement, padded by one voxel of background."""
+    return betti_numbers(BinaryGrid(np.pad(~g.data, 1, constant_values=True)))
+
+
+@pytest.mark.parametrize(
+    "dims, grids, at_least", [((7, 7), 40, 50), ((6, 6, 6), 30, 50), ((5, 5, 5, 5), 20, 30)]
+)
+def test_accepted_flips_preserve_global_betti(rng, dims, grids, at_least):
+    # an accepted flip is a simple-voxel flip: it keeps the Betti vectors of
+    # the whole foreground and of the whole background
     checked = 0
-    for _ in range(40):
-        g = BinaryGrid(rng.random((7, 7)) < rng.uniform(0.3, 0.7))
-        base = betti_numbers(g)
+    for _ in range(grids):
+        g = BinaryGrid(rng.random(dims) < rng.uniform(0.3, 0.7))
+        base, outside = betti_numbers(g), _complement_betti(g)
         for _ in range(10):
-            c = tuple(int(rng.integers(0, 7)) for _ in range(2))
+            c = tuple(int(rng.integers(0, d)) for d in dims)
             new = 1 - g.get(c)
             if is_local_flip_safe(g, c, new):
                 g2 = g.copy()
                 g2.set(c, new)
                 assert betti_numbers(g2) == base
+                assert _complement_betti(g2) == outside
                 checked += 1
-    assert checked > 50
+    assert checked > at_least
 
 
 def test_block_bits_match_elimination_on_all_2d_blocks():
-    block = _block((3, 3))
+    # the whole-grid engine is the library's one exact solver of a block
     for bits in itertools.product((False, True), repeat=9):
         data = np.array(bits).reshape(3, 3)
-        key = block.key(data)
-        assert block.betti(key) == eliminate_block(data), data
-        assert block.betti(key ^ block.full) == eliminate_block(~data), data
+        for d in (data, ~data):
+            assert betti_numbers(BinaryGrid(d)) == eliminate_block(d), d
 
 
 @pytest.mark.parametrize(
@@ -630,11 +637,10 @@ def test_block_bits_match_elimination_on_all_2d_blocks():
 )
 def test_block_bits_match_elimination_on_random_blocks(shape, per_rate):
     rng = np.random.default_rng(len(shape) * 10 + shape[0])
-    block = _block(shape)
     for rate in np.linspace(0.1, 0.9, 9):
         for _ in range(per_rate):
             data = rng.random(shape) < rate
-            assert block.betti(block.key(data)) == eliminate_block(data), data
+            assert betti_numbers(BinaryGrid(data)) == eliminate_block(data), data
 
 
 def _shell(n, side):
@@ -690,22 +696,9 @@ def _empty(n, side):
 )
 def test_4d_blocks_that_do_not_collapse_to_a_point(n, make, betti, side):
     data = make(n, side)
-    block = _block(data.shape)
     for d in (data, ~data):
-        assert block.betti(block.key(d)) == eliminate_block(d), d
-    assert block.betti(block.key(data)).betti == betti
-
-
-def test_block_memo_tells_equal_sizes_apart():
-    # 9^2 and 3^4 blocks both have 81 voxels and can share a bit pattern
-    data = np.ones((9, 9), dtype=bool)
-    data[:, 4] = False  # two bars in 2D; a 2-plane removed from the 4D cube
-    flat = _block((9, 9))
-    quad = _block((3, 3, 3, 3))
-    assert flat.key(data) == quad.key(data.reshape((3,) * 4))
-    assert flat.betti(flat.key(data)).betti == (2, 0, 0, 0)
-    assert quad.betti(quad.key(data)) == eliminate_block(data.reshape((3,) * 4))
-    assert quad.betti(quad.key(data)).betti == (1, 1, 0, 0)
+        assert betti_numbers(BinaryGrid(d)) == eliminate_block(d), d
+    assert betti_numbers(BinaryGrid(data)).betti == betti
 
 
 def test_block_memo_starts_over_when_full(monkeypatch):
@@ -725,26 +718,35 @@ def fresh_gate(monkeypatch):
     monkeypatch.setattr(homology, "_block", functools.lru_cache(maxsize=None)(homology._Block))
 
 
-def _check_gate(g, c, radius):
-    """The gate's verdict, and each attachment-set answer, against elimination."""
+def _check_gate(g, c):
+    """The gate's verdict, and each side's attachment-set answer, against
+    elimination of the 3^n block.
+
+    The gate accepts exactly where both attachment sets collapse, and each
+    side's answer equals the elimination of the block with and without its
+    centre: no leftover (chi(A) = 1, no collapse) keeps the block's Betti
+    vector.
+    """
     new = 1 - g.get(c)
-    assert is_local_flip_safe(g, c, new, radius) == flip_safe_reference(g, c, new, radius)
-    data = extract_neighborhood(g, c, radius).data
+    safe = is_local_flip_safe(g, c, new)
+    assert safe == flip_safe_reference(g, c, new)
+    data = extract_neighborhood(g, c, 1).data
     block = homology._block(data.shape)
-    centre = (radius,) * g.ndim
+    centre = (1,) * g.ndim
+    kept = []
     for side in (data, ~data):
         rest = side.copy()
         rest[centre] = False
-        attached = block._attached(block.key(rest))
-        if attached is not None:
-            with_centre = rest.copy()
-            with_centre[centre] = True
-            assert attached == (eliminate_block(rest) == eliminate_block(with_centre))
+        with_centre = rest.copy()
+        with_centre[centre] = True
+        kept.append(block._attached(block.key(rest)))
+        assert kept[-1] == (eliminate_block(rest) == eliminate_block(with_centre))
+    assert safe == all(kept)
 
 
 def test_gate_matches_reference_on_all_2d_blocks(fresh_gate):
     for bits in itertools.product((False, True), repeat=9):
-        _check_gate(BinaryGrid(np.array(bits).reshape(3, 3)), (1, 1), 1)
+        _check_gate(BinaryGrid(np.array(bits).reshape(3, 3)), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -756,36 +758,40 @@ def test_gate_matches_reference_on_random_blocks(fresh_gate, shape, per_rate):
     centre = tuple(s // 2 for s in shape)
     for rate in np.linspace(0.1, 0.9, 9):
         for _ in range(per_rate):
-            _check_gate(BinaryGrid(rng.random(shape) < rate), centre, shape[0] // 2)
+            _check_gate(BinaryGrid(rng.random(shape) < rate), centre)
 
 
 @pytest.mark.parametrize(
-    "dims, radius",
+    "dims, depth",
     [((4, 4), 1), ((4, 4, 4), 1), ((3, 3, 3, 3), 1), ((5, 5), 2), ((4, 4, 4), 2)],
 )
-def test_gate_matches_reference_at_border_centres(fresh_gate, rng, dims, radius):
+def test_gate_matches_reference_at_border_centres(fresh_gate, rng, dims, depth):
+    # centres on the border take the zero-padded block; at depth 2, centres
+    # one voxel in take a block sliced up to the border
     border = [
         c
         for c in itertools.product(*map(range, dims))
-        if any(x in (0, d - 1) for x, d in zip(c, dims))
+        if any(min(x, d - 1 - x) < depth for x, d in zip(c, dims))
     ]
     for _ in range(20):
         g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
         for k in rng.choice(len(border), size=min(len(border), 12), replace=False):
-            _check_gate(g, border[k], radius)
+            _check_gate(g, border[k])
 
 
-def test_fallback_accepts_where_the_attachment_set_does_not_decide(fresh_gate):
-    # a radius-2 block whose foreground attachment set has chi 1 but does not
-    # collapse to a vertex, and whose Betti vector the centre still keeps
-    rng = np.random.default_rng(445)
-    data = rng.random((5, 5, 5)) < 0.5
-    data[2, 2, 2] = False
+def test_gate_rejects_an_attachment_set_with_chi_1_that_does_not_collapse(fresh_gate):
+    data = np.zeros((3, 3, 3), dtype=bool)
+    for c in ((0, 1, 1), (1, 1, 2), (1, 2, 0), (2, 0, 0), (2, 2, 1), (2, 2, 2)):
+        data[c] = True
+    with_centre = data.copy()
+    with_centre[1, 1, 1] = True
+    # chi(A) = 1: gluing the centre keeps chi, so Euler alone would accept
+    assert eliminate_block(data).euler == eliminate_block(with_centre).euler
     block = homology._block(data.shape)
-    assert block._attached(block.key(data)) is None
+    assert not block._attached(block.key(data))
     g = BinaryGrid(data)
-    assert flip_safe_reference(g, (2, 2, 2), 1, 2)
-    assert is_local_flip_safe(g, (2, 2, 2), 1, radius=2)
+    assert not is_local_flip_safe(g, (1, 1, 1), 1)
+    assert not flip_safe_reference(g, (1, 1, 1), 1)
 
 
 def test_both_flip_directions_share_one_verdict(fresh_gate):
@@ -802,15 +808,9 @@ def test_both_flip_directions_share_one_verdict(fresh_gate):
 
 def test_gate_matches_elimination_on_random_grids(rng):
     """The gate's verdict equals one computed by eliminating all four blocks."""
-    for dims, radius in (
-        ((9, 9), 1),
-        ((7, 7), 2),
-        ((6, 6, 6), 1),
-        ((7, 7, 7), 2),
-        ((5, 5, 5, 5), 1),
-    ):
+    for dims in ((9, 9), (7, 7), (6, 6, 6), (7, 7, 7), (5, 5, 5, 5)):
         for _ in range(60):
             g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
             c = tuple(int(rng.integers(0, d)) for d in dims)
             new = 1 - g.get(c)
-            assert is_local_flip_safe(g, c, new, radius) == flip_safe_reference(g, c, new, radius)
+            assert is_local_flip_safe(g, c, new) == flip_safe_reference(g, c, new)

@@ -490,6 +490,30 @@ def test_cli_thicken_rejects_negative_iterations(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["deform", "--scale", "nan"], "scale must be a positive finite number, got nan"),
+        (["deform", "--scale", "inf"], "scale must be a positive finite number, got inf"),
+        (["thicken", "--noise-bias", "--scale", "nan"], "scale must be a positive finite number, got nan"),
+        (["render-slice", "--fix", "0=a"], "bad --fix '0=a': expected AXIS=COORD"),
+        (["render-slice", "--fix", "0"], "bad --fix '0': expected AXIS=COORD"),
+        (["render-slice", "--fix", "0=1", "0=2"], "bad --fix '0=2': axis 0 is fixed twice"),
+    ],
+)
+def test_cli_fails_in_one_line_on_bad_arguments(tmp_path, capsys, args, reason):
+    g = new_grid([16, 16])
+    g.data[5:11, 5:11] = True
+    src = tmp_path / "square.tvox"
+    write_voxels(src, g)
+    out = tmp_path / "out.bin"
+    command, *rest = args
+    rc = cli.main([command, str(src), *rest, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"topovox {command}: error: {reason}"]
+    assert not out.exists()
+
+
 def _cli_dataset(tmp_path, name):
     out_dir = tmp_path / name
     cli.main(["gen", "--count", "2", "--dims", "24", "24", "--seed", "3", "--out", str(out_dir)])
