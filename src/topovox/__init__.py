@@ -5,20 +5,11 @@ from .grid import (
     BinaryGrid,
     Coord,
     UnsupportedDimensionError,
-    boundary_voxels,
-    connected_components,
     count_ones,
     extract_neighborhood,
     new_grid,
 )
-from .homology import (
-    BettiVector,
-    CubicalComplex,
-    betti_numbers,
-    build_cubical_complex,
-    euler_from_cells,
-    is_local_flip_safe,
-)
+from .homology import BettiVector, betti_numbers, is_local_flip_safe
 from .labels import (
     ConstructionDescriptor,
     InvalidDescriptorError,
@@ -28,7 +19,7 @@ from .labels import (
     betti_cube_multi_complement,
     betti_disjoint_union,
 )
-from .noise import NoiseField, noise_field, perlin_value
+from .noise import NoiseField, noise_field
 
 __version__ = "0.1.0"
 
@@ -38,7 +29,6 @@ __all__ = [
     "BinaryGrid",
     "ConstructionDescriptor",
     "Coord",
-    "CubicalComplex",
     "InvalidDescriptorError",
     "NoiseField",
     "UnsupportedDimensionError",
@@ -48,14 +38,9 @@ __all__ = [
     "betti_cube_multi_complement",
     "betti_disjoint_union",
     "betti_numbers",
-    "boundary_voxels",
-    "build_cubical_complex",
-    "connected_components",
     "count_ones",
-    "euler_from_cells",
     "extract_neighborhood",
     "is_local_flip_safe",
     "new_grid",
     "noise_field",
-    "perlin_value",
 ]

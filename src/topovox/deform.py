@@ -1,14 +1,14 @@
 """Hypervolume-preserving pixel-flip deformation.
 
 Each iteration moves one boundary voxel: the lowest-noise 1-valued boundary
-voxel with a higher-noise empty voxel within the move distance is removed and
-re-placed at the highest-noise such voxel, with both steps gated by the local
-homology check; a source whose move fails the gate is passed over for the
-next.  Volume is conserved exactly because every move is a paired flip;
+voxel with a higher-noise empty voxel among its 3^n - 1 neighbours is
+removed and re-placed at the highest-noise such voxel, with both steps gated
+by the local homology check; a source whose move fails the gate is passed
+over for the next.  Volume is conserved exactly because every move is a paired flip;
 topology is conserved because the gate accepts only simple-voxel flips,
 which keep the homotopy type of the foreground and the background.  A
-periodic full-sample re-verification by the engine checks this
-independently: a change it finds is a defect, raised as
+full-sample re-verification by the engine every 100 accepted flips checks
+this independently: a change it finds is a defect, raised as
 :class:`TopologyDriftError`.
 
 Move selection is incremental.  A front built once per run holds the
@@ -16,12 +16,11 @@ sources with a target as a sorted list of (noise, index) pairs, each
 source's current target and the gate verdict on each move it has judged.
 Its set-up computes targets on the face boundary only, not on every
 occupied voxel, and sorts only the sources, not the grid.  After a move it
-recomputes targets only within the move distance of the two flipped voxels,
-and forgets verdicts only within the move distance plus one, so a move
-costs a few small array updates and the gate calls of the verdicts it
-forgot, not a rescan of the boundary.  A source whose move the
-gate has already rejected is passed over without converting it to
-coordinates.  The moves and rejection counters are those of a full rescan.
+recomputes targets only within one voxel of the two flipped voxels, and
+forgets verdicts only within two, so a move costs a few small array updates
+and the gate calls of the verdicts it forgot, not a rescan of the boundary.
+A source whose move the gate has already rejected is passed over without
+converting it to coordinates.  The moves and rejection counters are those of a full rescan.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -54,17 +53,15 @@ class DeformConfig:
 
     iterations: int
     noise_scale: float = 8.0
-    noise_octaves: int = 1
-    max_move_distance: int = 1
-    global_check_every: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        for name in ("max_move_distance", "global_check_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+
+
+#: Accepted flips between two engine re-verifications of the whole sample.
+_GLOBAL_CHECK_EVERY = 100
 
 
 @dataclass
@@ -96,19 +93,6 @@ class DeformReport:
         return out
 
 
-def _move_offsets(ndim: int, dist: int) -> tuple[Coord, ...]:
-    return tuple(
-        off
-        for off in itertools.product(range(-dist, dist + 1), repeat=ndim)
-        if any(off)
-    )
-
-
-#: Optional acceptance predicate: called with (grid, source, target) before a
-#: move is committed; returning False vetoes it.  Lets callers monitor e.g.
-#: thickness or convexity without this module claiming such monitors.
-MoveFilter = Callable[[BinaryGrid, Coord, Coord], bool]
-
 # gate verdicts on a move; the two rejections compare above _OK
 _UNKNOWN, _OK, _REMOVAL_REJECTED, _PLACEMENT_REJECTED = range(4)
 
@@ -117,8 +101,8 @@ class _MoveFront:
     """The movable voxels of one deformation run, kept current flip by flip.
 
     A source is a 1-valued voxel with a 0-valued (or out-of-range) face
-    neighbor; its target is the highest-noise empty voxel within the move
-    distance, the first in lexicographic offset order among equals, and
+    neighbor; its target is the highest-noise empty voxel among its 3^n - 1
+    neighbors, the first in lexicographic offset order among equals, and
     only if it out-noises the source.  Sources with a target are kept as a
     sorted list of (noise, index) pairs; the index order is the raster
     order, so noise ties go to the earlier voxel.  Each source keeps the
@@ -126,19 +110,17 @@ class _MoveFront:
     computes targets on the face boundary of the grid only, since no other
     voxel can be a source.
 
-    Voxels are addressed by flat index into the grid padded by the move
-    distance plus one, so every window around an in-range voxel stays in
-    bounds.  A flip at ``p`` can only change the targets and the source
-    status of voxels within the move distance of ``p``, and only the
-    verdicts of sources within the move distance plus one (both gated 3^n
-    blocks lie that close), so :meth:`move` recomputes and forgets no more
-    than that.
+    Voxels are addressed by flat index into the grid padded by two voxels,
+    so every window around an in-range voxel stays in bounds.  A flip at
+    ``p`` can only change the targets and the source status of voxels
+    within one voxel of ``p``, and only the verdicts of sources within two
+    (both gated 3^n blocks lie that close), so :meth:`move` recomputes and
+    forgets no more than that.
     """
 
-    def __init__(self, g: BinaryGrid, noise: NoiseField, cfg: DeformConfig):
+    def __init__(self, g: BinaryGrid, noise: NoiseField):
         self.grid = g
-        dist = cfg.max_move_distance
-        self.pad = pad = dist + 1
+        self.pad = pad = 2
         self.shape = shape = tuple(s + 2 * pad for s in g.dims)
         self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
         inner = tuple(slice(pad, pad + s) for s in g.dims)
@@ -151,10 +133,10 @@ class _MoveFront:
         def deltas(offsets) -> np.ndarray:
             return np.array(offsets, dtype=np.int64).reshape(-1, g.ndim) @ self.strides
 
-        self.offsets = deltas(_move_offsets(g.ndim, dist))
+        self.offsets = deltas(neighbor_offsets(g.ndim, "full"))
         self.face = deltas(neighbor_offsets(g.ndim, "face"))
         self.near = np.append(self.offsets, 0)
-        self.stale = np.append(deltas(_move_offsets(g.ndim, pad)), 0)
+        self.stale = deltas(list(itertools.product(range(-pad, pad + 1), repeat=g.ndim)))
 
         values = np.asarray(noise.values, dtype=np.float64)
         self.occupied = padded(g.data, False)
@@ -202,23 +184,17 @@ class _MoveFront:
         g.data[src] = True
         return _OK if placeable else _PLACEMENT_REJECTED
 
-    def select(
-        self, move_filter: MoveFilter | None = None
-    ) -> tuple[tuple[Coord, Coord] | None, int, int]:
+    def select(self) -> tuple[tuple[Coord, Coord] | None, int, int]:
         """The first source, in (noise, raster) order, whose move passes
-        ``move_filter`` and both gates, as a (from, to) pair, plus the gate
-        rejections passed on the way.  ``move_filter`` sees every source up
-        to the accepted one and is never cached.
+        both gates, as a (from, to) pair, plus the gate rejections passed
+        on the way.
         """
         rej_rm = rej_pl = 0
         for _, v in self.sources:
             verdict = self.verdict[v]
-            # a cached rejection is counted without coordinates, unless the
-            # filter must see its move first
-            if verdict <= _OK or move_filter is not None:
+            # a cached rejection is counted without coordinates
+            if verdict <= _OK:
                 src, tgt = self.coord(v), self.coord(int(self.target[v]))
-                if move_filter is not None and not move_filter(self.grid, src, tgt):
-                    continue
                 if verdict == _UNKNOWN:
                     verdict = self.verdict[v] = self._judge(src, tgt)
                 if verdict == _OK:
@@ -251,45 +227,32 @@ class _MoveFront:
             self.verdict[p + self.stale] = _UNKNOWN
 
 
-def select_move(
-    g: BinaryGrid, noise: NoiseField, cfg: DeformConfig
-) -> tuple[Coord, Coord] | None:
-    """The (from, to) pair the next iteration would flip, or None."""
-    pair, _, _ = _MoveFront(g, noise, cfg).select()
-    return pair
-
-
 def deform_volume_preserving(
-    g: BinaryGrid,
-    cfg: DeformConfig,
-    move_filter: MoveFilter | None = None,
-    noise: NoiseField | None = None,
+    g: BinaryGrid, cfg: DeformConfig, noise: NoiseField | None = None
 ) -> tuple[BinaryGrid, DeformReport]:
     """Run the pixel-moving deformation; returns the new grid and a report.
 
-    The input grid is not modified.  ``move_filter`` can veto otherwise
-    acceptable moves (e.g. to enforce thickness or convexity policies).
-    ``noise`` is the field the moves climb; by default it is built from
-    ``cfg`` (``noise_scale``, ``seed``, ``noise_octaves``), and a caller that
-    already holds that field passes it to skip building it again.
-    Raises :class:`TopologyDriftError` if a periodic or the final global
-    check sees the Betti vector change.
+    The input grid is not modified.  ``noise`` is the field the moves climb;
+    by default it is built from ``cfg`` (``noise_scale``, ``seed``), and a
+    caller that already holds that field passes it to skip building it
+    again.  Raises :class:`TopologyDriftError` if a periodic or the final
+    global check sees the Betti vector change.
     """
     if not g.data.any() or g.data.all():
         raise ValueError("deformation needs a grid that is neither empty nor full")
     t0 = time.perf_counter()
     cur = g.copy()
     if noise is None:
-        noise = noise_field(g.dims, cfg.noise_scale, cfg.seed, octaves=cfg.noise_octaves)
+        noise = noise_field(g.dims, cfg.noise_scale, cfg.seed)
     elif noise.dims != g.dims:
         raise ValueError(f"noise field dims {noise.dims} do not match grid dims {g.dims}")
     report = DeformReport(
         volume_before=count_ones(g), betti_before=betti_numbers(g)
     )
     since_check = 0
-    front = _MoveFront(cur, noise, cfg)
+    front = _MoveFront(cur, noise)
     for _ in range(cfg.iterations):
-        pair, rej_rm, rej_pl = front.select(move_filter)
+        pair, rej_rm, rej_pl = front.select()
         report.rejected_removals += rej_rm
         report.rejected_placements += rej_pl
         if pair is None:
@@ -301,7 +264,7 @@ def deform_volume_preserving(
         front.move(*pair)
         report.accepted_flips += 1
         since_check += 1
-        if since_check >= cfg.global_check_every:
+        if since_check >= _GLOBAL_CHECK_EVERY:
             if betti_numbers(cur) != report.betti_before:
                 raise TopologyDriftError(
                     f"global re-verification found a Betti change within the "

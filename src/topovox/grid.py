@@ -143,15 +143,6 @@ def boundary_mask(a: np.ndarray, adj: Adjacency = "face") -> np.ndarray:
     return a & ~interior
 
 
-def boundary_voxels(g: BinaryGrid, adj: Adjacency = "face") -> set[Coord]:
-    """1-valued voxels with at least one 0-valued neighbor under ``adj``.
-
-    Out-of-range neighbors count as background, so voxels on the grid border
-    are boundary whenever the adjacency reaches past the edge.
-    """
-    return {tuple(int(c) for c in idx) for idx in np.argwhere(boundary_mask(g.data, adj))}
-
-
 def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGrid:
     """The (2*radius+1)^n block around ``center``, zero-padded at overhang."""
     if radius < 1:
@@ -253,25 +244,3 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
 def count_roots(roots: np.ndarray) -> int:
     """Number of components in a :func:`component_roots` result."""
     return int(np.count_nonzero(roots == np.arange(roots.size)))
-
-
-def connected_components(
-    g: BinaryGrid, adj: Adjacency = "full"
-) -> tuple[int, np.ndarray]:
-    """Label foreground components with union-find.
-
-    Returns ``(count, labels)`` where ``labels`` maps each voxel to a
-    component id in first-encounter (raster) order; background voxels get -1.
-    """
-    a = g.data
-    links = []
-    for off in neighbor_offsets(g.ndim, adj):
-        if off > (0,) * g.ndim:  # forward half: each pair is seen once
-            src, dst = _pair_slices(off, a.shape)
-            links.append((off, a[src] & a[dst]))
-    # a component's root is its smallest raster number, the voxel met first
-    roots = component_roots(a, links)
-    is_root = roots == np.arange(roots.size)
-    labels = np.full(a.shape, -1, dtype=np.int64)
-    labels[a] = (np.cumsum(is_root) - 1)[roots]
-    return int(np.count_nonzero(is_root)), labels

@@ -264,75 +264,6 @@ def _core_ranks(present: np.ndarray, par: np.ndarray, dims) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public complex type
-
-class CubicalComplex:
-    """The cubical complex induced by the 1-voxels of a grid.
-
-    Cells are identified by doubled-lattice coordinates; per dimension they
-    are listed in lexicographic coordinate order, and boundary incidence is
-    reported against that order.
-    """
-
-    def __init__(self, grid: BinaryGrid):
-        self.dims = grid.dims
-        self.lattice = _cell_lattice(grid.data)
-        self._par = _cell_dim_array(self.lattice.shape)
-        counts = np.bincount(
-            self._par[self.lattice], minlength=grid.ndim + 1
-        )
-        self.cell_counts: tuple[int, ...] = tuple(int(c) for c in counts)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
-
-    def cells(self, k: int) -> np.ndarray:
-        """Doubled-lattice coordinates of the k-cells, lexicographically."""
-        return np.argwhere(self.lattice & (self._par == k))
-
-    def boundary_columns(self, k: int) -> list[list[int]]:
-        """For each k-cell, the indices of its facets among the (k-1)-cells."""
-        if k < 1 or k > self.ndim:
-            return []
-        faces = self.cells(k - 1)
-        face_id = {tuple(c): i for i, c in enumerate(faces)}
-        cols = []
-        for cell in self.cells(k):
-            col = []
-            for ax in range(self.ndim):
-                if cell[ax] % 2 == 1:
-                    for d in (-1, 1):
-                        f = list(cell)
-                        f[ax] += d
-                        col.append(face_id[tuple(f)])
-            cols.append(sorted(col))
-        return cols
-
-    def boundary_matrix(self, k: int) -> np.ndarray:
-        """Dense GF(2) boundary matrix d_k (rows: (k-1)-cells, cols: k-cells)."""
-        rows = self.cell_counts[k - 1] if 1 <= k <= self.ndim else 0
-        cols = self.boundary_columns(k)
-        if rows * len(cols) > 64_000_000:
-            raise ValueError("boundary matrix too large to materialize densely")
-        mat = np.zeros((rows, len(cols)), dtype=np.uint8)
-        for j, col in enumerate(cols):
-            for i in col:
-                mat[i, j] ^= 1
-        return mat
-
-
-def build_cubical_complex(g: BinaryGrid) -> CubicalComplex:
-    """Union of closed unit cubes at the 1-voxels, shared faces identified."""
-    return CubicalComplex(g)
-
-
-def euler_from_cells(c: CubicalComplex) -> int:
-    """Euler characteristic as the alternating sum of cell counts."""
-    return int(sum((-1) ** k * n for k, n in enumerate(c.cell_counts)))
-
-
-# ---------------------------------------------------------------------------
 # Betti numbers
 
 def _squash(data: np.ndarray) -> np.ndarray | None:
@@ -632,7 +563,12 @@ def is_local_flip_safe(g: BinaryGrid, c: Coord, new_value: int) -> bool:
     at the border) each collapse to a vertex.  Such a flip keeps the
     homotopy type of the foreground and of the background, so the Betti
     vectors of both.  The background side guards against silently creating
-    or merging cavities.  The verdict depends only on the block with its
+    or merging cavities, and it alone keeps the interior-label contract: an
+    accepted flip also keeps the Betti vector of the foreground's interior
+    (face adjacency for the foreground, full adjacency for the background),
+    so a sample whose label holds in both readings keeps it through every
+    edit.  A gate that checked only the foreground side would keep the
+    engine's labels but not this.  The verdict depends only on the block with its
     centre cleared and is memoized on it, so a repeated neighbourhood costs
     one dict lookup.
     """

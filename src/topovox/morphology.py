@@ -4,11 +4,11 @@ Dilation follows the translate-and-union formulation; erosion is its dual.
 Operations never wrap: anything outside the grid reads as background, so
 erosion fails wherever the probe overhangs the border.
 
-Thinning and thickening combine classical hit-or-miss candidate detection
-with a per-flip local homology gate, which makes Betti-vector preservation a
-guarantee of the implementation rather than a property of the element set.
-The same gate drives the homology-checked dilation used to grow seed
-skeletons in any supported dimension.
+2D thickening thins the background: it combines classical hit-or-miss
+candidate detection with a per-flip local homology gate, which makes
+Betti-vector preservation a guarantee of the implementation rather than a
+property of the element set.  The same gate drives the homology-checked
+dilation used to grow seed skeletons in any supported dimension.
 """
 from __future__ import annotations
 
@@ -54,11 +54,6 @@ class StructuringElement:
             for idx in np.argwhere(self.mask)
         )
 
-    def reflected(self) -> "StructuringElement":
-        mask = self.mask[tuple(slice(None, None, -1) for _ in self.mask.shape)]
-        origin = tuple(s - 1 - o for s, o in zip(self.mask.shape, self.origin))
-        return StructuringElement(mask.copy(), origin)
-
 
 def ball(radius: float, ndim: int) -> StructuringElement:
     """Euclidean ball element; radius 1 is the unit ball (a 2n+1 cross)."""
@@ -69,12 +64,6 @@ def ball(radius: float, ndim: int) -> StructuringElement:
     grids = np.meshgrid(*([axes] * ndim), indexing="ij")
     mask = sum(gx.astype(float) ** 2 for gx in grids) <= radius * radius + 1e-9
     return StructuringElement(mask, (reach,) * ndim)
-
-
-def box(ndim: int, size: int = 3) -> StructuringElement:
-    if size % 2 == 0:
-        raise InvalidElementError(f"box size must be odd, got {size}")
-    return StructuringElement(np.ones((size,) * ndim, bool), (size // 2,) * ndim)
 
 
 def element_from_spec(spec: dict) -> StructuringElement:
@@ -177,48 +166,35 @@ def _thinning_elements_2d() -> tuple[HitMissElement, ...]:
     return tuple(elems)
 
 
-def _thin_gated(m: BinaryGrid, max_iter: int, on_background: bool) -> BinaryGrid:
-    """Hit-or-miss thinning of the grid (or of its complement).
-
-    Candidates come from the classical element set; each deletion is applied
-    only if the local homology gate allows the flip on the original grid, so
-    the output Betti vector always equals the input's.
-    """
-    cur = m.copy()
-    flip_to = 1 if on_background else 0
-    for _ in range(max_iter):
-        changed = False
-        for elem in _thinning_elements_2d():
-            work = cur.complement() if on_background else cur
-            for c in map(tuple, np.argwhere(hit_or_miss(work, elem).data)):
-                if cur.get(c) == flip_to:
-                    continue
-                if is_local_flip_safe(cur, c, flip_to):
-                    cur.set(c, flip_to)
-                    changed = True
-        if not changed:
-            break
-    return cur
-
-
-def thin_homotopic_2d(m: BinaryGrid, max_iter: int) -> BinaryGrid:
-    """Topology-preserving 2D thinning toward a unit-width skeleton."""
-    if m.ndim != 2:
-        raise UnsupportedDimensionError("thinning is 2D-only; see homology_safe_dilate")
-    return _thin_gated(m, max_iter, on_background=False)
-
-
 def _check_iterations(iterations: int) -> None:
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
 
 
 def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
-    """Thicken seed objects by thinning the background around them."""
+    """Thicken seed objects by homotopic hit-or-miss thinning of the background.
+
+    Candidates come from the classical element set applied to the
+    complement; each one is added to the foreground only if the local
+    homology gate allows the flip, so the output Betti vector always equals
+    the input's.
+    """
     if m.ndim != 2:
         raise UnsupportedDimensionError("thickening is 2D-only; see homology_safe_dilate")
     _check_iterations(iterations)
-    return _thin_gated(m, iterations, on_background=True)
+    cur = m.copy()
+    for _ in range(iterations):
+        changed = False
+        for elem in _thinning_elements_2d():
+            for c in map(tuple, np.argwhere(hit_or_miss(cur.complement(), elem).data)):
+                if cur.get(c) == 1:
+                    continue
+                if is_local_flip_safe(cur, c, 1):
+                    cur.set(c, 1)
+                    changed = True
+        if not changed:
+            break
+    return cur
 
 
 def homology_safe_dilate(

@@ -148,12 +148,6 @@ def _perlin_grid(axes, seed: int) -> np.ndarray:
     return accum / _AMPLITUDE[n]
 
 
-def perlin_value(p, seed: int) -> float:
-    """Noise value at one point; zero at integer lattice points."""
-    axes = [np.array([x], dtype=np.float64) for x in np.asarray(p, dtype=np.float64)]
-    return float(_perlin_grid(axes, seed).reshape(-1)[0])
-
-
 @dataclass(frozen=True)
 class NoiseField:
     """A noise value per voxel of a grid, deterministic in (dims, scale, seed)."""
@@ -164,30 +158,11 @@ class NoiseField:
     values: np.ndarray
 
 
-def noise_field(
-    dims,
-    scale: float,
-    seed: int,
-    octaves: int = 1,
-    persistence: float = 0.5,
-    lacunarity: float = 2.0,
-) -> NoiseField:
-    """Sample noise at every voxel coordinate divided by ``scale``.
-
-    One octave by default; more octaves add self-similar detail with the
-    usual persistence/lacunarity weighting, renormalized back into [-1, 1].
-    """
+def noise_field(dims, scale: float, seed: int) -> NoiseField:
+    """Sample noise at every voxel coordinate divided by ``scale``."""
     dims = tuple(int(d) for d in dims)
     if not (isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a positive finite number, got {scale}")
-    if octaves < 1:
-        raise ValueError(f"octaves must be >= 1, got {octaves}")
-    total = np.zeros(dims, dtype=np.float64)
-    amp, freq, norm = 1.0, 1.0 / scale, 0.0
-    for _ in range(octaves):
-        total += amp * _perlin_grid([np.arange(d, dtype=np.float64) * freq for d in dims], seed)
-        norm += amp
-        amp *= persistence
-        freq *= lacunarity
-    values = total / norm
+    freq = 1.0 / scale
+    values = _perlin_grid([np.arange(d, dtype=np.float64) * freq for d in dims], seed)
     return NoiseField(dims, float(scale), int(seed), values)

@@ -248,8 +248,14 @@ class DatasetConfig:
             )
         if self.mode not in ("cutout", "embed", "mixed"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 <= self.verify_rate <= 1.0:
-            raise ValueError("verify_rate must be in [0, 1]")
+        if not (_is_number(self.verify_rate) and 0.0 <= self.verify_rate <= 1.0):
+            raise ValueError(f"verify_rate must be a number in [0, 1], got {self.verify_rate!r}")
+        if not isinstance(self.dilate_noise_bias, bool):
+            raise ValueError(
+                f"dilate_noise_bias must be true or false, got {self.dilate_noise_bias!r}"
+            )
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.count < 1:
             raise ValueError("count must be positive")
         if self.max_objects < 1:
@@ -435,7 +441,7 @@ def _build_sample(
         label = betti_disjoint_union([c.label() for c in children])
 
     deform_doc = None
-    # deformation and noise-biased dilation read the same one-octave field
+    # deformation and noise-biased dilation read the same noise field
     biased = cfg.dilate_iterations > 0 and cfg.dilate_noise_bias
     noise = (
         noise_field(cfg.dims, cfg.deform_noise_scale, sample_seed)
@@ -596,16 +602,16 @@ def export_slice(voxel_path, fixed: dict[int, int], out_path) -> None:
     must remain free.  Foreground renders as 255 on a 0 background.
     """
     grid = read_voxels(voxel_path)
-    free = [ax for ax in range(grid.ndim) if ax not in fixed]
-    if len(free) != 2:
-        raise ValueError(
-            f"need exactly two free axes, got {len(free)} for dims {grid.dims}"
-        )
     for ax, coord in fixed.items():
         if not 0 <= ax < grid.ndim:
             raise ValueError(f"axis {ax} out of range for dims {grid.dims}")
         if not 0 <= coord < grid.dims[ax]:
             raise ValueError(f"coordinate {coord} out of range on axis {ax}")
+    free = [ax for ax in range(grid.ndim) if ax not in fixed]
+    if len(free) != 2:
+        raise ValueError(
+            f"need exactly two free axes, got {len(free)} for dims {grid.dims}"
+        )
     index = tuple(
         slice(None) if ax in free else fixed[ax] for ax in range(grid.ndim)
     )

@@ -215,20 +215,6 @@ def make_segment(p0, p1) -> ParametricCurve:
     return ParametricCurve("segment_chain", p0 + t * (p1 - p0), closed=False)
 
 
-def make_polyline(points, closed: bool = False) -> ParametricCurve:
-    """Chain the given waypoints, resampling each leg densely."""
-    pts = [np.asarray(p, float) for p in points]
-    legs = list(zip(pts[:-1], pts[1:])) + ([(pts[-1], pts[0])] if closed else [])
-    out = [pts[0]]
-    for a, b in legs:
-        n = _curve_samples(float(np.linalg.norm(b - a)))
-        t = np.linspace(0.0, 1.0, n)[1:, None]
-        out.extend(a + t * (b - a))
-    if closed:
-        out = out[:-1]
-    return ParametricCurve("custom", np.asarray(out), closed=closed)
-
-
 def make_circle(center, radius: float, plane: tuple[int, int] = (0, 1)) -> ParametricCurve:
     """A circle of the given radius in the chosen coordinate plane."""
     center = np.asarray(center, float)

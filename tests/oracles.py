@@ -6,7 +6,12 @@ a set, and low-dimensional Betti numbers from complement-counting duality
 plus the Euler identity.  Slow and simple on purpose.  The exceptions are
 :func:`gf2_rank` and :func:`eliminate_block`, which reduce every boundary
 map with the engine's sparse GF(2) elimination instead of collapsing first
-or reading Betti numbers off components, as the engine and the flip gate do.
+or reading Betti numbers off components, as the engine and the flip gate do,
+and :func:`interior_betti`, which runs the engine on the padded complement.
+
+The last section holds code only the tests call: the explicit cubical
+complex with its boundary matrices, union-find component labels, the
+boundary voxel set and the polyline curve builder.
 """
 from __future__ import annotations
 
@@ -15,9 +20,19 @@ from collections import deque
 
 import numpy as np
 
-from topovox.grid import UnsupportedDimensionError
+from topovox.grid import (
+    Adjacency,
+    BinaryGrid,
+    Coord,
+    UnsupportedDimensionError,
+    _pair_slices,
+    boundary_mask,
+    component_roots,
+    neighbor_offsets,
+)
 from topovox.homology import (
     BettiVector,
+    betti_numbers,
     _cell_counts,
     _cell_dim_array,
     _cell_lattice,
@@ -26,7 +41,7 @@ from topovox.homology import (
 )
 from topovox.morphology import ball, dilate
 from topovox.noise import _AMPLITUDE, _GRADS, _fade, _perm_table
-from topovox.seeds import PlacementError, PlacementExhaustedError
+from topovox.seeds import ParametricCurve, PlacementError, PlacementExhaustedError, _curve_samples
 
 
 def bfs_components(data: np.ndarray, adjacency: str) -> int:
@@ -86,10 +101,10 @@ def cell_counts_bruteforce(data: np.ndarray) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def bounded_background_components(data: np.ndarray) -> int:
-    """Background components (face adjacency) not touching the grid border."""
+def bounded_background_components(data: np.ndarray, adjacency: str = "face") -> int:
+    """Background components under ``adjacency`` not touching the grid border."""
     bg = ~data
-    total = bfs_components(bg, "face")
+    total = bfs_components(bg, adjacency)
     # flood from the border to count unbounded ones
     seen = np.zeros(data.shape, dtype=bool)
     queue: deque = deque()
@@ -101,7 +116,7 @@ def bounded_background_components(data: np.ndarray) -> int:
     offsets = [
         off
         for off in itertools.product((-1, 0, 1), repeat=data.ndim)
-        if sum(abs(o) for o in off) == 1
+        if any(off) and (adjacency == "full" or sum(abs(o) for o in off) == 1)
     ]
     border = 0
     while queue:
@@ -112,8 +127,23 @@ def bounded_background_components(data: np.ndarray) -> int:
             if all(0 <= c < s for c, s in zip(nxt, data.shape)) and bg[nxt] and not seen[nxt]:
                 seen[nxt] = True
                 queue.append(nxt)
-    unbounded = bfs_components(np.asarray(seen), "face")
+    unbounded = bfs_components(np.asarray(seen), adjacency)
     return total - unbounded
+
+
+def interior_betti(data: np.ndarray) -> tuple[int, int, int, int]:
+    """Betti numbers of the interior of the foreground, padded to four.
+
+    The interior is the other reading of a voxel image: face adjacency for
+    the foreground and full adjacency for the background.  By Alexander
+    duality its b_k is the reduced b_(n-1-k) of the closed complement,
+    padded by one voxel of background so that the outside is one piece:
+    one engine call, reduced, with the indices reversed.  b_n is 0.
+    """
+    n = data.ndim
+    padded = np.pad(~np.asarray(data, dtype=bool), 1, constant_values=True)
+    dual = betti_numbers(BinaryGrid(padded), reduced=True).betti
+    return tuple(dual[n - 1 - k] if k < n else 0 for k in range(4))
 
 
 def betti_oracle(data: np.ndarray) -> tuple[int, ...]:
@@ -179,7 +209,7 @@ def flip_safe_reference(g, c, new_value) -> bool:
     )
 
 
-def select_move_reference(g, noise, cfg, move_filter=None):
+def select_move_reference(g, noise):
     """Deform move selection by a full rescan, as it was before the front.
 
     Rebuilds the face-boundary mask and sorts every boundary voxel by
@@ -208,12 +238,7 @@ def select_move_reference(g, noise, cfg, move_filter=None):
         return None, rej_rm, rej_pl
     src_noise = noise.values[tuple(srcs.T)]
     order = np.lexsort(tuple(srcs.T[::-1]) + (src_noise,))
-    dist = cfg.max_move_distance
-    offsets = [
-        off
-        for off in itertools.product(range(-dist, dist + 1), repeat=g.ndim)
-        if any(off)
-    ]
+    offsets = [off for off in itertools.product((-1, 0, 1), repeat=g.ndim) if any(off)]
     for k in order:
         src = tuple(int(x) for x in srcs[k])
         best = None
@@ -226,8 +251,6 @@ def select_move_reference(g, noise, cfg, move_filter=None):
             if v > best_noise or (v == best_noise and best is not None and tgt < best):
                 best, best_noise = tgt, v
         if best is None:
-            continue
-        if move_filter is not None and not move_filter(g, src, best):
             continue
         if not is_local_flip_safe(g, src, 0):
             rej_rm += 1
@@ -409,7 +432,7 @@ def squash_reference(data: np.ndarray) -> np.ndarray | None:
 # query point and lattice corner is hashed, faded and dotted on its own, and
 # the row dot is numpy's einsum.  It shares only the constants (gradient
 # tables, permutation, fade, amplitude) and is the bit-exact reference for
-# ``noise.perlin_value``; ``noise_field_flat`` is the matching field.
+# ``noise._perlin_grid``; ``noise_field_flat`` is the matching field.
 def perlin_array_flat(points: np.ndarray, seed: int) -> np.ndarray:
     """Noise values for an (m, n) array of query points."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -439,18 +462,125 @@ def perlin_array_flat(points: np.ndarray, seed: int) -> np.ndarray:
     return accum / _AMPLITUDE[n]
 
 
-def noise_field_flat(dims, scale, seed, octaves=1, persistence=0.5, lacunarity=2.0):
+def noise_field_flat(dims, scale, seed):
     """``noise.noise_field(...).values`` from a flat (voxels, n) point array."""
     dims = tuple(int(d) for d in dims)
     coords = np.stack(
         [c.ravel() for c in np.meshgrid(*[np.arange(d) for d in dims], indexing="ij")],
         axis=1,
     ).astype(np.float64)
-    total = np.zeros(coords.shape[0], dtype=np.float64)
-    amp, freq, norm = 1.0, 1.0 / scale, 0.0
-    for _ in range(octaves):
-        total += amp * perlin_array_flat(coords * freq, seed)
-        norm += amp
-        amp *= persistence
-        freq *= lacunarity
-    return (total / norm).reshape(dims)
+    return perlin_array_flat(coords * (1.0 / scale), seed).reshape(dims)
+
+
+# ---------------------------------------------------------------------------
+# test-only code: complexes, component labels, boundary voxels, polylines
+
+class CubicalComplex:
+    """The cubical complex induced by the 1-voxels of a grid.
+
+    Cells are identified by doubled-lattice coordinates; per dimension they
+    are listed in lexicographic coordinate order, and boundary incidence is
+    reported against that order.
+    """
+
+    def __init__(self, grid: BinaryGrid):
+        self.dims = grid.dims
+        self.lattice = _cell_lattice(grid.data)
+        self._par = _cell_dim_array(self.lattice.shape)
+        counts = np.bincount(
+            self._par[self.lattice], minlength=grid.ndim + 1
+        )
+        self.cell_counts: tuple[int, ...] = tuple(int(c) for c in counts)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.dims)
+
+    def cells(self, k: int) -> np.ndarray:
+        """Doubled-lattice coordinates of the k-cells, lexicographically."""
+        return np.argwhere(self.lattice & (self._par == k))
+
+    def boundary_columns(self, k: int) -> list[list[int]]:
+        """For each k-cell, the indices of its facets among the (k-1)-cells."""
+        if k < 1 or k > self.ndim:
+            return []
+        faces = self.cells(k - 1)
+        face_id = {tuple(c): i for i, c in enumerate(faces)}
+        cols = []
+        for cell in self.cells(k):
+            col = []
+            for ax in range(self.ndim):
+                if cell[ax] % 2 == 1:
+                    for d in (-1, 1):
+                        f = list(cell)
+                        f[ax] += d
+                        col.append(face_id[tuple(f)])
+            cols.append(sorted(col))
+        return cols
+
+    def boundary_matrix(self, k: int) -> np.ndarray:
+        """Dense GF(2) boundary matrix d_k (rows: (k-1)-cells, cols: k-cells)."""
+        rows = self.cell_counts[k - 1] if 1 <= k <= self.ndim else 0
+        cols = self.boundary_columns(k)
+        if rows * len(cols) > 64_000_000:
+            raise ValueError("boundary matrix too large to materialize densely")
+        mat = np.zeros((rows, len(cols)), dtype=np.uint8)
+        for j, col in enumerate(cols):
+            for i in col:
+                mat[i, j] ^= 1
+        return mat
+
+
+def build_cubical_complex(g: BinaryGrid) -> CubicalComplex:
+    """Union of closed unit cubes at the 1-voxels, shared faces identified."""
+    return CubicalComplex(g)
+
+
+def euler_from_cells(c: CubicalComplex) -> int:
+    """Euler characteristic as the alternating sum of cell counts."""
+    return int(sum((-1) ** k * n for k, n in enumerate(c.cell_counts)))
+
+
+def connected_components(
+    g: BinaryGrid, adj: Adjacency = "full"
+) -> tuple[int, np.ndarray]:
+    """Label foreground components with union-find.
+
+    Returns ``(count, labels)`` where ``labels`` maps each voxel to a
+    component id in first-encounter (raster) order; background voxels get -1.
+    """
+    a = g.data
+    links = []
+    for off in neighbor_offsets(g.ndim, adj):
+        if off > (0,) * g.ndim:  # forward half: each pair is seen once
+            src, dst = _pair_slices(off, a.shape)
+            links.append((off, a[src] & a[dst]))
+    # a component's root is its smallest raster number, the voxel met first
+    roots = component_roots(a, links)
+    is_root = roots == np.arange(roots.size)
+    labels = np.full(a.shape, -1, dtype=np.int64)
+    labels[a] = (np.cumsum(is_root) - 1)[roots]
+    return int(np.count_nonzero(is_root)), labels
+
+
+def boundary_voxels(g: BinaryGrid, adj: Adjacency = "face") -> set[Coord]:
+    """1-valued voxels with at least one 0-valued neighbor under ``adj``.
+
+    Out-of-range neighbors count as background, so voxels on the grid border
+    are boundary whenever the adjacency reaches past the edge.
+    """
+    return {tuple(int(c) for c in idx) for idx in np.argwhere(boundary_mask(g.data, adj))}
+
+
+def make_polyline(points, closed: bool = False) -> ParametricCurve:
+    """Chain the given waypoints, resampling each leg densely."""
+    pts = [np.asarray(p, float) for p in points]
+    legs = list(zip(pts[:-1], pts[1:])) + ([(pts[-1], pts[0])] if closed else [])
+    out = [pts[0]]
+    for a, b in legs:
+        n = _curve_samples(float(np.linalg.norm(b - a)))
+        t = np.linspace(0.0, 1.0, n)[1:, None]
+        out.extend(a + t * (b - a))
+    if closed:
+        out = out[:-1]
+    return ParametricCurve("custom", np.asarray(out), closed=closed)

@@ -10,19 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from topovox.grid import (
-    BinaryGrid,
-    boundary_voxels,
-    connected_components,
-    count_ones,
-    new_grid,
-)
-from topovox.homology import (
-    betti_numbers,
-    build_cubical_complex,
-    euler_from_cells,
-    is_local_flip_safe,
-)
+from topovox.grid import BinaryGrid, count_ones, new_grid
+from topovox.homology import betti_numbers, is_local_flip_safe
 from topovox.labels import (
     betti_boundary_sum,
     betti_closed_sum,
@@ -32,6 +21,14 @@ from topovox.morphology import homology_safe_dilate, thicken_background
 from topovox.deform import DeformConfig, deform_volume_preserving
 from topovox.pipeline import DatasetConfig, generate_dataset, read_voxels, verify_sample, write_voxels
 from topovox import seeds as sd
+
+from oracles import (
+    boundary_voxels,
+    build_cubical_complex,
+    connected_components,
+    euler_from_cells,
+    make_polyline,
+)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -163,7 +160,7 @@ def test_criterion_2_engine_canonical_suite():
 
 def _fig9_scene():
     g = new_grid([64] * 3)
-    curve = sd.make_polyline([(10, 8, 10), (18, 12, 14), (26, 8, 20), (34, 14, 26)])
+    curve = make_polyline([(10, 8, 10), (18, 12, 14), (26, 8, 20), (34, 14, 26)])
     sd.rasterize_tube(g, curve, 2.0)
     for loop in sd.make_circle_wedge((14.0, 40.0, 12.0), 6.0, 2):
         sd.rasterize_tube(g, loop, 2.0)
@@ -234,7 +231,7 @@ def _curves_scene_2d(seed: int) -> BinaryGrid:
             sd.rasterize_tube(g, sd.make_circle(c, float(rng.uniform(4, 9))), 1.0)
         else:
             pts = rng.uniform(6, 58, size=(3, 2))
-            sd.rasterize_tube(g, sd.make_polyline(pts), 1.0)
+            sd.rasterize_tube(g, make_polyline(pts), 1.0)
     return g
 
 

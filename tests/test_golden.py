@@ -20,8 +20,10 @@ import warnings
 
 import pytest
 
-from topovox.pipeline import DatasetConfig, generate_dataset
+from topovox.pipeline import DatasetConfig, SampleManifest, generate_dataset, read_voxels
 from topovox.seeds import CATALOG
+
+from oracles import interior_betti
 
 TUBE_WEIGHTS = {"open_tube": 1.0, "trefoil_tube": 1.0, "hopf_link": 1.0, "circle_wedge": 1.0}
 CATALOG_3D = {k: 1.0 for k in ("ball", "sphere_shell", "solid_torus", "torus_shell", "circle_wedge")}
@@ -98,3 +100,12 @@ def test_golden_cases_draw_every_kind_the_table_draws(datasets):
     }
     assert len(table) == 26
     assert drawn == table
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_labels_hold_for_the_interior(datasets, name):
+    # the interior-label contract: every label is also the Betti vector of
+    # the foreground read with face adjacency, the background with full
+    for voxel_path, manifest_path in datasets(name):
+        label = SampleManifest.from_json(manifest_path.read_text()).label
+        assert interior_betti(read_voxels(voxel_path).data) == label.betti, voxel_path.name

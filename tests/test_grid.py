@@ -9,8 +9,6 @@ from topovox.grid import (
     BinaryGrid,
     UnsupportedDimensionError,
     boundary_mask,
-    boundary_voxels,
-    connected_components,
     count_ones,
     extract_neighborhood,
     neighbor_offsets,
@@ -18,7 +16,7 @@ from topovox.grid import (
 )
 from topovox.homology import betti_numbers
 
-from oracles import bfs_components
+from oracles import bfs_components, boundary_voxels, connected_components
 
 
 def test_new_grid_solid_square():

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 import topovox
 from topovox import homology
-from topovox.grid import BinaryGrid, connected_components, new_grid
+from topovox.grid import BinaryGrid, new_grid
 from topovox.homology import (
     BettiVector,
     betti_numbers,
-    build_cubical_complex,
-    euler_from_cells,
     is_local_flip_safe,
     _squash,
 )
@@ -26,11 +24,17 @@ from topovox.grid import extract_neighborhood
 
 from oracles import (
     betti_oracle,
+    bfs_components,
+    bounded_background_components,
+    build_cubical_complex,
+    connected_components,
+    euler_from_cells,
     cell_counts_bruteforce,
     chi_bruteforce,
     eliminate_block,
     flip_safe_reference,
     gf2_rank,
+    interior_betti,
     squash_reference,
 )
 
@@ -192,6 +196,27 @@ def test_matches_duality_oracle_2d_3d(rng):
     for _ in range(10):
         g = BinaryGrid(rng.random((6, 6, 6)) < rng.uniform(0.3, 0.7))
         assert betti_numbers(g).betti == betti_oracle(g.data)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (12, 7), (6, 6, 6), (5, 7, 4)])
+def test_interior_betti_matches_components_with_swapped_adjacencies(rng, shape):
+    # the interior reads the foreground by face adjacency and the
+    # background by full adjacency: b0 counts face-adjacent foreground
+    # components, b_(n-1) the full-adjacent background components off the border
+    n = len(shape)
+    for _ in range(15):
+        data = rng.random(shape) < rng.uniform(0.2, 0.8)
+        interior = interior_betti(data)
+        assert interior[0] == bfs_components(data, "face")
+        assert interior[n - 1] == bounded_background_components(data, "full")
+        assert interior[n:] == (0,) * (4 - n)
+
+
+def test_interior_betti_of_a_diagonal_pair():
+    # closed cubes touch at a corner; their interiors do not
+    data = np.eye(2, dtype=bool)
+    assert betti_numbers(BinaryGrid(data)).betti == (1, 0, 0, 0)
+    assert interior_betti(data) == (2, 0, 0, 0)
 
 
 def _betti_from_boundary_ranks(g: BinaryGrid) -> tuple[int, ...]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topovox.grid import UnsupportedDimensionError
-from topovox.noise import NoiseField, noise_field, perlin_value
+from topovox.noise import NoiseField, _perlin_grid, noise_field
 
 from oracles import noise_field_flat, perlin_array_flat
 
@@ -10,6 +10,12 @@ from oracles import noise_field_flat, perlin_array_flat
 # vectorized evaluator; shares only the published constants (quintic fade,
 # gradient tables, permutation seeding)
 from topovox.noise import _GRADS, _AMPLITUDE, _perm_table
+
+
+def perlin_value(p, seed):
+    """The library's evaluator at one point: a grid of one point per axis."""
+    axes = [np.array([x], dtype=np.float64) for x in np.asarray(p, dtype=np.float64)]
+    return float(_perlin_grid(axes, seed).reshape(-1)[0])
 
 
 def _reference_value(p, seed):
@@ -79,9 +85,6 @@ def test_field_matches_flat_oracle_bit_for_bit(dims):
         for seed in FIELD_SEEDS:
             got = noise_field(dims, scale, seed).values
             assert np.array_equal(got, noise_field_flat(dims, scale, seed)), (scale, seed)
-    for scale in (8.0, 5.5):
-        got = noise_field(dims, scale, 2**64 - 1, octaves=3).values
-        assert np.array_equal(got, noise_field_flat(dims, scale, 2**64 - 1, octaves=3))
 
 
 def test_field_matches_flat_oracle_past_256_lattice_cells():
@@ -136,15 +139,6 @@ def test_field_shape_and_metadata():
     assert f.dims == (6, 7, 8)
 
 
-def test_octaves_stay_in_range():
-    f = noise_field([48, 48], scale=12.0, seed=4, octaves=3)
-    assert f.values.min() >= -1.0 and f.values.max() <= 1.0
-    base = noise_field([48, 48], scale=12.0, seed=4)
-    assert not np.array_equal(f.values, base.values)
-
-
 def test_field_parameter_validation():
     with pytest.raises(ValueError):
         noise_field([8, 8], scale=0.0, seed=0)
-    with pytest.raises(ValueError):
-        noise_field([8, 8], scale=4.0, seed=0, octaves=0)

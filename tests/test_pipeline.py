@@ -514,6 +514,24 @@ def test_cli_fails_in_one_line_on_bad_arguments(tmp_path, capsys, args, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fix, reason",
+    [
+        (["5=0"], "axis 5 out of range for dims (6, 7, 8)"),
+        (["0=9", "1=0"], "coordinate 9 out of range on axis 0"),
+        ([], "need exactly two free axes, got 3 for dims (6, 7, 8)"),
+    ],
+)
+def test_render_slice_checks_the_fixed_axes_before_counting_free_ones(tmp_path, capsys, fix, reason):
+    src = tmp_path / "box.tvox"
+    write_voxels(src, new_grid([6, 7, 8], fill=1))
+    out = tmp_path / "s.pgm"
+    rc = cli.main(["render-slice", str(src), "--fix", *fix, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"topovox render-slice: error: {reason}"]
+    assert not out.exists()
+
+
 def _cli_dataset(tmp_path, name):
     out_dir = tmp_path / name
     cli.main(["gen", "--count", "2", "--dims", "24", "24", "--seed", "3", "--out", str(out_dir)])
@@ -728,17 +746,28 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "dims": [32.5, 32]}', "bad config: dims must be integers, got [32.5, 32]"),
         ('{"count": 1, "deform_noise_scale": "8"}', "bad config: deform_noise_scale must be a positive number, got '8'"),
         ('{"count": 1, "deform_noise_scale": 0}', "bad config: deform_noise_scale must be a positive number, got 0"),
+        ('{"count": 1, "dilate_noise_bias": "false"}', "bad config: dilate_noise_bias must be true or false, got 'false'"),
+        ('{"count": 1, "dilate_noise_bias": 1}', "bad config: dilate_noise_bias must be true or false, got 1"),
+        ('{"count": 1, "out_dir": 5}', "bad config: out_dir must be a string, got 5"),
+        ('{"count": 1, "verify_rate": true}', "bad config: verify_rate must be a number in [0, 1], got True"),
+        ('{"count": 1, "verify_rate": "x"}', "bad config: verify_rate must be a number in [0, 1], got 'x'"),
+        ('{"count": 1, "verify_rate": NaN}', "bad config: verify_rate must be a number in [0, 1], got nan"),
+        ('{"count": 1, "verify_rate": 1.5}', "bad config: verify_rate must be a number in [0, 1], got 1.5"),
     ],
 )
-def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, text, reason):
+def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, monkeypatch, text, reason):
     config = tmp_path / "cfg.json"
     config.write_text(text)
-    rc = cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "ds")])
+    # --out would override the config's own out_dir
+    out = [] if '"out_dir"' in text else ["--out", str(tmp_path / "ds")]
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["gen", "--config", str(config), *out])
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("topovox gen: error: ")
     assert reason in err[0]
     assert not (tmp_path / "ds").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):

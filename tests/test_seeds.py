@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import place_with_spacing_reference, stamp_tube_reference
+from oracles import make_polyline, place_with_spacing_reference, stamp_tube_reference
 
 from topovox.grid import BinaryGrid, count_ones, new_grid
 from topovox.homology import betti_numbers
@@ -21,7 +21,6 @@ from topovox.seeds import (
     make_circle,
     make_circle_wedge,
     make_hopf_link,
-    make_polyline,
     make_segment,
     make_trefoil,
     place_with_spacing,
