@@ -25,6 +25,18 @@ from .pipeline import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, like the others.
+
+    Subparsers are built with the parser's own class, so each command's
+    errors name the command.
+    """
+
+    def error(self, message: str):
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _add_gen(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("gen", help="generate a labeled dataset")
     p.add_argument("--config", type=Path, help="JSON file with DatasetConfig fields")
@@ -187,7 +199,7 @@ def _render_slice(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topovox",
         description="Topologically labeled synthetic voxel data in 2-4 dimensions",
     )
@@ -222,7 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--fix", nargs="*", help="axis=coord for each fixed axis")
     p.add_argument("--out", type=Path, required=True)
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # e.g. a negative axis in ``--fix -1=0``, taken for an option
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     handler = {
         "gen": _gen,
         "deform": _deform,

@@ -168,19 +168,20 @@ def _pair_slices(off: Coord, shape: tuple[int, ...]):
     return src, dst
 
 
-def component_roots(mask: np.ndarray, links) -> np.ndarray:
-    """Union-find over the true cells of ``mask``, numbered in raster order.
+def _run_forest(mask: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find over the runs of the true cells of ``mask``.
 
     ``links`` yields ``(off, joined)`` pairs, where ``joined`` is shaped like
     the overlap ``mask[_pair_slices(off, mask.shape)[0]]`` and marks which
-    pairs ``(x, x + off)`` of true cells are linked.  Returns, per true cell,
-    the smallest number in its component, so the roots are the cells whose
-    value equals their own number.
+    pairs ``(x, x + off)`` of true cells are linked.  Returns ``starts``,
+    the mask of the cells that start a run, and ``parent``, per run
+    (numbered in raster order) the smallest run of its component, so the
+    root runs are those whose parent is themselves.
 
     The work follows the runs and the run pairs, not the cells.  Cells
-    linked along the last axis have consecutive numbers and form a run:
-    ``cont`` marks a cell linked to its predecessor, and one ``cumsum`` of
-    the run starts over the whole grid gives every cell its run.  Every
+    linked along the last axis have consecutive raster numbers and form a
+    run: ``cont`` marks a cell linked to its predecessor, and one ``cumsum``
+    of the run starts over the whole grid gives every cell its run.  Every
     other offset joins runs.  A link whose predecessor along the last axis
     is also a link, with both ends continuing their runs, joins the same
     run pair as that predecessor and is skipped, so the run ids are read
@@ -189,11 +190,10 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
     Overlapping runs need not be linked (a 1-skeleton edge may be missing
     between two present vertices), so the links themselves decide.  Every
     round then hooks each root run onto the smallest root run it shares a
-    link with (``np.minimum.at``), and pointer jumping points every run at
-    its root.  Hooking only ever lowers a parent, so no cycle can form, and
-    each round removes every root that has a smaller linked root.  The runs
-    ascend, so the first cell of the root run is the component's smallest
-    cell, and ``np.repeat`` hands it to every cell of every run.
+    link with (``np.minimum.at``), pointer jumping points every run at its
+    root, and each link's ends move to their roots; a link whose ends meet
+    drops out.  Hooking only ever lowers a parent, so no cycle can form, and
+    each round removes every root that has a smaller linked root.
     """
     last = (0,) * (mask.ndim - 1) + (1,)
     cont = np.zeros(mask.shape, dtype=bool)
@@ -206,41 +206,44 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
     starts = mask & ~cont
     run = np.cumsum(starts, dtype=np.int32)
     run -= 1
-    ends = mask.copy()
-    ends[..., :-1] &= ~cont[..., 1:]
-    start_at = np.flatnonzero(starts)
-    length = np.flatnonzero(ends) - start_at + 1
-    first = np.zeros(start_at.size, dtype=np.int32)  # true cells before a run
-    np.cumsum(length[:-1], out=first[1:])
     us, vs = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     kept = np.zeros(mask.shape, dtype=bool)
     for off, joined in cross:
         src, dst = _pair_slices(off, mask.shape)
+        # a link is kept unless it repeats its predecessor's run pair:
+        # ``joined > repeat`` is ``joined & ~repeat`` in one pass
+        repeat = joined[..., :-1] & cont[src][..., 1:]
+        repeat &= cont[dst][..., 1:]
         new_pair = kept[src]
-        new_pair[...] = joined
-        new_pair[..., 1:] &= ~(joined[..., :-1] & cont[src][..., 1:] & cont[dst][..., 1:])
+        new_pair[..., :1] = joined[..., :1]
+        np.greater(joined[..., 1:], repeat, out=new_pair[..., 1:])
         p = np.flatnonzero(kept)
         kept[src] = False
         us.append(run[p])
         # ``kept`` is a contiguous bool array: its byte strides are flat steps
         vs.append(run[p + sum(o * s for o, s in zip(off, kept.strides))])
     u, v = np.concatenate(us), np.concatenate(vs)
-    del cont, starts, ends, run, kept, us, vs  # the rounds need only the link ends
-    parent = np.arange(start_at.size, dtype=np.int32)
+    del cont, run, kept, us, vs  # the rounds need only the link ends
+    parent = np.arange(np.count_nonzero(starts), dtype=np.int32)
     while u.size:
-        pu, pv = parent[u], parent[v]
-        # both are roots, so only the larger one can move
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        # both ends are roots, so only the larger one can move
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-        open_ = parent[u] != parent[v]
+        u, v = parent[u], parent[v]
+        open_ = u != v
         u, v = u[open_], v[open_]
-    return np.repeat(first[parent], length)
+    return starts, parent
 
 
-def count_roots(roots: np.ndarray) -> int:
-    """Number of components in a :func:`component_roots` result."""
-    return int(np.count_nonzero(roots == np.arange(roots.size)))
+def component_count(mask: np.ndarray, links) -> int:
+    """Number of components of the true cells of ``mask`` under ``links``.
+
+    The root runs of the run-level union-find (:func:`_run_forest`),
+    counted without expanding them to cells.
+    """
+    _, parent = _run_forest(mask, links)
+    return int(np.count_nonzero(parent == np.arange(parent.size, dtype=np.int32)))

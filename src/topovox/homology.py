@@ -19,23 +19,34 @@ solid margin of a cube complement squashes to one slab, so a 16^4 cut-out
 becomes 7^4 to 9^4 voxels before any lattice is built, and grids that
 differ only in placement or margins squash to the same grid.  The result
 is memoized per dimension on the squashed grid (:func:`_betti_whole`), so
-a squashed grid seen before costs one SHA-256 of its packed bits.  The
-engine then takes the Euler characteristic from the cell counts, beta_0
-from the components of the 1-skeleton and beta_(n-1) from the bounded
-face-adjacent components of the complement (Alexander duality); both
-component counts use the vectorized union-find of
-:func:`topovox.grid.component_roots`, whose cost follows runs and run
-pairs rather than cells: one ``cumsum`` over the grid numbers the runs of
-cells linked along the last axis, and the other links are read only where
-the pair of runs they join changes.  The Euler identity then settles 2D
-and 3D.  In 4D, beta_1 and beta_2 share one
-unknown, rank(d_2): the complex is collapsed in one sweep per axis (each
-free pair adds one to the rank in its coface's dimension), then d_3 and d_2
-of the remaining core are reduced as sparse columns with rows numbered per
-dimension, the pivots of d_3 clearing columns of d_2.  The sweep works on
-one contiguous copy of the lattice per axis, builds its per-dimension masks
-once per axis and runs the in-plane coface test only for a hyperplane and
-dimension that have candidates below the top dimension.
+a squashed grid seen before costs one SHA-256 of its packed bits.
+
+A miss never builds the doubled lattice in 2D and 3D.  The cells are kept
+as 2^n contiguous boolean arrays, one per parity class (the axes a cell
+spans), each indexed by the cells' anchors (:func:`_cell_classes`).  They
+are built from the voxels padded by one empty slab, one axis at a time: a
+class that does not span the axis ORs each adjacent pair of slabs, and one
+that spans it keeps the voxel slab itself.  ``count_nonzero`` of each class
+gives the cell counts and so the Euler characteristic.  beta_0 counts the
+components of the 1-skeleton: the all-even class (the vertices) linked by
+the n classes odd on one axis (the edges, anchored at their lower ends).
+beta_(n-1) counts the bounded face-adjacent components of the complement
+(Alexander duality).  Both counts come from
+:func:`topovox.grid.component_count`, a union-find whose cost follows runs
+and run pairs rather than cells: one ``cumsum`` over the grid numbers the
+runs of cells linked along the last axis, the other links are read only
+where the pair of runs they join changes, and the components are the root
+runs, counted without expanding them to cells.  The Euler identity then
+settles 2D and 3D.  In 4D, beta_1 and beta_2 share one unknown,
+rank(d_2), and the doubled lattice is interleaved from the same class
+arrays (:func:`_interleave`), so one rule decides which cells are present.
+The complex is collapsed in one sweep per axis (each free pair adds one to
+the rank in its coface's dimension), then d_3 and d_2 of the remaining
+core are reduced as sparse columns with rows numbered per dimension, the
+pivots of d_3 clearing columns of d_2.  The sweep works on one contiguous
+copy of the lattice per axis, builds its per-dimension masks once per axis
+and runs the in-plane coface test only for a hyperplane and dimension that
+have candidates below the top dimension.
 
 The flip gate keys each 3^n block by one int.  Its verdict depends only
 on the neighbourhood, the block with its centre cleared, and is memoized on
@@ -63,8 +74,7 @@ from .grid import (
     BinaryGrid,
     Coord,
     _pair_slices,
-    component_roots,
-    count_roots,
+    component_count,
     extract_neighborhood,
 )
 
@@ -101,20 +111,39 @@ class BettiVector:
 # ---------------------------------------------------------------------------
 # lattice construction
 
-def _cell_lattice(data: np.ndarray) -> np.ndarray:
-    """Boolean presence array over the doubled lattice of ``data``.
+def _cell_classes(data: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Presence of the cells of ``data``, one contiguous array per parity class.
 
-    The closed cube of a voxel covers the 3^n lattice points around its
-    centre, so the voxels are placed at the odd points and spread by one
-    step along each axis in turn.
+    The class ``parity`` (one 0 or 1 per axis, in ``itertools.product``
+    order) holds the cells that span exactly the axes where it is 1; its
+    array is indexed by the cell's anchor, the vertex with the smallest
+    coordinates, so it is the doubled lattice sliced at ``parity::2``.  A
+    cell is present iff a voxel contains it, which is decided one axis at a
+    time on the voxels padded by one empty slab: along an axis the cell
+    does not span, either voxel of the adjacent pair will do; along an axis
+    it spans, only the voxel itself.
     """
     nd = data.ndim
-    present = np.zeros(tuple(2 * s + 1 for s in data.shape), dtype=bool)
-    present[(slice(1, None, 2),) * nd] = data
+    classes = {(): np.pad(data, 1)}
     for ax in range(nd):
-        odd = present[_axis_slices(nd, ax, slice(1, None, 2))]
-        present[_axis_slices(nd, ax, slice(0, -1, 2))] |= odd
-        present[_axis_slices(nd, ax, slice(2, None, 2))] |= odd
+        lower, upper, inner = (
+            _axis_slices(nd, ax, sl) for sl in (slice(None, -1), slice(1, None), slice(1, -1))
+        )
+        split = {}
+        for parity, a in classes.items():
+            split[parity + (0,)] = a[lower] | a[upper]
+            split[parity + (1,)] = a[inner]
+        classes = split
+    return {parity: np.ascontiguousarray(a) for parity, a in classes.items()}
+
+
+def _interleave(classes: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
+    """The doubled lattice: each parity class of :func:`_cell_classes`
+    written to its ``parity::2`` slice."""
+    voxels = classes[(1,) * len(next(iter(classes)))].shape
+    present = np.empty(tuple(2 * s + 1 for s in voxels), dtype=bool)
+    for parity, cls in classes.items():
+        present[tuple(slice(p, None, 2) for p in parity)] = cls
     return present
 
 
@@ -127,15 +156,6 @@ def _cell_dim_array(shape2: tuple[int, ...]) -> np.ndarray:
         )
         par += vec
     return par
-
-
-def _cell_counts(present: np.ndarray) -> np.ndarray:
-    """Number of present cells per dimension, one parity class at a time."""
-    counts = np.zeros(present.ndim + 1, dtype=np.int64)
-    for parity in itertools.product((0, 1), repeat=present.ndim):
-        cls = present[tuple(slice(p, None, 2) for p in parity)]
-        counts[sum(parity)] += np.count_nonzero(cls)
-    return counts
 
 
 def _axis_slices(ndim: int, ax: int, sl: slice | int) -> tuple:
@@ -305,14 +325,13 @@ def _unit(ax: int, ndim: int) -> Coord:
     return tuple(int(j == ax) for j in range(ndim))
 
 
-def _skeleton_components(present: np.ndarray) -> int:
-    """Components of the 1-skeleton: lattice vertices joined by present edges."""
-    n = present.ndim
-    links = []
-    for ax in range(n):
-        edges = present[tuple(slice(1 if j == ax else 0, None, 2) for j in range(n))]
-        links.append((_unit(ax, n), edges))
-    return count_roots(component_roots(present[(slice(0, None, 2),) * n], links))
+def _skeleton_components(classes: dict[tuple[int, ...], np.ndarray]) -> int:
+    """Components of the 1-skeleton: the vertices (the all-even class)
+    joined by the edges along each axis (the class odd on that axis alone,
+    whose anchors are the edges' lower ends)."""
+    n = len(next(iter(classes)))
+    links = [(_unit(ax, n), classes[_unit(ax, n)]) for ax in range(n)]
+    return component_count(classes[(0,) * n], links)
 
 
 def _bounded_background_components(data: np.ndarray) -> int:
@@ -327,7 +346,7 @@ def _bounded_background_components(data: np.ndarray) -> int:
         off = _unit(ax, bg.ndim)
         src, dst = _pair_slices(off, bg.shape)
         links.append((off, bg[src] & bg[dst]))
-    return count_roots(component_roots(bg, links)) - 1
+    return component_count(bg, links) - 1
 
 
 #: Entries per dimension before the whole-grid memo starts over.
@@ -371,15 +390,19 @@ def _betti_squashed(data: np.ndarray) -> tuple:
     are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
     """
     n = data.ndim
-    present = _cell_lattice(data)
-    c = _cell_counts(present)
+    classes = _cell_classes(data)
+    c = np.zeros(n + 1, dtype=np.int64)
+    for parity, cls in classes.items():
+        c[sum(parity)] += np.count_nonzero(cls)
     chi = int(sum((-1) ** k * c[k] for k in range(n + 1)))
-    b0 = _skeleton_components(present)
+    b0 = _skeleton_components(classes)
     if n == 2:
         return (b0, b0 - chi, 0), chi
     top = _bounded_background_components(data)
     if n == 3:
         return (b0, b0 + top - chi, top, 0), chi
+    present = _interleave(classes)
+    del classes
     # each collapsed free pair adds one to the rank of its coface's dimension
     par = _cell_dim_array(present.shape)
     pairs = _sweep_collapse(present, par)

@@ -70,7 +70,11 @@ def write_voxels(path, g: BinaryGrid) -> None:
 
 def read_voxels(path) -> BinaryGrid:
     """Read a TVOX v1 file back into a grid."""
-    raw = Path(path).read_bytes()
+    return _decode_voxels(Path(path).read_bytes())
+
+
+def _decode_voxels(raw: bytes) -> BinaryGrid:
+    """The grid held by the bytes of a TVOX v1 file."""
     if raw[:4] != MAGIC:
         raise VoxelFormatError(f"bad magic at offset 0: {raw[:4]!r}")
     if len(raw) < 6:
@@ -578,13 +582,15 @@ def verify_sample(voxel_path, manifest_path) -> VerificationReport:
     """Recompute the Betti vector of a stored sample and compare to its label.
 
     A sample whose voxel file fails its checksum, or whose manifest dims
-    differ from the voxel file's, fails without running the engine.
+    differ from the voxel file's, fails without running the engine.  The
+    voxel file is read once: the bytes that pass the checksum are the bytes
+    decoded.
     """
     manifest = SampleManifest.from_json(Path(manifest_path).read_text())
-    checksum_ok = file_checksum(voxel_path) == manifest.voxel_checksum
-    if not checksum_ok:
+    raw = Path(voxel_path).read_bytes()
+    if hashlib.sha256(raw).hexdigest() != manifest.voxel_checksum:
         return VerificationReport(False, False, manifest.label, None)
-    grid = read_voxels(voxel_path)
+    grid = _decode_voxels(raw)
     if manifest.dims != grid.dims:
         return VerificationReport(
             False, True, manifest.label, None,

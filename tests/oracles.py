@@ -9,9 +9,10 @@ map with the engine's sparse GF(2) elimination instead of collapsing first
 or reading Betti numbers off components, as the engine and the flip gate do,
 and :func:`interior_betti`, which runs the engine on the padded complement.
 
-The last section holds code only the tests call: the explicit cubical
-complex with its boundary matrices, union-find component labels, the
-boundary voxel set and the polyline curve builder.
+The last section holds code only the tests call: the doubled lattice
+spread from the voxels with its cell counts, the explicit cubical complex
+with its boundary matrices, per-cell union-find roots and component
+labels, the boundary voxel set and the polyline curve builder.
 """
 from __future__ import annotations
 
@@ -26,16 +27,14 @@ from topovox.grid import (
     Coord,
     UnsupportedDimensionError,
     _pair_slices,
+    _run_forest,
     boundary_mask,
-    component_roots,
     neighbor_offsets,
 )
 from topovox.homology import (
     BettiVector,
     betti_numbers,
-    _cell_counts,
     _cell_dim_array,
-    _cell_lattice,
     _core_ranks,
     _rank_columns,
 )
@@ -473,7 +472,35 @@ def noise_field_flat(dims, scale, seed):
 
 
 # ---------------------------------------------------------------------------
-# test-only code: complexes, component labels, boundary voxels, polylines
+# test-only code: lattices, complexes, component labels, boundary voxels,
+# polylines
+
+def _cell_lattice(data: np.ndarray) -> np.ndarray:
+    """Boolean presence array over the doubled lattice of ``data``.
+
+    The closed cube of a voxel covers the 3^n lattice points around its
+    centre, so the voxels are placed at the odd points and spread by one
+    step along each axis in turn.  The engine builds its parity classes
+    without this lattice; tests compare them to its ``parity::2`` slices.
+    """
+    nd = data.ndim
+    present = np.zeros(tuple(2 * s + 1 for s in data.shape), dtype=bool)
+    present[(slice(1, None, 2),) * nd] = data
+    for ax in range(nd):
+        odd = present[_axis_slices(nd, ax, slice(1, None, 2))]
+        present[_axis_slices(nd, ax, slice(0, -1, 2))] |= odd
+        present[_axis_slices(nd, ax, slice(2, None, 2))] |= odd
+    return present
+
+
+def _cell_counts(present: np.ndarray) -> np.ndarray:
+    """Number of present cells per dimension, one parity class at a time."""
+    counts = np.zeros(present.ndim + 1, dtype=np.int64)
+    for parity in itertools.product((0, 1), repeat=present.ndim):
+        cls = present[tuple(slice(p, None, 2) for p in parity)]
+        counts[sum(parity)] += np.count_nonzero(cls)
+    return counts
+
 
 class CubicalComplex:
     """The cubical complex induced by the 1-voxels of a grid.
@@ -539,6 +566,26 @@ def build_cubical_complex(g: BinaryGrid) -> CubicalComplex:
 def euler_from_cells(c: CubicalComplex) -> int:
     """Euler characteristic as the alternating sum of cell counts."""
     return int(sum((-1) ** k * n for k, n in enumerate(c.cell_counts)))
+
+
+def component_roots(mask: np.ndarray, links) -> np.ndarray:
+    """Per true cell of ``mask``, numbered in raster order, the smallest
+    number in its component under ``links``, from the engine's run forest
+    (:func:`topovox.grid._run_forest`).
+
+    The roots are the cells whose value equals their own number.  The runs
+    ascend, so the first cell of a component's root run is its smallest
+    cell, and every cell of a run takes the first cell of its root run.
+    """
+    starts, parent = _run_forest(mask, links)
+    starts = starts[mask]
+    first = np.flatnonzero(starts).astype(np.int32)
+    return first[parent][np.cumsum(starts, dtype=np.int32) - 1]
+
+
+def count_roots(roots: np.ndarray) -> int:
+    """Number of components in a :func:`component_roots` result."""
+    return int(np.count_nonzero(roots == np.arange(roots.size)))
 
 
 def connected_components(

@@ -2,8 +2,11 @@
 
 ``_sweep_collapse`` must remove the same free pairs and leave the same core
 as the sweep that recomputed in-plane coface counts for every dimension of
-every hyperplane, and ``component_roots`` must return the same root for
-every cell as the union-find that linked single cells instead of runs.
+every hyperplane; ``component_roots``, built on the run forest, must
+return the same root for every cell, and ``component_count`` the same
+number of components, as the union-find that linked single cells instead
+of runs; and the parity classes must be the slices of the doubled lattice
+spread from the voxels.
 """
 import itertools
 
@@ -11,10 +14,22 @@ import numpy as np
 import pytest
 
 from topovox import noise, pipeline
-from topovox.grid import _pair_slices, component_roots, neighbor_offsets
-from topovox.homology import _cell_dim_array, _cell_lattice, _squash, _sweep_collapse
+from topovox.grid import _pair_slices, component_count, neighbor_offsets
+from topovox.homology import (
+    _cell_classes,
+    _cell_dim_array,
+    _interleave,
+    _squash,
+    _sweep_collapse,
+)
 
-from oracles import component_roots_reference, sweep_collapse_reference
+from oracles import (
+    _cell_lattice,
+    component_roots,
+    component_roots_reference,
+    count_roots,
+    sweep_collapse_reference,
+)
 
 SHAPES = [
     (9, 11),
@@ -226,3 +241,114 @@ def test_roots_with_a_backward_last_axis_offset(rng):
             for off, joined in adjacency_links(mask, [back] + face)
         ]
         assert_same_roots(mask, some)
+
+
+def assert_same_classes(data):
+    """Each parity class is the spread lattice's ``parity::2`` slice, and
+    interleaving the classes gives the spread lattice back."""
+    lattice = _cell_lattice(data)
+    classes = _cell_classes(data)
+    assert list(classes) == list(itertools.product((0, 1), repeat=data.ndim))
+    for parity, cls in classes.items():
+        assert cls.dtype == bool and cls.flags.c_contiguous
+        assert np.array_equal(cls, lattice[tuple(slice(p, None, 2) for p in parity)]), parity
+    assert np.array_equal(_interleave(classes), lattice)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_classes_match_the_spread_lattice(rng, shape):
+    for fill in FILLS:
+        assert_same_classes(rng.random(shape) < fill)
+    assert_same_classes(np.zeros(shape, dtype=bool))
+    assert_same_classes(np.ones(shape, dtype=bool))
+
+
+def test_interleaved_lattice_matches_on_gen_plain_4d_samples():
+    for grid in gen_plain_4d_grids():
+        for data in (grid, _squash(grid)):
+            assert_same_classes(data)
+
+
+def assert_same_count(mask, links):
+    links = list(links)
+    assert component_count(mask, links) == count_roots(component_roots_reference(mask, links))
+
+
+def assert_same_engine_counts(data):
+    """Both counts of whole-grid verification, with the links built as
+    ``_skeleton_components`` (from the parity classes) and
+    ``_bounded_background_components`` build them."""
+    n = data.ndim
+    classes = _cell_classes(data)
+    units = [tuple(int(j == ax) for j in range(n)) for ax in range(n)]
+    assert_same_count(classes[(0,) * n], [(u, classes[u]) for u in units])
+    bg = np.pad(~data, 1, constant_values=True)
+    assert_same_count(bg, adjacency_links(bg, units))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_count_matches_reference_on_random_grids(rng, shape):
+    n = len(shape)
+    for fill in FILLS:
+        mask = rng.random(shape) < fill
+        assert_same_engine_counts(mask)
+        full = [off for off in neighbor_offsets(n, "full") if off > (0,) * n]
+        assert_same_count(mask, adjacency_links(mask, full))
+    for mask in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)):
+        assert_same_engine_counts(mask)
+
+
+@pytest.mark.parametrize("side", [24, 31, 40])
+def test_count_matches_reference_on_verify_noisy_grids(side):
+    rng = np.random.default_rng(side)
+    shape = (side,) * 3
+    uniform = rng.random(shape) < 0.6
+    field = noise.noise_field(shape, float(rng.uniform(4.0, 8.0)), int(rng.integers(2**31)))
+    salted = (field.values > 0) ^ (rng.random(shape) < rng.uniform(0.02, 0.05))
+    for data in (uniform, salted):
+        assert_same_engine_counts(data)
+
+
+def test_count_matches_reference_on_union_find_edge_cases(rng):
+    """The cases of the roots tests above: links that skip every other
+    position of a run pair or leave one link, a run that breaks under a
+    linked stretch, a backward last-axis offset, and no last-axis link."""
+    for shape in [(2, 12), (2, 3, 11)]:
+        n = len(shape)
+        mask = np.ones(shape, dtype=bool)
+        along = adjacency_links(mask, [(0,) * (n - 1) + (1,)])
+        [(off, joined)] = adjacency_links(mask, [(1,) + (0,) * (n - 1)])
+        for parity in (0, 1):
+            cross = joined.copy()
+            cross[..., parity::2] = False
+            assert_same_count(mask, along + [(off, cross)])
+        for x in (0, shape[-1] // 2, shape[-1] - 1):
+            cross = np.zeros_like(joined)
+            cross[..., x] = True
+            assert_same_count(mask, along + [(off, cross)])
+    mask = np.ones((2, 10), dtype=bool)
+    across = np.ones((1, 10), dtype=bool)
+    for row in (0, 1):
+        along = mask[:, 1:].copy()
+        along[row, 4] = False
+        assert_same_count(mask, [((0, 1), along), ((1, 0), across)])
+    assert component_count(mask, [((0, 1), along), ((1, 0), across)]) == 1
+    for shape in [(7, 9), (5, 6, 7), (4, 3, 5, 4)]:
+        n = len(shape)
+        back = (0,) * (n - 1) + (-1,)
+        mask = rng.random(shape) < 0.6
+        face = [off for off in neighbor_offsets(n, "face") if off > (0,) * n]
+        assert_same_count(mask, adjacency_links(mask, [back]))
+        assert_same_count(mask, adjacency_links(mask, [back] + face))
+        some = [
+            (off, joined & (rng.random(joined.shape) < 0.5))
+            for off, joined in adjacency_links(mask, [back] + face)
+        ]
+        assert_same_count(mask, some)
+        no_last = [
+            off
+            for off in itertools.product((-1, 0, 1), repeat=n)
+            if any(off) and off[-1] == 0
+        ]
+        assert_same_count(mask, adjacency_links(mask, no_last))
+        assert_same_count(mask, [])

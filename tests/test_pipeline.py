@@ -169,6 +169,34 @@ def test_manifest_dims_that_differ_from_the_voxel_file_fail(tmp_path, monkeypatc
     assert report.summary().startswith("FAIL ") and report.summary().endswith(report.reason)
 
 
+def test_verify_sample_reads_the_voxel_file_once(tmp_path, monkeypatch):
+    cfg = DatasetConfig(count=1, dims=(16, 16), out_dir=str(tmp_path / "o"), master_seed=2)
+    [(voxel_path, manifest_path)] = generate_dataset(cfg)
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or real(self))
+    assert verify_sample(voxel_path, manifest_path).passed
+    assert reads == [voxel_path.name]
+
+
+def test_verify_sample_checks_the_checksum_before_decoding(tmp_path, monkeypatch):
+    cfg = DatasetConfig(count=1, dims=(16, 16), out_dir=str(tmp_path / "c"), master_seed=2)
+    [(voxel_path, manifest_path)] = generate_dataset(cfg)
+    monkeypatch.setattr(pipeline, "betti_numbers", None)  # the engine must not run
+    # a damaged header whose checksum no longer matches fails without decoding
+    raw = bytearray(voxel_path.read_bytes())
+    raw[0] ^= 0xFF
+    voxel_path.write_bytes(bytes(raw))
+    report = verify_sample(voxel_path, manifest_path)
+    assert not report.passed and not report.checksum_ok and report.measured is None
+    # the same header under a matching checksum is decoded, and rejected
+    doc = json.loads(manifest_path.read_text())
+    doc["voxel_checksum"] = hashlib.sha256(bytes(raw)).hexdigest()
+    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    with pytest.raises(VoxelFormatError, match="bad magic at offset 0"):
+        verify_sample(voxel_path, manifest_path)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_deformed_samples_keep_labels(tmp_path):
     cfg = DatasetConfig(
@@ -529,6 +557,49 @@ def test_render_slice_checks_the_fixed_axes_before_counting_free_ones(tmp_path, 
     rc = cli.main(["render-slice", str(src), "--fix", *fix, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"topovox render-slice: error: {reason}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["deform", "--iterations", "x"], "argument --iterations: invalid int value: 'x'"),
+        (["render-slice", "--fix", "-1=0"], "unrecognized arguments: -1=0"),
+        (["thicken", "--method", "grow"], "argument --method: invalid choice: 'grow' (choose from 'morph', 'dilate')"),
+    ],
+)
+def test_cli_usage_errors_are_one_line(tmp_path, capsys, args, reason):
+    src = tmp_path / "box.tvox"
+    write_voxels(src, new_grid([6, 7, 8], fill=1))
+    out = tmp_path / "out.bin"
+    command, *rest = args
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(src), *rest, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"topovox {command}: error: {reason}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_usage_error_without_a_command_is_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "topovox: error: the following arguments are required: command"
+    ]
+
+
+def test_render_slice_takes_a_negative_axis_after_an_equals_sign(tmp_path, capsys):
+    src = tmp_path / "box.tvox"
+    write_voxels(src, new_grid([6, 7, 8], fill=1))
+    out = tmp_path / "s.pgm"
+    rc = cli.main(["render-slice", str(src), "--fix=-1=0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "topovox render-slice: error: axis -1 out of range for dims (6, 7, 8)"
+    ]
     assert not out.exists()
 
 
