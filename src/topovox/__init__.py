@@ -13,9 +13,6 @@ from .homology import BettiVector, betti_numbers, is_local_flip_safe
 from .labels import (
     ConstructionDescriptor,
     InvalidDescriptorError,
-    betti_boundary_sum,
-    betti_closed_sum,
-    betti_cube_complement,
     betti_cube_multi_complement,
     betti_disjoint_union,
 )
@@ -32,9 +29,6 @@ __all__ = [
     "InvalidDescriptorError",
     "NoiseField",
     "UnsupportedDimensionError",
-    "betti_boundary_sum",
-    "betti_closed_sum",
-    "betti_cube_complement",
     "betti_cube_multi_complement",
     "betti_disjoint_union",
     "betti_numbers",

@@ -1,15 +1,16 @@
-"""Closed-form Betti-number labels for the supported constructions.
+"""Closed-form Betti-number labels for the constructions a sample is built from.
 
-Three label families cover single closed sums, boundary connected sums, and
-boundary-sum cut-outs carved from a solid 4-cube; multi-component samples are
-labeled by additivity over disjoint unions.  Labels are computed symbolically
-from construction parameters, never measured from voxels; the homology engine
-re-verifies them downstream.
+A sample is either catalog objects embedded in an empty grid
+(``embedded_object`` children of a ``disjoint_union``, labelled by
+additivity over disjoint unions) or catalog objects cut out of a solid
+n-cube (``cube_complement``, one cavity per cut-out).  Labels are computed
+symbolically from construction parameters, never measured from voxels; the
+homology engine re-verifies them downstream.
 
-The parameters (g, h, i, j) count glued copies: g of the S1 x S2 kind (or its
-solid S1 x B3 counterpart), h of the S2 x S1 / S2 x B2 kind, i of the factor
-built on a genus-j surface.  Validity requires g + h + i > 0 and j > 0
-whenever i > 0.
+A 4D cut-out is a boundary connected sum with parameters (g, h, i, j),
+which count glued copies: g of S1 x B3, h of S2 x B2, i of the factor built
+on a genus-j surface.  Validity requires j > 0 whenever i > 0, and j = 0
+whenever i = 0; (0, 0, 0, 0) is a plain 4-ball.
 """
 from __future__ import annotations
 
@@ -19,16 +20,11 @@ from typing import Any
 from .homology import BettiVector
 from .seeds import KINDS
 
-FAMILIES = (
-    "closed_sum",
-    "boundary_sum",
-    "cube_complement",
-    "embedded_object",
-    "disjoint_union",
-)
+FAMILIES = ("cube_complement", "embedded_object", "disjoint_union")
 
 #: Descriptor-level cap on each of g, h, i, j so recipes stay rasterizable
-#: within desk-scale grids.  The pure label formulas are not capped.
+#: within desk-scale grids; it checks manifests read from outside the program.
+#: The pure label formulas are not capped.
 MAX_GLUE_COUNT = 8
 
 
@@ -36,38 +32,13 @@ class InvalidDescriptorError(ValueError):
     """Raised when construction parameters violate the family constraints."""
 
 
-def _validate_ghij(g: int, h: int, i: int, j: int, *, allow_trivial: bool = False) -> None:
+def _validate_ghij(g: int, h: int, i: int, j: int) -> None:
     if min(g, h, i, j) < 0:
         raise InvalidDescriptorError(f"counts must be nonnegative, got {(g, h, i, j)}")
     if i > 0 and j == 0:
         raise InvalidDescriptorError("j must be positive when i > 0")
     if i == 0 and j != 0:
         raise InvalidDescriptorError("j is only meaningful when i > 0")
-    if not allow_trivial and g + h + i == 0:
-        raise InvalidDescriptorError("g + h + i must be positive")
-
-
-def betti_closed_sum(g: int, h: int, i: int, j: int) -> BettiVector:
-    """Label of the closed connected sum with parameters (g, h, i, j)."""
-    _validate_ghij(g, h, i, j)
-    mid = g + h + i * (2 * j + 1)
-    return BettiVector.of((1, mid, mid, 1), 0)
-
-
-def betti_boundary_sum(g: int, h: int, i: int, j: int) -> BettiVector:
-    """Label of the boundary connected sum with parameters (g, h, i, j)."""
-    _validate_ghij(g, h, i, j)
-    b1 = g + i * (j + 1)
-    b2 = h + i * j
-    return BettiVector.of((1, b1, b2, 0), 1 - g + h - i)
-
-
-def betti_cube_complement(g: int, h: int, i: int, j: int) -> BettiVector:
-    """Label of a solid 4-cube minus one boundary-sum cut-out."""
-    _validate_ghij(g, h, i, j)
-    b1 = h + i * j
-    b2 = g + i * (j + 1)
-    return BettiVector.of((1, b1, b2, 1), g - h + i)
 
 
 def betti_disjoint_union(children: list[BettiVector]) -> BettiVector:
@@ -84,14 +55,14 @@ def betti_disjoint_union(children: list[BettiVector]) -> BettiVector:
 def betti_cube_multi_complement(cutouts: list[tuple[int, int, int, int]]) -> BettiVector:
     """Label of a solid 4-cube minus several pairwise disjoint cut-outs.
 
-    Additive extension of the single-cut-out formula: each cut-out with
-    parameters (g, h, i, j) contributes h + i*j tunnels, g + i*(j+1) voids,
-    and one enclosed 3-cavity.  A (0, 0, 0, 0) entry is a plain 4-ball
-    cavity.  This formula is validated against the homology engine before
-    being trusted for labeling (see the acceptance suite).
+    Each cut-out with parameters (g, h, i, j) contributes h + i*j tunnels,
+    g + i*(j+1) voids, and one enclosed 3-cavity: by Alexander duality these
+    swap the cut-out's own b1 = g + i*(j+1) and b2 = h + i*j.  A
+    (0, 0, 0, 0) entry is a plain 4-ball cavity.  The homology engine checks
+    this formula on every carved 4D catalog kind (see the test suite).
     """
     for cut in cutouts:
-        _validate_ghij(*cut, allow_trivial=True)
+        _validate_ghij(*cut)
     b1 = sum(h + i * j for (_, h, i, j) in cutouts)
     b2 = sum(g + i * (j + 1) for (g, _, i, j) in cutouts)
     b3 = len(cutouts)
@@ -159,16 +130,13 @@ class ConstructionDescriptor:
     """Symbolic recipe a sample was built from; labels derive from it.
 
     ``cutouts`` lists the cut-out parameter tuples for ``cube_complement``
-    samples (one entry per cavity).  ``kind``/``genus`` identify the shape of
-    an ``embedded_object``.  ``placement`` and ``deformation_log`` are
-    free-form provenance records carried through to the manifest.
+    samples, one entry per cavity and at least one.  ``kind``/``genus``
+    identify the shape of an ``embedded_object``.  ``placement`` and
+    ``deformation_log`` are free-form provenance records carried through to
+    the manifest.
     """
 
     family: str
-    g: int = 0
-    h: int = 0
-    i: int = 0
-    j: int = 0
     kind: str | None = None
     genus: int = 0
     ndim: int = 0
@@ -183,49 +151,29 @@ class ConstructionDescriptor:
         if self.family == "disjoint_union":
             if not self.children:
                 raise InvalidDescriptorError("disjoint_union requires children")
-        elif self.family in ("closed_sum", "boundary_sum"):
-            if self.children:
-                raise InvalidDescriptorError(f"{self.family} takes no children")
-            _validate_ghij(self.g, self.h, self.i, self.j)
-            self._check_cap((self.g, self.h, self.i, self.j))
         elif self.family == "cube_complement":
             if self.children:
                 raise InvalidDescriptorError("cube_complement takes no children")
             if not self.cutouts:
-                _validate_ghij(self.g, self.h, self.i, self.j)
-                self._check_cap((self.g, self.h, self.i, self.j))
+                raise InvalidDescriptorError("cube_complement requires cutouts")
             for cut in self.cutouts:
-                self._check_cap(cut)
+                if max(cut) > MAX_GLUE_COUNT:
+                    raise InvalidDescriptorError(
+                        f"glue counts above {MAX_GLUE_COUNT} are not rasterizable: {cut}"
+                    )
         elif self.family == "embedded_object":
             if self.kind is None:
                 raise InvalidDescriptorError("embedded_object requires a kind")
 
-    @staticmethod
-    def _check_cap(params) -> None:
-        if max(params) > MAX_GLUE_COUNT:
-            raise InvalidDescriptorError(
-                f"glue counts above {MAX_GLUE_COUNT} are not rasterizable: {params}"
-            )
-
     def label(self) -> BettiVector:
-        if self.family == "closed_sum":
-            return betti_closed_sum(self.g, self.h, self.i, self.j)
-        if self.family == "boundary_sum":
-            return betti_boundary_sum(self.g, self.h, self.i, self.j)
         if self.family == "cube_complement":
-            cuts = list(self.cutouts) or [(self.g, self.h, self.i, self.j)]
-            ndim = self.ndim or 4
-            return cavity_label(ndim, cuts)
+            return cavity_label(self.ndim or 4, list(self.cutouts))
         if self.family == "embedded_object":
             return embedded_label(self.kind, self.ndim or 3, self.genus)
         return betti_disjoint_union([c.label() for c in self.children])
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"family": self.family}
-        if self.family in ("closed_sum", "boundary_sum") or (
-            self.family == "cube_complement" and not self.cutouts
-        ):
-            out.update(g=self.g, h=self.h, i=self.i, j=self.j)
         if self.cutouts:
             out["cutouts"] = [list(c) for c in self.cutouts]
         if self.kind is not None:
@@ -246,10 +194,6 @@ class ConstructionDescriptor:
     def from_dict(cls, d: dict[str, Any]) -> "ConstructionDescriptor":
         return cls(
             family=d["family"],
-            g=d.get("g", 0),
-            h=d.get("h", 0),
-            i=d.get("i", 0),
-            j=d.get("j", 0),
             kind=d.get("kind"),
             genus=d.get("genus", 0),
             ndim=d.get("ndim", 0),

@@ -59,13 +59,14 @@ class SampleAttemptsExhaustedError(RuntimeError):
 # ---------------------------------------------------------------------------
 # TVOX voxel files
 
-def write_voxels(path, g: BinaryGrid) -> None:
-    """Write a grid as a TVOX v1 file (bit-exact round trip)."""
+def write_voxels(path, g: BinaryGrid) -> bytes:
+    """Write a grid as a TVOX v1 file (bit-exact round trip); returns its bytes."""
     header = MAGIC + bytes([VERSION, g.ndim])
     for d in g.dims:
         header += int(d).to_bytes(4, "little")
-    payload = np.packbits(g.data.ravel()).tobytes()
-    Path(path).write_bytes(header + payload)
+    raw = header + np.packbits(g.data.ravel()).tobytes()
+    Path(path).write_bytes(raw)
+    return raw
 
 
 def read_voxels(path) -> BinaryGrid:
@@ -103,22 +104,25 @@ def _decode_voxels(raw: bytes) -> BinaryGrid:
     return BinaryGrid(bits.astype(bool).reshape(dims))
 
 
-def _replace_atomically(path: Path, write) -> None:
-    """Call ``write`` on a sibling temp name, then rename it to ``path``.
+def _replace_atomically(path: Path, write):
+    """Call ``write`` on a sibling temp name, rename it to ``path``, and
+    return what ``write`` returned.
 
     The temp name ends in ``.part``, so a reader globbing ``*.tvox`` or
     ``*.json`` never sees a file that is still being written.
     """
     tmp = path.with_name(path.name + ".part")
     try:
-        write(tmp)
+        result = write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return result
 
 
 def file_checksum(path) -> str:
+    """The SHA-256 of a file's bytes, as a manifest's ``voxel_checksum``."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -388,57 +392,47 @@ def _build_sample(
         mode = "cutout" if rng.random() < 0.5 else "embed"
     n_objects = int(rng.integers(1, cfg.max_objects + 1))
 
+    # objects are placed in an empty scene; a cut-out sample is its complement
+    kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
+    if not kinds:
+        what = "cut-out" if mode == "cutout" else "object"
+        raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
+    scene = new_grid(cfg.dims)
+    placed = []
+    for _ in range(n_objects):
+        kind = _weighted_choice(rng, kinds, cfg.shape_weights)
+        obj, genus = kind.make(ndim, rng, max_side)
+        offset = seeds.place_with_spacing(
+            scene, obj, cfg.spacing, seed=int(rng.integers(0, 2**32)), margin=margin
+        )
+        seeds.blit(scene, obj, offset)
+        placed.append((kind, genus, list(offset)))
+
     if mode == "cutout":
-        grid = new_grid(cfg.dims, fill=1)
-        carved = new_grid(cfg.dims, fill=0)  # cavity tracker for spacing
-        kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
-        if not kinds:
-            raise seeds.PlacementError(f"dims {cfg.dims} too small for any cut-out")
-        cutouts = []
-        placements = []
-        for k in range(n_objects):
-            kind = _weighted_choice(rng, kinds, cfg.shape_weights)
-            obj, genus = kind.make(ndim, rng, max_side)
-            offset = seeds.place_with_spacing(
-                carved,
-                obj,
-                cfg.spacing,
-                seed=int(rng.integers(0, 2**32)),
-                margin=margin,
-            )
-            seeds.blit(carved, obj, offset)
-            seeds.blit(grid, obj, offset, value=0)
-            cutouts.append(kind.cutout(genus))
-            placements.append({"kind": kind.name, "offset": list(offset), "genus": genus})
+        grid = scene.complement()
+        cutouts = [kind.cutout(genus) for kind, genus, _ in placed]
         construction = ConstructionDescriptor(
             family="cube_complement",
             ndim=ndim,
             cutouts=tuple(cutouts),
-            placement=tuple(placements),
+            placement=tuple(
+                {"kind": kind.name, "offset": offset, "genus": genus}
+                for kind, genus, offset in placed
+            ),
         )
         label = cavity_label(ndim, cutouts)
     else:
-        grid = new_grid(cfg.dims, fill=0)
-        kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
-        if not kinds:
-            raise seeds.PlacementError(f"dims {cfg.dims} too small for any object")
-        children = []
-        for k in range(n_objects):
-            kind = _weighted_choice(rng, kinds, cfg.shape_weights)
-            obj, genus = kind.make(ndim, rng, max_side)
-            offset = seeds.place_with_spacing(
-                grid, obj, cfg.spacing, seed=int(rng.integers(0, 2**32)), margin=margin
+        grid = scene
+        children = [
+            ConstructionDescriptor(
+                family="embedded_object",
+                kind=kind.name,
+                genus=genus,
+                ndim=ndim,
+                placement=({"offset": offset},),
             )
-            seeds.blit(grid, obj, offset)
-            children.append(
-                ConstructionDescriptor(
-                    family="embedded_object",
-                    kind=kind.name,
-                    genus=genus,
-                    ndim=ndim,
-                    placement=({"offset": list(offset)},),
-                )
-            )
+            for kind, genus, offset in placed
+        ]
         construction = ConstructionDescriptor(
             family="disjoint_union", ndim=ndim, children=tuple(children)
         )
@@ -540,14 +534,14 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
         manifest_path = out / f"{stem}.json"
         if not results:
             out.mkdir(parents=True, exist_ok=True)
-        _replace_atomically(voxel_path, lambda p: write_voxels(p, grid))
+        raw = _replace_atomically(voxel_path, lambda p: write_voxels(p, grid))
         manifest = SampleManifest(
             dims=grid.dims,
             construction=construction,
             label=label,
             seed=sample_seed,
             voxel_file=voxel_path.name,
-            voxel_checksum=file_checksum(voxel_path),
+            voxel_checksum=hashlib.sha256(raw).hexdigest(),
             engine_verified=engine_verified,
             deform_report=deform_doc,
         )

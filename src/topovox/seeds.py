@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .grid import BinaryGrid, new_grid
-from .homology import BettiVector
 from .morphology import ball
 
 
@@ -42,20 +41,22 @@ class InvalidCurveError(ValueError):
     """Raised for polylines sampled too sparsely to rasterize without gaps."""
 
 
+#: Half-width of each interval factor of a boxed (tube) kind.
+BOX_HALF_WIDTH = 1.5
+
+
 @dataclass(frozen=True)
 class ImplicitShape:
-    """A canonical implicit solid.
+    """A canonical implicit solid, in grid axes about ``center``.
 
     ``radii`` is (R1, R2, r) as applicable: major, secondary, and minor/tube
-    radius.  ``extents`` gives the half-widths of the interval factors of the
-    tube kinds.  ``orientation`` permutes grid axes into shape axes.
+    radius.  A boxed kind's interval factors have half-width
+    :data:`BOX_HALF_WIDTH`.
     """
 
     kind: str
     center: tuple[float, ...]
     radii: tuple[float, ...]
-    orientation: tuple[int, ...] | None = None
-    extents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         kind = KINDS.get(self.kind)
@@ -70,7 +71,7 @@ class ImplicitShape:
             )
 
     def axis_reach(self, ndim: int) -> tuple[float, ...]:
-        """Half-extent of the shape along each of its own axes."""
+        """Half-extent of the shape along each axis."""
         kind = KINDS[self.kind]
         *R, r = self.radii
         if kind.core == "point":
@@ -81,39 +82,14 @@ class ImplicitShape:
         else:
             reach = (R[0] + r,) * _CORE_AXES.get(kind.core, ndim)
         rest = ndim - len(reach)
-        if kind.boxed:
-            return reach + tuple(self_extent(self, k) for k in range(rest))
-        return reach + (r,) * rest
-
-
-def _shape_frame(shape: ImplicitShape, ndim: int, dims) -> list[np.ndarray]:
-    """Voxel-center coordinates in the shape's own frame, full grid extent."""
-    axes = [np.arange(d, dtype=np.float64) for d in dims]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    perm = shape.orientation or tuple(range(ndim))
-    if sorted(perm) != list(range(ndim)):
-        raise ValueError(f"orientation {perm} is not an axis permutation")
-    return [mesh[perm[k]] - shape.center[perm[k]] for k in range(ndim)]
-
-
-def implicit_inside(shape: ImplicitShape, points: np.ndarray) -> np.ndarray:
-    """Membership of arbitrary grid-frame points in the shape's solid."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = pts.shape[1]
-    perm = shape.orientation or tuple(range(n))
-    x = [pts[:, perm[k]] - shape.center[perm[k]] for k in range(n)]
-    return _implicit_predicate(shape, x)
+        return reach + (BOX_HALF_WIDTH if kind.boxed else r,) * rest
 
 
 def _implicit_mask(shape: ImplicitShape, dims) -> np.ndarray:
-    n = len(dims)
-    x = _shape_frame(shape, n, dims)
-    return _implicit_predicate(shape, x)
-
-
-def _implicit_predicate(shape: ImplicitShape, x: list[np.ndarray]) -> np.ndarray:
-    """The core in the leading shape axes, thickened by a ball of radius r
-    over the other axes, or by a box of the shape's extents if ``boxed``."""
+    """The core in the leading axes, thickened by a ball of radius r over the
+    other axes, or by a box of :data:`BOX_HALF_WIDTH` if the kind is ``boxed``."""
+    mesh = np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims], indexing="ij")
+    x = [m - c for m, c in zip(mesh, shape.center)]
     kind = KINDS[shape.kind]
     *R, r = shape.radii
     if kind.core == "point":
@@ -130,26 +106,17 @@ def _implicit_predicate(shape: ImplicitShape, x: list[np.ndarray]) -> np.ndarray
         gap, rest = (rho - R[0]) ** 2, x[span:]
     if kind.boxed:
         mask = gap <= r * r
-        for k, c in enumerate(rest):
-            mask &= np.abs(c) <= self_extent(shape, k)
+        for c in rest:
+            mask &= np.abs(c) <= BOX_HALF_WIDTH
         return mask
     for c in rest:
         gap = gap + c * c
     return gap <= r * r
 
 
-def self_extent(shape: ImplicitShape, k: int) -> float:
-    """Half-width of the k-th interval factor of a tube kind (default 1.5)."""
-    return shape.extents[k] if k < len(shape.extents) else 1.5
-
-
 def _check_interior(shape: ImplicitShape, dims) -> None:
-    ndim = len(dims)
-    reach = shape.axis_reach(ndim)
-    perm = shape.orientation or tuple(range(ndim))
-    for k in range(ndim):
-        axis = perm[k]
-        c, d, b = shape.center[axis], dims[axis], reach[k]
+    reach = shape.axis_reach(len(dims))
+    for axis, (c, d, b) in enumerate(zip(shape.center, dims, reach)):
         if c - b < 1 or c + b > d - 2:
             raise PlacementError(
                 f"shape at {shape.center} reaches {b:.1f} along axis {axis}, "
@@ -157,8 +124,8 @@ def _check_interior(shape: ImplicitShape, dims) -> None:
             )
 
 
-def rasterize_implicit(g: BinaryGrid, s: ImplicitShape, value: int = 1) -> BinaryGrid:
-    """Set voxels satisfying the shape's implicit inequality to ``value``.
+def rasterize_implicit(g: BinaryGrid, s: ImplicitShape) -> BinaryGrid:
+    """Set the voxels that satisfy the shape's implicit inequality.
 
     The shape's bounding box must stay at least one voxel away from every
     face of the grid so cut-outs remain interior.
@@ -166,8 +133,7 @@ def rasterize_implicit(g: BinaryGrid, s: ImplicitShape, value: int = 1) -> Binar
     if len(s.center) != g.ndim:
         raise ValueError(f"shape center {s.center} does not match grid dims {g.dims}")
     _check_interior(s, g.dims)
-    mask = _implicit_mask(s, g.dims)
-    g.data[mask] = bool(value)
+    g.data[_implicit_mask(s, g.dims)] = True
     return g
 
 
@@ -282,9 +248,7 @@ STAMP_CHUNK_PAIRS = 1 << 14
 BOX_SLACK = 1e-9
 
 
-def rasterize_tube(
-    g: BinaryGrid, c: ParametricCurve, tube_radius: float, value: int = 1
-) -> BinaryGrid:
+def rasterize_tube(g: BinaryGrid, c: ParametricCurve, tube_radius: float) -> BinaryGrid:
     """Thicken a polyline into a tube of the given radius.
 
     Voxels within ``tube_radius`` of any segment of the polyline are set;
@@ -357,7 +321,7 @@ def rasterize_tube(
         dist2 = sum((x - t * dx) ** 2 for x, dx in zip(rel, dk))
         inside &= dist2 <= r * r
         hit, *pos = np.nonzero(inside)
-        g.data[tuple(lo[a + hit, k] + o for k, o in enumerate(pos))] = bool(value)
+        g.data[tuple(lo[a + hit, k] + o for k, o in enumerate(pos))] = True
     return g
 
 
@@ -571,86 +535,6 @@ def drawn(mode: str, ndim: int) -> list[CatalogKind]:
 
 
 # ---------------------------------------------------------------------------
-# boundary connected sums
-
-@dataclass(frozen=True)
-class CompositeShape:
-    """Solid parts joined by straight bridge tubes (a boundary-sum carving)."""
-
-    parts: tuple[ImplicitShape, ...]
-    bridges: tuple[tuple[tuple[float, ...], tuple[float, ...], float], ...]
-    label: BettiVector
-
-
-def boundary_sum_carve(
-    a: ImplicitShape, b: ImplicitShape, bridge_radius: float, ndim: int | None = None
-) -> CompositeShape:
-    """Join two disjoint solids with a straight tube along their center line.
-
-    The tube runs from just inside the b-facing wall of ``a`` to just inside
-    the a-facing wall of ``b``, so it meets each part in one contractible
-    patch and never threads a hole or plugs a cavity.  The composite then has
-    the homotopy type of the wedge of the parts: reduced Betti numbers add.
-    """
-    if bridge_radius <= 0:
-        raise ValueError(f"bridge radius must be positive, got {bridge_radius}")
-    n = ndim or len(a.center)
-    ca = np.asarray(a.center, dtype=np.float64)
-    cb = np.asarray(b.center, dtype=np.float64)
-    gap = float(np.linalg.norm(cb - ca))
-    if gap == 0.0:
-        raise PlacementError("cannot bridge shapes with identical centers")
-    u = (cb - ca) / gap
-    ts = np.arange(0.0, gap, 0.05)
-    pts = ca + ts[:, None] * u
-    in_a = implicit_inside(a, pts)
-    in_b = implicit_inside(b, pts)
-    if (in_a & in_b).any():
-        raise PlacementError("shapes overlap along their center line")
-    if not in_a.any() or not in_b.any():
-        raise PlacementError("center line misses one of the shapes")
-    inset = min(1.0, bridge_radius)
-    t_start = float(ts[in_a].max()) - inset
-    t_end = float(ts[in_b].min()) + inset
-    if t_start >= t_end:
-        raise PlacementError("shapes too close together to bridge cleanly")
-    p_start = tuple(ca + t_start * u)
-    p_end = tuple(ca + t_end * u)
-    la, lb = (KINDS[part.kind].betti.get(n) for part in (a, b))
-    if la is None or lb is None:
-        raise ValueError(f"no label for {a.kind!r} or {b.kind!r} in dimension {n}")
-    betti = (1,) + tuple(la[k] + lb[k] for k in range(1, 4))
-    euler = betti[0] - betti[1] + betti[2] - betti[3]
-    return CompositeShape(
-        parts=(a, b),
-        bridges=((p_start, p_end, float(bridge_radius)),),
-        label=BettiVector.of(betti, euler),
-    )
-
-
-def rasterize_composite(g: BinaryGrid, comp: CompositeShape, value: int = 1) -> BinaryGrid:
-    """Rasterize parts and bridges; error if a bridge crosses unrelated content.
-
-    With ``value=0`` the composite is carved out of a solid, in which case
-    "unrelated content" means previously carved cavities.
-    """
-    existing = (g.data if value else ~g.data).copy()
-    scratch = BinaryGrid(np.zeros_like(g.data))
-    for part in comp.parts:
-        rasterize_implicit(scratch, part, 1)
-    parts_mask = scratch.data.copy()
-    for p0, p1, r in comp.bridges:
-        rasterize_tube(
-            scratch, make_segment(np.asarray(p0), np.asarray(p1)), r, 1
-        )
-    bridge_mask = scratch.data & ~parts_mask
-    if (bridge_mask & existing).any():
-        raise PlacementError("bridge tube intersects existing content")
-    g.data[scratch.data] = bool(value)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # placement
 
 def _check_same_ndim(sample: BinaryGrid, obj: BinaryGrid) -> None:
@@ -747,11 +631,8 @@ def place_with_spacing(
     )
 
 
-def blit(sample: BinaryGrid, obj: BinaryGrid, offset: tuple[int, ...], value: int = 1) -> None:
+def blit(sample: BinaryGrid, obj: BinaryGrid, offset: tuple[int, ...]) -> None:
     """Write the object's foreground into the sample at the given offset."""
     _check_same_ndim(sample, obj)
     region = tuple(slice(o, o + d) for o, d in zip(offset, obj.dims))
-    if value:
-        sample.data[region] |= obj.data
-    else:
-        sample.data[region] &= ~obj.data
+    sample.data[region] |= obj.data

@@ -264,12 +264,12 @@ def select_move_reference(g, noise):
     return None, rej_rm, rej_pl
 
 
-def stamp_tube_reference(data: np.ndarray, curve, r: float, value: int = 1) -> None:
+def stamp_tube_reference(data: np.ndarray, curve, r: float) -> None:
     """Tube stamping one segment at a time, as it was before batching.
 
     Each segment gets its own box (floor/ceil of its endpoints' bounding box
     grown by ``r``, clipped to the grid) and its own meshgrid, and the
-    capsule mask is OR-ed in (``value=1``) or cleared (``value=0``).
+    capsule mask is OR-ed in.
     """
     for p0, p1 in curve.segments():
         lo = np.maximum(np.floor(np.minimum(p0, p1) - r).astype(int), 0)
@@ -289,11 +289,7 @@ def stamp_tube_reference(data: np.ndarray, curve, r: float, value: int = 1) -> N
             np.clip(t, 0.0, 1.0, out=t)
             dist2 = sum((c - t * dc) ** 2 for c, dc in zip(rel, d))
         region = tuple(slice(a, b) for a, b in zip(lo, hi))
-        mask = dist2 <= r * r
-        if value:
-            data[region] |= mask
-        else:
-            data[region] &= ~mask
+        data[region] |= dist2 <= r * r
 
 
 def place_with_spacing_reference(

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 
 from topovox.grid import BinaryGrid, count_ones, new_grid
-from topovox.homology import betti_numbers, is_local_flip_safe
-from topovox.labels import (
-    betti_boundary_sum,
-    betti_closed_sum,
-    betti_cube_complement,
-)
+from topovox.homology import BettiVector, betti_numbers, is_local_flip_safe
+from topovox.labels import cavity_label, embedded_label
 from topovox.morphology import homology_safe_dilate, thicken_background
 from topovox.deform import DeformConfig, deform_volume_preserving
 from topovox.pipeline import DatasetConfig, generate_dataset, read_voxels, verify_sample, write_voxels
@@ -55,6 +51,16 @@ def _figure_eight64():
     return g
 
 
+def _table_rows(g, h, i, j):
+    """The published table's rows: closed sum, boundary sum, 4-cube complement."""
+    mid = g + h + i * (2 * j + 1)
+    return (
+        BettiVector.of((1, mid, mid, 1), 0),
+        BettiVector.of((1, g + i * (j + 1), h + i * j, 0), 1 - g + h - i),
+        BettiVector.of((1, h + i * j, g + i * (j + 1), 1), g - h + i),
+    )
+
+
 def test_criterion_1_table_reproduction():
     """Closed-form labels match the published table on the parameter sweep."""
     t0 = time.perf_counter()
@@ -65,22 +71,21 @@ def test_criterion_1_table_reproduction():
                 if g + h + i == 0:
                     continue
                 for j in range(1, 4) if i > 0 else (0,):
-                    closed = betti_closed_sum(g, h, i, j)
-                    mid = g + h + i * (2 * j + 1)
-                    assert closed.betti == (1, mid, mid, 1) and closed.euler == 0
-
-                    bsum = betti_boundary_sum(g, h, i, j)
-                    assert bsum.betti == (1, g + i * (j + 1), h + i * j, 0)
-                    assert bsum.euler == 1 - g + h - i
-
-                    comp = betti_cube_complement(g, h, i, j)
-                    assert comp.betti == (1, h + i * j, g + i * (j + 1), 1)
-                    assert comp.euler == g - h + i
-
-                    for bv in (closed, bsum, comp):
+                    rows = _table_rows(g, h, i, j)
+                    for bv in rows:
                         alt = bv.betti[0] - bv.betti[1] + bv.betti[2] - bv.betti[3]
                         assert bv.euler == alt
-                    checked += 3
+                    assert cavity_label(4, [(g, h, i, j)]) == rows[2]
+                    checked += 1
+    # the 4D catalog kinds are the table's building blocks: embedded, each is
+    # the boundary-sum row at its parameters; cut out, the complement row
+    for name, ghij in (("S1xB3", (1, 0, 0, 0)), ("S2xB2", (0, 1, 0, 0)), ("T2xB2", (0, 0, 1, 1))):
+        kind = sd.KINDS[name]
+        assert kind.ghij == ghij
+        _, bsum, comp = _table_rows(*ghij)
+        assert embedded_label(name, 4) == bsum
+        assert cavity_label(4, [kind.cutout(0)]) == comp
+        checked += 2
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 1: label-table reproduction",

@@ -3,12 +3,10 @@ import pytest
 
 from topovox.grid import BinaryGrid, new_grid
 from topovox.homology import BettiVector, betti_numbers
+from topovox import seeds as sd
 from topovox.labels import (
     ConstructionDescriptor,
     InvalidDescriptorError,
-    betti_boundary_sum,
-    betti_closed_sum,
-    betti_cube_complement,
     betti_cube_multi_complement,
     betti_disjoint_union,
     cavity_label,
@@ -30,54 +28,36 @@ def valid_params(limit=4):
 # closed-form labels
 
 
-def test_closed_sum_examples():
-    assert betti_closed_sum(1, 0, 0, 0).betti == (1, 1, 1, 1)
-    assert betti_closed_sum(0, 0, 1, 1).betti == (1, 3, 3, 1)
-    assert betti_closed_sum(1, 0, 0, 0).euler == 0
-
-
-def test_boundary_sum_examples():
-    assert betti_boundary_sum(1, 0, 0, 0) == BettiVector.of((1, 1, 0, 0), 0)
-    assert betti_boundary_sum(0, 1, 0, 0) == BettiVector.of((1, 0, 1, 0), 2)
-    assert betti_boundary_sum(1, 1, 1, 1) == BettiVector.of((1, 3, 2, 0), 0)
-
-
 def test_cube_complement_examples():
-    assert betti_cube_complement(1, 0, 0, 0) == BettiVector.of((1, 0, 1, 1), 1)
-    assert betti_cube_complement(0, 0, 1, 2) == BettiVector.of((1, 2, 3, 1), 1)
+    assert betti_cube_multi_complement([(1, 0, 0, 0)]) == BettiVector.of((1, 0, 1, 1), 1)
+    assert betti_cube_multi_complement([(0, 0, 1, 2)]) == BettiVector.of((1, 2, 3, 1), 1)
 
 
 def test_euler_equals_alternating_sum_everywhere():
     for params in valid_params():
-        for op in (betti_closed_sum, betti_boundary_sum, betti_cube_complement):
-            bv = op(*params)
-            assert bv.euler == bv.betti[0] - bv.betti[1] + bv.betti[2] - bv.betti[3]
-
-
-def test_closed_sum_is_self_dual():
-    for params in valid_params():
-        bv = betti_closed_sum(*params)
-        assert bv.betti[1] == bv.betti[2]
-        assert bv.euler == 0
+        bv = betti_cube_multi_complement([params])
+        assert bv.euler == bv.betti[0] - bv.betti[1] + bv.betti[2] - bv.betti[3]
 
 
 def test_boundary_and_complement_swap_middle_betti():
-    for params in valid_params():
-        inside = betti_boundary_sum(*params)
-        outside = betti_cube_complement(*params)
-        assert inside.betti[1] == outside.betti[2]
-        assert inside.betti[2] == outside.betti[1]
+    # Alexander duality: each carved 4D catalog kind's own b1/b2 are its
+    # cut-out label's b2/b1
+    carved = sd.drawn("cutout", 4)
+    assert [kind.name for kind in carved] == ["ball", "S1xB3", "S2xB2", "T2xB2"]
+    for kind in carved:
+        inside = embedded_label(kind.name, 4)
+        outside = cavity_label(4, [kind.cutout(0)])
+        assert inside.betti[1] == outside.betti[2], kind.name
+        assert inside.betti[2] == outside.betti[1], kind.name
 
 
 def test_invalid_parameters_rejected():
     with pytest.raises(InvalidDescriptorError):
-        betti_closed_sum(0, 0, 0, 0)
+        betti_cube_multi_complement([(1, 0, 1, 0)])  # i > 0 needs j > 0
     with pytest.raises(InvalidDescriptorError):
-        betti_boundary_sum(1, 0, 1, 0)  # i > 0 needs j > 0
+        betti_cube_multi_complement([(1, 0, 0, 2)])  # j without i
     with pytest.raises(InvalidDescriptorError):
-        betti_cube_complement(1, 0, 0, 2)  # j without i
-    with pytest.raises(InvalidDescriptorError):
-        betti_closed_sum(-1, 1, 0, 0)
+        betti_cube_multi_complement([(-1, 1, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +117,10 @@ def test_multi_complement_empty_is_solid_cube():
 
 
 def test_multi_complement_single_matches_row_formula():
-    assert betti_cube_multi_complement([(1, 0, 0, 0)]) == betti_cube_complement(1, 0, 0, 0)
+    for g, h, i, j in valid_params():
+        bv = betti_cube_multi_complement([(g, h, i, j)])
+        assert bv.betti == (1, h + i * j, g + i * (j + 1), 1)
+        assert bv.euler == g - h + i
 
 
 def test_multi_complement_pair():
@@ -199,10 +182,8 @@ def test_cavity_label_dimension_guards():
 
 
 def test_descriptor_label_routing():
-    d = ConstructionDescriptor(family="boundary_sum", g=1, h=1, i=0, j=0)
-    assert d.label() == betti_boundary_sum(1, 1, 0, 0)
     d = ConstructionDescriptor(family="cube_complement", ndim=4, cutouts=((1, 0, 0, 0),))
-    assert d.label() == betti_cube_complement(1, 0, 0, 0)
+    assert d.label() == betti_cube_multi_complement([(1, 0, 0, 0)])
     d = ConstructionDescriptor(
         family="disjoint_union",
         children=(
@@ -218,14 +199,16 @@ def test_descriptor_validation():
         ConstructionDescriptor(family="nope")
     with pytest.raises(InvalidDescriptorError):
         ConstructionDescriptor(family="disjoint_union")
-    with pytest.raises(InvalidDescriptorError):
-        ConstructionDescriptor(family="closed_sum")  # g+h+i == 0
+    with pytest.raises(InvalidDescriptorError, match="unknown family"):
+        ConstructionDescriptor(family="closed_sum")
     with pytest.raises(InvalidDescriptorError):
         ConstructionDescriptor(family="embedded_object")
-    with pytest.raises(InvalidDescriptorError):
-        ConstructionDescriptor(family="boundary_sum", g=9)  # above the glue cap
+    with pytest.raises(InvalidDescriptorError, match="requires cutouts"):
+        ConstructionDescriptor(family="cube_complement", ndim=4)
+    with pytest.raises(InvalidDescriptorError):  # above the glue cap
+        ConstructionDescriptor(family="cube_complement", ndim=4, cutouts=((9, 0, 0, 0),))
     # the pure formulas are not capped
-    assert betti_boundary_sum(9, 0, 0, 0).betti == (1, 9, 0, 0)
+    assert betti_cube_multi_complement([(9, 0, 0, 0)]).betti == (1, 0, 9, 1)
 
 
 def test_descriptor_round_trip():

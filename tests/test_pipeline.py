@@ -179,6 +179,21 @@ def test_verify_sample_reads_the_voxel_file_once(tmp_path, monkeypatch):
     assert reads == [voxel_path.name]
 
 
+def test_generate_dataset_reads_no_voxel_file(tmp_path, monkeypatch):
+    # each manifest's checksum is of the bytes written, not of the file read back
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or real(self))
+    monkeypatch.setattr(pipeline, "file_checksum", None)
+    cfg = DatasetConfig(count=2, dims=(16, 16), out_dir=str(tmp_path / "o"), master_seed=2)
+    pairs = generate_dataset(cfg)
+    assert reads == []
+    monkeypatch.undo()
+    for voxel_path, manifest_path in pairs:
+        manifest = SampleManifest.from_json(manifest_path.read_text())
+        assert manifest.voxel_checksum == file_checksum(voxel_path)
+
+
 def test_verify_sample_checks_the_checksum_before_decoding(tmp_path, monkeypatch):
     cfg = DatasetConfig(count=1, dims=(16, 16), out_dir=str(tmp_path / "c"), master_seed=2)
     [(voxel_path, manifest_path)] = generate_dataset(cfg)
@@ -653,9 +668,9 @@ def test_cli_verify_reports_missing_voxel_file(tmp_path, capsys):
     assert lines[-1] == "1/2 samples passed"
 
 
-def _with_voxel_file(text, value):
+def _with_field(text, name, value):
     doc = json.loads(text)
-    doc["voxel_file"] = value
+    doc[name] = value
     return json.dumps(doc)
 
 
@@ -666,8 +681,15 @@ def _with_voxel_file(text, value):
         (lambda t: '{"dims": [24, 24], "seed": 3}', "no field 'construction'"),
         (lambda t: '{"dims": [24, 24], "construction": {"family": "ball"}}', "unknown family"),
         (lambda t: "[1, 2, 3]", "not a sample manifest"),
-        (lambda t: _with_voxel_file(t, 5), "voxel_file is not a string"),
+        (lambda t: _with_field(t, "voxel_file", 5), "voxel_file is not a string"),
         (lambda t: "[" * 100000, "nested too deeply"),
+        # families no sample is built from
+        (lambda t: _with_field(t, "construction", {"family": "closed_sum", "g": 1}),
+         "not a sample manifest: unknown family 'closed_sum'"),
+        (lambda t: _with_field(t, "construction", {"family": "boundary_sum", "g": 1}),
+         "not a sample manifest: unknown family 'boundary_sum'"),
+        (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 2, "g": 1}),
+         "not a sample manifest: cube_complement requires cutouts"),
     ],
 )
 def test_cli_verify_reports_malformed_manifest(tmp_path, capsys, edit, reason):
@@ -748,9 +770,9 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
 
     if target == "voxels":
         def write_voxels(path, g):
-            scratch = tmp_path / "whole.tvox"
-            real_write_voxels(scratch, g)
-            half_then_fail(Path(path), scratch.read_bytes(), Path.write_bytes)
+            raw = real_write_voxels(tmp_path / "whole.tvox", g)
+            half_then_fail(Path(path), raw, Path.write_bytes)
+            return raw
 
         monkeypatch.setattr(pipeline, "write_voxels", write_voxels)
     else:

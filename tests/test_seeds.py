@@ -16,15 +16,12 @@ from topovox.seeds import (
     ParametricCurve,
     PlacementError,
     PlacementExhaustedError,
-    boundary_sum_carve,
-    implicit_inside,
     make_circle,
     make_circle_wedge,
     make_hopf_link,
     make_segment,
     make_trefoil,
     place_with_spacing,
-    rasterize_composite,
     rasterize_implicit,
     rasterize_tube,
 )
@@ -75,19 +72,6 @@ def test_3d_shell_kinds():
     assert betti_numbers(g).betti == (1, 2, 1, 0)
 
 
-def test_orientation_permutes_axes():
-    dims = (24, 24, 24)
-    a = new_grid(dims)
-    rasterize_implicit(a, ImplicitShape("solid_torus", center_of(dims), (7.0, 2.5)))
-    b = new_grid(dims)
-    rasterize_implicit(
-        b, ImplicitShape("solid_torus", center_of(dims), (7.0, 2.5), orientation=(2, 0, 1))
-    )
-    assert betti_numbers(b).betti == (1, 1, 0, 0)
-    assert count_ones(a) == count_ones(b)
-    assert a != b
-
-
 def test_shape_validation():
     with pytest.raises(ValueError):
         ImplicitShape("cube", (0, 0), (1.0,))
@@ -101,38 +85,34 @@ def test_shape_validation():
 MASK_RADII = {1: ((3.3,), (2.6,)), 2: ((4.0, 1.6), (3.6, 1.2)), 3: ((4.0, 1.8, 0.8), (3.6, 1.6, 1.0))}
 MASK_ARITY = {"point": 1, "torus": 3}
 MASK_DIMS = {2: (22, 22), 3: (20, 20, 20), 4: (18, 18, 18, 18)}
-IMPLICIT_MASKS_DIGEST = "2a86deea63dba75f0f65a80cf33546918227b872d2f18e23141f78e5642dd07c"
+IMPLICIT_MASKS_DIGEST = "2ca0b33541c855cda7568bdb9377fdbbfa96cb5a62b9c5de549ced4192a4f96c"
 
 
 def implicit_mask_cases():
-    """Every implicit kind in each dimension it is labelled in, over two radii,
-    two centres and three (orientation, extents) pairs."""
+    """Every implicit kind in each dimension it is labelled in, over two radii
+    and two centres."""
     for record in sd.CATALOG:
         if record.core is None:
             continue
-        kind = record.name
         for ndim in sorted(record.betti):
             dims = MASK_DIMS[ndim]
             shifted = tuple(c + s for c, s in zip(center_of(dims), (0.3, -0.5, 0.25, 0.0)))
-            poses = (
-                (None, ()),
-                (tuple(reversed(range(ndim))), (2.5,)),
-                (tuple(range(1, ndim)) + (0,), (0.8, 2.2)),
-            )
             for radii in MASK_RADII[MASK_ARITY.get(record.core, 2)]:
                 for center in (center_of(dims), shifted):
-                    for orientation, extents in poses:
-                        yield dims, ImplicitShape(kind, center, radii, orientation, extents)
+                    yield dims, ImplicitShape(record.name, center, radii)
 
 
 def test_implicit_masks_are_pinned():
-    # the voxels and axis reach of every implicit kind, digests recorded
-    # before the kinds moved into one table of records
+    # the voxels and axis reach of every implicit kind; the digest was
+    # recorded before the orientation and extents fields were removed
+    cases = list(implicit_mask_cases())
+    assert len(cases) == 76
     digest = hashlib.sha256()
-    for dims, shape in implicit_mask_cases():
+    for dims, shape in cases:
         g = new_grid(dims)
         rasterize_implicit(g, shape)
-        digest.update(repr((shape, shape.axis_reach(len(dims)))).encode())
+        key = (shape.kind, shape.center, shape.radii, shape.axis_reach(len(dims)))
+        digest.update(repr(key).encode())
         digest.update(np.packbits(g.data).tobytes())
     assert digest.hexdigest() == IMPLICIT_MASKS_DIGEST
 
@@ -210,38 +190,36 @@ def _random_curve(rng, dims, closed, repeat):
     return make_polyline(pts, closed=closed)
 
 
-def _stamp_both(rng, dims, curve, r, value, fill=0.5):
+def _stamp_both(rng, dims, curve, r, fill=0.5):
     start = rng.random(dims) < fill
     expect = start.copy()
-    stamp_tube_reference(expect, curve, r, value)
+    stamp_tube_reference(expect, curve, r)
     got = BinaryGrid(start.copy())
-    rasterize_tube(got, curve, r, value)
+    rasterize_tube(got, curve, r)
     return expect, got.data
 
 
 @pytest.mark.parametrize("dims", [(23, 19), (13, 15, 11), (8, 9, 7, 10)])
-@pytest.mark.parametrize("value", [1, 0])
 @pytest.mark.parametrize("closed", [False, True])
-def test_tube_matches_per_segment_reference(dims, value, closed):
-    rng = np.random.default_rng(sum(dims) * 4 + value * 2 + closed)
+def test_tube_matches_per_segment_reference(dims, closed):
+    rng = np.random.default_rng(sum(dims) * 4 + 2 + closed)
     for trial in range(6):
         curve = _random_curve(rng, dims, closed, repeat=trial % 2 == 0)
         if trial % 2 == 0:
             seg = curve.segments()
             assert (seg[:, 0] == seg[:, 1]).all(axis=1).any()
         r = float(rng.uniform(0.4, 3.0))
-        expect, got = _stamp_both(rng, dims, curve, r, value)
+        expect, got = _stamp_both(rng, dims, curve, r)
         assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("dims,r", [((30, 24, 26), 9.0), ((14, 12, 13, 11), 5.5)])
-@pytest.mark.parametrize("value", [1, 0])
-def test_tube_matches_reference_across_chunks(dims, r, value):
-    rng = np.random.default_rng(len(dims) + value)
+def test_tube_matches_reference_across_chunks(dims, r):
+    rng = np.random.default_rng(len(dims) + 1)
     curve = _random_curve(rng, dims, closed=False, repeat=True)
     # every segment box spans at least 2r per axis: more pairs than one chunk
     assert len(curve.segments()) * (2 * r) ** len(dims) > 2 * sd.STAMP_CHUNK_PAIRS
-    expect, got = _stamp_both(rng, dims, curve, r, value)
+    expect, got = _stamp_both(rng, dims, curve, r)
     assert got.tobytes() == expect.tobytes()
 
 
@@ -282,7 +260,7 @@ def test_tube_matches_reference_on_boundary_ties(dims):
         if r is None or not 0.5 <= r <= 4.0:
             continue
         ties += 1
-        expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+        expect, got = _stamp_both(rng, dims, curve, r, fill=0.0)
         assert expect[voxel]
         assert got.tobytes() == expect.tobytes()
     assert ties >= 40
@@ -296,7 +274,7 @@ def test_tube_matches_reference_on_integer_waypoints(dims):
         for r in (1.0, 2.0, 3.0):
             pts = rng.integers(-2, np.asarray(dims) + 2, size=(4, len(dims)))
             curve = make_polyline(pts.astype(float), closed=closed)
-            expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+            expect, got = _stamp_both(rng, dims, curve, r, fill=0.0)
             assert got.tobytes() == expect.tobytes()
 
 
@@ -323,7 +301,7 @@ def test_tube_matches_reference_near_box_edges(dims, r):
                         p0[k] = edge - r + sign * delta
                         step[k] = -0.4
                     curve = ParametricCurve("custom", np.stack([p0, p0 + step]), closed=False)
-                    expect, got = _stamp_both(rng, dims, curve, r, 1, fill=0.0)
+                    expect, got = _stamp_both(rng, dims, curve, r, fill=0.0)
                     assert got.tobytes() == expect.tobytes()
                     voxel = tuple(int(c) for c in base[:k]) + (edge,) + tuple(
                         int(c) for c in base[k + 1:]
@@ -352,68 +330,6 @@ def test_circle_wedge_labels():
     for loop in make_circle_wedge((12.0, 16.0, 16.0), 5.0, 3):
         rasterize_tube(g, loop, 2.0)
     assert betti_numbers(g).betti == (1, 3, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# boundary sums
-
-
-def test_bridged_donuts():
-    a = ImplicitShape("solid_torus", (16.0, 16.0, 24.0), (7.0, 2.5))
-    b = ImplicitShape("solid_torus", (32.0, 32.0, 24.0), (7.0, 2.5))
-    comp = boundary_sum_carve(a, b, 2.0)
-    assert comp.label.betti == (1, 2, 0, 0)
-    g = new_grid([48] * 3)
-    rasterize_composite(g, comp)
-    assert betti_numbers(g).betti == (1, 2, 0, 0)
-
-
-def test_bridged_donut_and_ball():
-    a = ImplicitShape("solid_torus", (14.0, 16.0, 16.0), (6.0, 2.5))
-    b = ImplicitShape("ball", (29.0, 16.0, 16.0), (4.0,))
-    comp = boundary_sum_carve(a, b, 2.0)
-    g = new_grid([36] * 3)
-    rasterize_composite(g, comp)
-    assert betti_numbers(g).betti == (1, 1, 0, 0)
-
-
-def test_bridged_4d_pair_matches_row_formula():
-    from topovox.labels import betti_boundary_sum
-
-    a = ImplicitShape("S1xB3", (8.0, 11.0, 10.0, 10.0), (4.5, 1.7))
-    b = ImplicitShape("S2xB2", (21.0, 11.0, 10.0, 10.0), (3.0, 1.4))
-    comp = boundary_sum_carve(a, b, 1.4)
-    assert comp.label == betti_boundary_sum(1, 1, 0, 0)
-    g = new_grid([30, 22, 20, 20])
-    rasterize_composite(g, comp)
-    assert betti_numbers(g) == comp.label
-
-
-def test_overlapping_shapes_rejected():
-    a = ImplicitShape("ball", (10.0, 10.0, 10.0), (4.0,))
-    b = ImplicitShape("ball", (15.0, 10.0, 10.0), (4.0,))
-    with pytest.raises(PlacementError):
-        boundary_sum_carve(a, b, 1.5)
-
-
-def test_bridge_through_third_object_rejected():
-    a = ImplicitShape("ball", (8.0, 16.0, 16.0), (3.0,))
-    b = ImplicitShape("ball", (26.0, 16.0, 16.0), (3.0,))
-    comp = boundary_sum_carve(a, b, 1.5)
-    g = new_grid([34, 32, 32])
-    rasterize_implicit(g, ImplicitShape("ball", (17.0, 16.0, 16.0), (2.5,)))
-    with pytest.raises(PlacementError):
-        rasterize_composite(g, comp)
-
-
-def test_implicit_inside_matches_rasterization():
-    dims = (20, 20, 20)
-    shape = ImplicitShape("solid_torus", center_of(dims), (6.0, 2.0))
-    g = new_grid(dims)
-    rasterize_implicit(g, shape)
-    pts = np.argwhere(np.ones(dims, bool)).astype(float)
-    inside = implicit_inside(shape, pts).reshape(dims)
-    assert np.array_equal(inside, g.data)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +484,9 @@ def test_full_catalog_rasterizations_match_labels():
         budget = {2: 60, 3: 44, 4: 20}[ndim]
         for kind in sd.drawn("cutout", ndim):
             obj, genus = kind.make(ndim, rng, budget)
-            box = new_grid([d + 4 for d in obj.dims], fill=1)
-            sd.blit(box, obj, (2,) * ndim, value=0)
+            scene = new_grid([d + 4 for d in obj.dims])
+            sd.blit(scene, obj, (2,) * ndim)
+            box = scene.complement()
             label = cavity_label(ndim, [kind.cutout(genus)])
             measured = betti_numbers(box)
             assert measured == label, (kind.name, ndim, measured.betti, label.betti)
