@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import sys
@@ -62,18 +63,7 @@ def _gen(args: argparse.Namespace) -> int:
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: a config must be a JSON object")
         fields.update(doc)
-    for name in (
-        "count",
-        "dims",
-        "mode",
-        "max_objects",
-        "spacing",
-        "deform_iterations",
-        "dilate_iterations",
-        "verify_rate",
-        "out_dir",
-        "master_seed",
-    ):
+    for name in (f.name for f in dataclasses.fields(DatasetConfig)):
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Any
@@ -76,10 +75,9 @@ class DeformReport:
     betti_before: BettiVector | None = None
     betti_after: BettiVector | None = None
     stagnated: bool = False
-    wall_time: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """Manifest form; wall_time is excluded to keep outputs byte-stable."""
+        """Manifest form."""
         out = {
             "accepted_flips": self.accepted_flips,
             "rejected_removals": self.rejected_removals,
@@ -240,7 +238,6 @@ def deform_volume_preserving(
     """
     if not g.data.any() or g.data.all():
         raise ValueError("deformation needs a grid that is neither empty nor full")
-    t0 = time.perf_counter()
     cur = g.copy()
     if noise is None:
         noise = noise_field(g.dims, cfg.noise_scale, cfg.seed)
@@ -275,5 +272,4 @@ def deform_volume_preserving(
     if report.betti_after != report.betti_before:
         raise TopologyDriftError("final verification found a Betti change")
     report.volume_after = count_ones(cur)
-    report.wall_time = time.perf_counter() - t0
     return cur, report

@@ -105,9 +105,9 @@ def cavity_label(ndim: int, cutouts: list[tuple[int, int, int, int]]) -> BettiVe
         return betti_cube_multi_complement(cutouts)
     if ndim == 3:
         for g, h, i, j in cutouts:
-            if h or i or j:
+            if g < 0 or h or i or j:
                 raise InvalidDescriptorError(
-                    "3d cut-outs are genus-g handlebodies: h = i = j = 0"
+                    "3d cut-outs are genus-g handlebodies: g >= 0, h = i = j = 0"
                 )
         b1 = sum(g for (g, _, _, _) in cutouts)
         betti = (1, b1, len(cutouts), 0)
@@ -161,6 +161,7 @@ class ConstructionDescriptor:
                     raise InvalidDescriptorError(
                         f"glue counts above {MAX_GLUE_COUNT} are not rasterizable: {cut}"
                     )
+            cavity_label(self.ndim or 4, list(self.cutouts))  # the rules label() applies
         elif self.family == "embedded_object":
             if self.kind is None:
                 raise InvalidDescriptorError("embedded_object requires a kind")

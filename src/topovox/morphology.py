@@ -187,8 +187,6 @@ def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
         changed = False
         for elem in _thinning_elements_2d():
             for c in map(tuple, np.argwhere(hit_or_miss(cur.complement(), elem).data)):
-                if cur.get(c) == 1:
-                    continue
                 if is_local_flip_safe(cur, c, 1):
                     cur.set(c, 1)
                     changed = True

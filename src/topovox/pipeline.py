@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -243,6 +243,10 @@ class DatasetConfig:
         if not all(_is_integer(d) for d in self.dims):
             raise ValueError(f"dims must be integers, got {self.dims!r}")
         self.dims = tuple(int(d) for d in self.dims)
+        if not (2 <= len(self.dims) <= 4 and min(self.dims) >= 1):
+            raise ValueError(
+                f"dims must have 2 to 4 axes, each of length at least 1, got {self.dims}"
+            )
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not _is_integer(value):
@@ -296,14 +300,7 @@ class DatasetConfig:
             for name in self.shape_weights:
                 if name not in seeds.KINDS:
                     raise ValueError(f"shape_weights names an unknown kind {name!r}")
-            for mode in _modes(self.mode):
-                kinds = _fitting_kinds(mode, self.dims)[0]
-                if kinds and not any(self.shape_weights.get(k.name, 0) > 0 for k in kinds):
-                    names = ", ".join(k.name for k in kinds)
-                    raise ValueError(
-                        f"shape_weights gives no {mode} kind that fits dims {self.dims} "
-                        f"a positive weight (those kinds: {names})"
-                    )
+            _draw_table(self)  # raises if a drawn mode's fitting kinds all weigh 0
 
     @property
     def ndim(self) -> int:
@@ -313,23 +310,7 @@ class DatasetConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV, self.out_dir))
 
     def to_json(self) -> str:
-        doc = {
-            "count": self.count,
-            "dims": list(self.dims),
-            "mode": self.mode,
-            "shape_weights": self.shape_weights,
-            "max_objects": self.max_objects,
-            "spacing": self.spacing,
-            "deform_iterations": self.deform_iterations,
-            "deform_noise_scale": self.deform_noise_scale,
-            "dilate_iterations": self.dilate_iterations,
-            "dilate_noise_bias": self.dilate_noise_bias,
-            "dilate_element": self.dilate_element,
-            "verify_rate": self.verify_rate,
-            "out_dir": self.out_dir,
-            "master_seed": self.master_seed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetConfig":
@@ -341,66 +322,54 @@ class DatasetConfig:
 # ---------------------------------------------------------------------------
 # object synthesis
 
-def _weighted_choice(rng: np.random.Generator, kinds, weights: dict[str, float] | None):
-    """One of ``kinds``, drawn by ``weights`` (uniformly without them).
+def _draw_table(cfg: DatasetConfig) -> dict[str, tuple[list[seeds.CatalogKind], np.ndarray, int, int]]:
+    """What a sample of ``cfg`` can be drawn as, decided once per run.
 
-    :class:`DatasetConfig` ensures that some kind of every list drawn from
-    has a positive weight.
+    Maps each mode ``cfg.mode`` draws in (both for ``mixed``) in which some
+    kind fits ``cfg.dims`` to those kinds, their draw probabilities (by
+    ``shape_weights``, uniform without them), the margin kept free at the
+    grid border and the largest object box side that margin leaves.  Raises
+    ``ValueError`` if ``shape_weights`` gives no kind of such a mode a
+    positive weight.
     """
-    if weights:
-        w = np.array([weights.get(k.name, 0.0) for k in kinds], dtype=float)
-    else:
-        w = np.ones(len(kinds))
-    return kinds[int(rng.choice(len(kinds), p=w / w.sum()))]
-
-
-def _modes(mode: str) -> tuple[str, ...]:
-    """The modes a config's ``mode`` draws samples in."""
-    return ("cutout", "embed") if mode == "mixed" else (mode,)
-
-
-def _fitting_kinds(mode: str, dims: tuple[int, ...]) -> tuple[list[seeds.CatalogKind], int, int]:
-    """The kinds of ``mode`` (cutout or embed) whose box fits ``dims``.
-
-    Also returns the margin kept free at the grid border and the largest
-    object box side that margin leaves.
-    """
-    ndim = len(dims)
-    margin = 2 if mode == "cutout" else 1
-    max_side = min(dims, default=0) - 2 * margin
-    return [k for k in seeds.drawn(mode, ndim) if k.min_side(ndim) <= max_side], margin, max_side
-
-
-def _check_some_kind_fits(cfg: DatasetConfig) -> None:
-    """Raise :class:`seeds.PlacementError` if no kind fits ``cfg.dims`` in any
-    mode ``cfg.mode`` allows: no attempt could then succeed, whatever its seed.
-
-    Dims with an unsupported number of axes are left to the grid to reject.
-    """
-    modes = _modes(cfg.mode)
-    if seeds.drawn("cutout", cfg.ndim) and not any(_fitting_kinds(m, cfg.dims)[0] for m in modes):
-        what = " or ".join("cut-out" if m == "cutout" else "object" for m in modes)
-        raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
+    table = {}
+    for mode in ("cutout", "embed") if cfg.mode == "mixed" else (cfg.mode,):
+        margin = 2 if mode == "cutout" else 1
+        max_side = min(cfg.dims) - 2 * margin
+        kinds = [k for k in seeds.drawn(mode, cfg.ndim) if k.min_side(cfg.ndim) <= max_side]
+        if not kinds:
+            continue
+        if cfg.shape_weights:
+            w = np.array([cfg.shape_weights.get(k.name, 0.0) for k in kinds], dtype=float)
+        else:
+            w = np.ones(len(kinds))
+        if not w.sum() > 0:
+            names = ", ".join(k.name for k in kinds)
+            raise ValueError(
+                f"shape_weights gives no {mode} kind that fits dims {cfg.dims} "
+                f"a positive weight (those kinds: {names})"
+            )
+        table[mode] = (kinds, w / w.sum(), margin, max_side)
+    return table
 
 
 def _build_sample(
-    cfg: DatasetConfig, rng: np.random.Generator, sample_seed: int
+    cfg: DatasetConfig, table: dict, rng: np.random.Generator, sample_seed: int
 ) -> tuple[BinaryGrid, ConstructionDescriptor, BettiVector, dict | None]:
+    """One sample of ``cfg``, drawn from its :func:`_draw_table` ``table``."""
     ndim = cfg.ndim
-    mode = cfg.mode
-    if mode == "mixed":
+    if len(table) == 2:  # mixed, and both modes fit
         mode = "cutout" if rng.random() < 0.5 else "embed"
+    else:
+        (mode,) = table
     n_objects = int(rng.integers(1, cfg.max_objects + 1))
 
     # objects are placed in an empty scene; a cut-out sample is its complement
-    kinds, margin, max_side = _fitting_kinds(mode, cfg.dims)
-    if not kinds:
-        what = "cut-out" if mode == "cutout" else "object"
-        raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
+    kinds, p, margin, max_side = table[mode]
     scene = new_grid(cfg.dims)
     placed = []
     for _ in range(n_objects):
-        kind = _weighted_choice(rng, kinds, cfg.shape_weights)
+        kind = kinds[int(rng.choice(len(kinds), p=p))]
         obj, genus = kind.make(ndim, rng, max_side)
         offset = seeds.place_with_spacing(
             scene, obj, cfg.spacing, seed=int(rng.integers(0, 2**32)), margin=margin
@@ -490,7 +459,10 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
     before the first file is written, so a run whose first sample fails
     leaves no empty directory behind.
     """
-    _check_some_kind_fits(cfg)
+    table = _draw_table(cfg)
+    if not table:
+        what = {"cutout": "cut-out", "embed": "object", "mixed": "cut-out or object"}[cfg.mode]
+        raise seeds.PlacementError(f"dims {cfg.dims} too small for any {what}")
     out = cfg.resolved_out_dir()
     results: list[tuple[Path, Path]] = []
     width = max(4, len(str(cfg.count - 1)))
@@ -502,7 +474,7 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Path, Path]]:
             sample_seed = int(seq.generate_state(1)[0])
             try:
                 grid, construction, label, deform_doc = _build_sample(
-                    cfg, rng, sample_seed
+                    cfg, table, rng, sample_seed
                 )
                 break
             except (seeds.PlacementExhaustedError, seeds.PlacementError) as exc:

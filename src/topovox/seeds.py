@@ -147,7 +147,6 @@ MAX_SAMPLE_SPACING = 0.5
 class ParametricCurve:
     """A densely sampled polyline, optionally closed."""
 
-    kind: str
     samples: np.ndarray
     closed: bool
 
@@ -178,7 +177,7 @@ def make_segment(p0, p1) -> ParametricCurve:
     p1 = np.asarray(p1, float)
     n = _curve_samples(float(np.linalg.norm(p1 - p0)))
     t = np.linspace(0.0, 1.0, n)[:, None]
-    return ParametricCurve("segment_chain", p0 + t * (p1 - p0), closed=False)
+    return ParametricCurve(p0 + t * (p1 - p0), closed=False)
 
 
 def make_circle(center, radius: float, plane: tuple[int, int] = (0, 1)) -> ParametricCurve:
@@ -189,7 +188,7 @@ def make_circle(center, radius: float, plane: tuple[int, int] = (0, 1)) -> Param
     pts = np.tile(center, (n, 1))
     pts[:, plane[0]] += radius * np.cos(t)
     pts[:, plane[1]] += radius * np.sin(t)
-    return ParametricCurve("circle", pts, closed=True)
+    return ParametricCurve(pts, closed=True)
 
 
 def make_trefoil(center, scale: float) -> ParametricCurve:
@@ -208,7 +207,7 @@ def make_trefoil(center, scale: float) -> ParametricCurve:
     pts += center[:3]
     if center.size > 3:
         pts = np.hstack([pts, np.tile(center[3:], (n, 1))])
-    return ParametricCurve("trefoil", pts, closed=True)
+    return ParametricCurve(pts, closed=True)
 
 
 def make_hopf_link(center, scale: float) -> tuple[ParametricCurve, ParametricCurve]:
@@ -551,19 +550,9 @@ def _ball_offsets(radius: float, ndim: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _offset_draws(rng: np.random.Generator, low: int, highs, trials: int):
-    """Yield ``trials`` offsets, each axis drawn uniformly from ``[low, high]``.
-
-    The offsets are drawn in growing blocks.  A block draw consumes the
-    generator exactly as one scalar ``rng.integers(low, high + 1)`` per axis
-    and offset would, so the offsets are the same as drawn one at a time.
-    """
-    ends = np.asarray(highs) + 1
-    block = 8
-    while trials > 0:
-        k = min(block, trials)
-        yield from map(tuple, rng.integers(low, ends, size=(k, len(ends))).tolist())
-        trials -= k
-        block = min(4 * block, 4096)
+    """Yield ``trials`` offsets, each axis drawn uniformly from ``[low, high]``."""
+    for _ in range(trials):
+        yield tuple(int(rng.integers(low, h + 1)) for h in highs)
 
 
 def place_with_spacing(

@@ -626,4 +626,4 @@ def make_polyline(points, closed: bool = False) -> ParametricCurve:
         out.extend(a + t * (b - a))
     if closed:
         out = out[:-1]
-    return ParametricCurve("custom", np.asarray(out), closed=closed)
+    return ParametricCurve(np.asarray(out), closed=closed)

@@ -232,15 +232,6 @@ def test_deform_config_validation():
         DeformConfig(iterations=-1)
 
 
-def test_report_serialization_excludes_wall_time():
-    g = disc_grid()
-    _, report = deform_volume_preserving(g, DeformConfig(iterations=20, seed=9))
-    doc = report.to_dict()
-    assert "wall_time" not in doc
-    assert doc["volume_before"] == doc["volume_after"]
-    assert doc["betti_before"]["betti"] == list(report.betti_before.betti)
-
-
 def test_drift_leaves_generate_dataset_on_the_first_attempt(tmp_path, monkeypatch):
     # a drift means a gate defect: it must not be retried under a fresh seed
     from topovox import pipeline

@@ -51,10 +51,11 @@ def gen_plain_4d_grids(count=3):
     grids = []
     for mode in ("cutout", "embed"):
         cfg = pipeline.DatasetConfig(count=1, dims=(16,) * 4, max_objects=1, mode=mode)
+        table = pipeline._draw_table(cfg)
         for i in range(count):
             seq = np.random.SeedSequence(entropy=61, spawn_key=(i, 0))
             rng = np.random.Generator(np.random.PCG64(seq))
-            grid, *_ = pipeline._build_sample(cfg, rng, int(seq.generate_state(1)[0]))
+            grid, *_ = pipeline._build_sample(cfg, table, rng, int(seq.generate_state(1)[0]))
             grids.append(grid.data)
     return grids
 

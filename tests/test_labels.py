@@ -207,6 +207,21 @@ def test_descriptor_validation():
         ConstructionDescriptor(family="cube_complement", ndim=4)
     with pytest.raises(InvalidDescriptorError):  # above the glue cap
         ConstructionDescriptor(family="cube_complement", ndim=4, cutouts=((9, 0, 0, 0),))
+    # every cut-out that label() rejects is rejected when the descriptor is built
+    for ndim, cut, reason in [
+        (4, (-1, 0, 0, 0), "nonnegative"),
+        (4, (0, 0, 0, -1), "nonnegative"),
+        (4, (1, 0, 1, 0), "j must be positive"),
+        (0, (1, 0, 1, 0), "j must be positive"),  # a missing ndim labels as 4D
+        (4, (0, 0, 0, 1), "only meaningful"),
+        (3, (-1, 0, 0, 0), "handlebodies"),
+        (3, (0, 1, 0, 0), "handlebodies"),
+        (3, (1, 0, 1, 1), "handlebodies"),
+        (2, (1, 0, 0, 0), "disc holes"),
+        (5, (0, 0, 0, 0), "unsupported dimension"),
+    ]:
+        with pytest.raises(InvalidDescriptorError, match=reason):
+            ConstructionDescriptor(family="cube_complement", ndim=ndim, cutouts=((0, 0, 0, 0), cut))
     # the pure formulas are not capped
     assert betti_cube_multi_complement([(9, 0, 0, 0)]).betti == (1, 0, 9, 1)
 

@@ -690,6 +690,15 @@ def _with_field(text, name, value):
          "not a sample manifest: unknown family 'boundary_sum'"),
         (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 2, "g": 1}),
          "not a sample manifest: cube_complement requires cutouts"),
+        # cut-outs that label() rejects fail while the manifest loads
+        (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 4, "cutouts": [[-1, 0, 0, 0]]}),
+         "not a sample manifest: counts must be nonnegative, got (-1, 0, 0, 0)"),
+        (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 4, "cutouts": [[1, 0, 1, 0]]}),
+         "not a sample manifest: j must be positive when i > 0"),
+        (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 3, "cutouts": [[-1, 0, 0, 0]]}),
+         "not a sample manifest: 3d cut-outs are genus-g handlebodies"),
+        (lambda t: _with_field(t, "construction", {"family": "cube_complement", "ndim": 3, "cutouts": [[1, 0, 1, 0]]}),
+         "not a sample manifest: 3d cut-outs are genus-g handlebodies"),
     ],
 )
 def test_cli_verify_reports_malformed_manifest(tmp_path, capsys, edit, reason):
@@ -846,6 +855,8 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "verify_rate": "x"}', "bad config: verify_rate must be a number in [0, 1], got 'x'"),
         ('{"count": 1, "verify_rate": NaN}', "bad config: verify_rate must be a number in [0, 1], got nan"),
         ('{"count": 1, "verify_rate": 1.5}', "bad config: verify_rate must be a number in [0, 1], got 1.5"),
+        ('{"count": 1, "dims": [16, 0]}', "bad config: dims must have 2 to 4 axes, each of length at least 1, got (16, 0)"),
+        ('{"count": 1, "dims": []}', "bad config: dims must have 2 to 4 axes, each of length at least 1, got ()"),
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, monkeypatch, text, reason):
@@ -861,6 +872,17 @@ def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, monkeypatch
     assert reason in err[0]
     assert not (tmp_path / "ds").exists()
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("dims", [["20"], ["6"] * 5])
+def test_cli_gen_rejects_dims_without_2_to_4_axes_as_a_config(tmp_path, capsys, dims):
+    # these used to spend all ten attempts on "too small for any cut-out"
+    out = tmp_path / "ds"
+    assert cli.main(["gen", "--dims", *dims, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("topovox gen: error: bad config: dims must have 2 to 4 axes")
+    assert not out.exists()
 
 
 def test_cli_gen_failure_leaves_no_directory(tmp_path, capsys):
@@ -919,4 +941,41 @@ def test_dims_that_nothing_fits_fail_before_the_first_attempt(tmp_path, monkeypa
     "mode, dims", [("cutout", (14, 14)), ("embed", (12, 12)), ("mixed", (12, 12)), ("embed", (12,) * 4)]
 )
 def test_dims_that_one_kind_fits_pass_the_up_front_check(mode, dims):
-    pipeline._check_some_kind_fits(DatasetConfig(count=1, dims=dims, mode=mode))
+    assert pipeline._draw_table(DatasetConfig(count=1, dims=dims, mode=mode))
+
+
+@pytest.mark.parametrize(
+    "dims, modes",
+    [((12, 12), ["embed"]), ((13,) * 3, ["embed"]), ((13,) * 4, ["embed"]), ((14, 14), ["cutout", "embed"])],
+)
+def test_mixed_draws_only_the_modes_that_fit(dims, modes):
+    assert list(pipeline._draw_table(DatasetConfig(dims=dims))) == modes
+
+
+def test_draw_table_probabilities_follow_shape_weights():
+    weights = {"ball": 3.0, "solid_torus": 1.0, "circle_wedge": 0.5, "open_tube": 2.0, "S2xB2": 9.0}
+    table = pipeline._draw_table(DatasetConfig(dims=(40,) * 3, shape_weights=weights))
+    assert list(table) == ["cutout", "embed"]
+    for mode, (kinds, p, margin, max_side) in table.items():
+        w = np.array([weights.get(k.name, 0.0) for k in kinds])
+        assert np.array_equal(p, w / w.sum())
+        assert margin == (2 if mode == "cutout" else 1)
+        assert max_side == 40 - 2 * margin
+        assert all(k.min_side(3) <= max_side for k in kinds)
+
+
+def test_no_attempt_at_13_4_mixed_is_lost_to_a_mode_nothing_fits():
+    # half of these attempts used to draw "cutout" and raise "too small"
+    cfg = DatasetConfig(dims=(13,) * 4)
+    table = pipeline._draw_table(cfg)
+    built = 0
+    for i in range(24):
+        seq = np.random.SeedSequence(entropy=0, spawn_key=(i, 0))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        try:
+            _, construction, _, _ = pipeline._build_sample(cfg, table, rng, int(seq.generate_state(1)[0]))
+        except sd.PlacementExhaustedError:  # a crowded grid, not a size that never fits
+            continue
+        assert construction.family == "disjoint_union"
+        built += 1
+    assert built

@@ -146,7 +146,7 @@ def test_trefoil_tube_is_homologically_a_donut():
 
 
 def test_sparse_curve_rejected():
-    sparse = ParametricCurve("custom", np.array([[2.0, 2.0], [10.0, 2.0]]), closed=False)
+    sparse = ParametricCurve(np.array([[2.0, 2.0], [10.0, 2.0]]), closed=False)
     g = new_grid([16, 16])
     with pytest.raises(InvalidCurveError):
         rasterize_tube(g, sparse, 1.5)
@@ -161,7 +161,7 @@ def test_tube_resampling_invariance():
         pts = np.tile(np.asarray(center), (n, 1))
         pts[:, 0] += 8.0 * np.cos(t)
         pts[:, 1] += 8.0 * np.sin(t)
-        return ParametricCurve("circle", pts, closed=True)
+        return ParametricCurve(pts, closed=True)
 
     a = new_grid(dims)
     rasterize_tube(a, circle_at(400), 2.0)
@@ -300,7 +300,7 @@ def test_tube_matches_reference_near_box_edges(dims, r):
                     else:
                         p0[k] = edge - r + sign * delta
                         step[k] = -0.4
-                    curve = ParametricCurve("custom", np.stack([p0, p0 + step]), closed=False)
+                    curve = ParametricCurve(np.stack([p0, p0 + step]), closed=False)
                     expect, got = _stamp_both(rng, dims, curve, r, fill=0.0)
                     assert got.tobytes() == expect.tobytes()
                     voxel = tuple(int(c) for c in base[:k]) + (edge,) + tuple(
