@@ -13,14 +13,16 @@ this independently: a change it finds is a defect, raised as
 
 Move selection is incremental.  A front built once per run holds the
 sources with a target as a sorted list of (noise, index) pairs, each
-source's current target and the gate verdict on each move it has judged.
-Its set-up computes targets on the face boundary only, not on every
-occupied voxel, and sorts only the sources, not the grid.  After a move it
-recomputes targets only within one voxel of the two flipped voxels, and
-forgets verdicts only within two, so a move costs a few small array updates
-and the gate calls of the verdicts it forgot, not a rescan of the boundary.
-A source whose move the gate has already rejected is passed over without
-converting it to coordinates.  The moves and rejection counters are those of a full rescan.
+source's current target, the gate verdict on each move it has judged and
+the gate keys of the voxels it has judged (:class:`GateKeys`, updated by
+each flip).  Its set-up computes targets on the face boundary only, not on
+every occupied voxel, and sorts only the sources, not the grid.  After a
+move it recomputes targets only within one voxel of the two flipped voxels,
+and forgets verdicts only within two, so a move costs a few small array
+updates and the verdicts it forgot, each read from two keys, not a rescan
+of the boundary.  A source whose move the gate has already rejected is
+passed over without converting it to coordinates.  The moves and rejection
+counters are those of a full rescan.
 """
 from __future__ import annotations
 
@@ -29,12 +31,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from .grid import BinaryGrid, Coord, boundary_mask, count_ones, neighbor_offsets
-from .homology import BettiVector, betti_numbers, is_local_flip_safe
+from .homology import BettiVector, GateKeys, betti_numbers
+from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
 from .noise import NoiseField, noise_field
 
 
@@ -91,7 +95,7 @@ class DeformReport:
         return out
 
 
-# gate verdicts on a move; the two rejections compare above _OK
+# gate verdicts on a move
 _UNKNOWN, _OK, _REMOVAL_REJECTED, _PLACEMENT_REJECTED = range(4)
 
 
@@ -105,8 +109,11 @@ class _MoveFront:
     sorted list of (noise, index) pairs; the index order is the raster
     order, so noise ties go to the earlier voxel.  Each source keeps the
     gate verdict on its move until a flip nearby could change it.  Set-up
-    computes targets on the face boundary of the grid only, since no other
-    voxel can be a source.
+    computes targets only on the face boundary of the grid, since no other
+    voxel can be a source, and there only where an empty voxel in range
+    lies among the 3^n - 1 neighbours, since no other voxel has a target.
+    The gate keys of the sources and targets it judges are kept live
+    (:class:`GateKeys`), so no verdict slices the grid.
 
     Voxels are addressed by flat index into the grid padded by two voxels,
     so every window around an in-range voxel stays in bounds.  A flip at
@@ -118,68 +125,62 @@ class _MoveFront:
 
     def __init__(self, g: BinaryGrid, noise: NoiseField):
         self.grid = g
-        self.pad = pad = 2
-        self.shape = shape = tuple(s + 2 * pad for s in g.dims)
-        self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
-        inner = tuple(slice(pad, pad + s) for s in g.dims)
+        self.live = live = GateKeys(g, pad=2)
+        inner = tuple(slice(live.pad, live.pad + s) for s in g.dims)
 
         def padded(values, fill) -> np.ndarray:
-            out = np.full(shape, fill, dtype=np.asarray(values).dtype)
+            out = np.full(live.shape, fill, dtype=np.asarray(values).dtype)
             out[inner] = values
             return out.ravel()
 
-        def deltas(offsets) -> np.ndarray:
-            return np.array(offsets, dtype=np.int64).reshape(-1, g.ndim) @ self.strides
-
-        self.offsets = deltas(neighbor_offsets(g.ndim, "full"))
-        self.face = deltas(neighbor_offsets(g.ndim, "face"))
-        self.near = np.append(self.offsets, 0)
-        self.stale = deltas(list(itertools.product(range(-pad, pad + 1), repeat=g.ndim)))
-
+        self.offsets, self.face, self.near, self.stale = _steps(live.shape)
         values = np.asarray(noise.values, dtype=np.float64)
-        self.occupied = padded(g.data, False)
-        self.inside = padded(np.ones(g.dims, dtype=bool), False)
+        self.occupied = live.occupied
         self.noise = padded(values, 0.0)
         # noise of the empty in-range voxels, the only possible targets
         self.open = padded(np.where(g.data, -np.inf, values), -np.inf)
 
         self.target = np.full(self.noise.size, -1, dtype=np.int64)
         self.verdict = np.zeros(self.noise.size, dtype=np.int8)
-        edge = np.flatnonzero(padded(boundary_mask(g.data), False))
+        # element reads through a memoryview give Python ints, and fast
+        self._target, self._verdict = memoryview(self.target), memoryview(self.verdict)
+        # a target is an empty voxel in range, so a source needs one around it
+        near_empty = ~g.data
+        for ax in range(g.ndim):
+            lower, upper = (
+                tuple(sl if a == ax else slice(None) for a in range(g.ndim))
+                for sl in (slice(None, -1), slice(1, None))
+            )
+            spread = near_empty.copy()
+            spread[lower] |= near_empty[upper]
+            spread[upper] |= near_empty[lower]
+            near_empty = spread
+        edge = np.flatnonzero(padded(boundary_mask(g.data) & near_empty, False))
         for lo in range(0, edge.size, 4096):  # bounds the (cells, offsets) arrays
             chunk = edge[lo : lo + 4096]
             self.target[chunk] = self._targets(chunk)
         found = edge[self.target[edge] >= 0]
-        self.sources = sorted(zip(self.noise[found].tolist(), found.tolist()))
-
-    def coord(self, v: int) -> Coord:
-        out = []
-        for s in reversed(self.shape):
-            v, c = divmod(v, s)
-            out.append(c - self.pad)
-        return tuple(out[::-1])
-
-    def index(self, c: Coord) -> int:
-        return sum((x + self.pad) * t for x, t in zip(c, self.strides))
+        found = found[np.argsort(self.noise[found], kind="stable")]
+        self.sources = list(zip(self.noise[found].tolist(), found.tolist()))
 
     def _targets(self, cells: np.ndarray) -> np.ndarray:
-        """The target of each of ``cells`` (padded indices), or -1."""
-        occ = self.occupied
-        source = occ[cells] & ~occ[cells[:, None] + self.face].all(axis=1)
-        reach = self.open[cells[:, None] + self.offsets]
+        """The target of each of the occupied ``cells`` (padded indices), or -1."""
+        around = cells[:, None]
+        source = ~self.occupied[around + self.face].all(axis=1)
+        reach = self.open[around + self.offsets]
         best = reach.argmax(axis=1)  # the first maximum in offset order
         # moves are strictly uphill: the target must out-noise the source,
         # otherwise material oscillates between a minimum and its neighbors
-        uphill = reach[np.arange(cells.size), best] > self.noise[cells]
+        uphill = reach.max(axis=1) > self.noise[cells]
         return np.where(source & uphill, cells + self.offsets[best], -1)
 
-    def _judge(self, src: Coord, tgt: Coord) -> int:
-        g = self.grid
-        if not is_local_flip_safe(g, src, 0):
+    def _judge(self, v: int) -> int:
+        """The gate's verdict on the move of source ``v``: its removal key is
+        its own, its placement key its target's with the source cleared."""
+        live, t = self.live, self._target[v]
+        if not live.block.verdict(live.key(v) & live.block.hood):
             return _REMOVAL_REJECTED
-        g.data[src] = False
-        placeable = is_local_flip_safe(g, tgt, 1)
-        g.data[src] = True
+        placeable = live.block.verdict(live.key(t) ^ live.bit_at[v - t])
         return _OK if placeable else _PLACEMENT_REJECTED
 
     def select(self) -> tuple[tuple[Coord, Coord] | None, int, int]:
@@ -188,15 +189,14 @@ class _MoveFront:
         on the way.
         """
         rej_rm = rej_pl = 0
+        verdicts = self._verdict
         for _, v in self.sources:
-            verdict = self.verdict[v]
-            # a cached rejection is counted without coordinates
-            if verdict <= _OK:
-                src, tgt = self.coord(v), self.coord(int(self.target[v]))
-                if verdict == _UNKNOWN:
-                    verdict = self.verdict[v] = self._judge(src, tgt)
-                if verdict == _OK:
-                    return (src, tgt), rej_rm, rej_pl
+            verdict = verdicts[v]
+            if verdict == _UNKNOWN:
+                verdict = verdicts[v] = self._judge(v)
+            if verdict == _OK:
+                live = self.live
+                return (live.coord(v), live.coord(self._target[v])), rej_rm, rej_pl
             if verdict == _REMOVAL_REJECTED:
                 rej_rm += 1
             else:
@@ -205,24 +205,60 @@ class _MoveFront:
 
     def move(self, src: Coord, tgt: Coord) -> None:
         """Apply an accepted move to the grid and bring the front up to date."""
-        self.grid.data[src] = False
-        self.grid.data[tgt] = True
-        v, t = flipped = self.index(src), self.index(tgt)
-        self.occupied[v], self.occupied[t] = False, True
+        v, t = self.live.flip(src), self.live.flip(tgt)
         self.open[v], self.open[t] = self.noise[v], -np.inf
-        cells = np.unique(np.concatenate([p + self.near for p in flipped]))
-        cells = cells[self.inside[cells]]
+        # the source is empty now, so it leaves the sources; an empty cell
+        # never has a target, so only the occupied cells around either voxel
+        # can gain or lose one
+        del self.sources[bisect.bisect_left(self.sources, (float(self.noise[v]), v))]
+        self.target[v] = -1
+        cells = v + self.near[t - v]
+        cells = cells[self.occupied[cells]]
         old, new = self.target[cells], self._targets(cells)
-        for c, was, now in zip(cells.tolist(), old.tolist(), new.tolist()):
-            if (was < 0) != (now < 0):
-                key = (float(self.noise[c]), c)
-                if was < 0:
-                    bisect.insort(self.sources, key)
-                else:
-                    del self.sources[bisect.bisect_left(self.sources, key)]
         self.target[cells] = new
-        for p in flipped:
-            self.verdict[p + self.stale] = _UNKNOWN
+        changed = cells[(old < 0) != (new < 0)]
+        for c, key, now in zip(
+            changed.tolist(), self.noise[changed].tolist(), self.target[changed].tolist()
+        ):
+            if now >= 0:
+                bisect.insort(self.sources, (key, c))
+            else:
+                del self.sources[bisect.bisect_left(self.sources, (key, c))]
+        self.verdict[v + self.stale[t - v]] = _UNKNOWN
+
+
+class _Unions(dict):
+    """Per step ``d`` from a move's source to its target, the offsets of
+    ``base`` around either voxel, computed on first use."""
+
+    def __init__(self, base: np.ndarray):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, d: int) -> np.ndarray:
+        self[d] = union = np.union1d(self.base, self.base + d)
+        return union
+
+
+@lru_cache(maxsize=16)
+def _steps(shape: tuple[int, ...]) -> tuple:
+    """Flat offsets in a grid of padded ``shape``: the 3^n - 1 neighbours,
+    the 2n face neighbours and, per step from a move's source to its target,
+    the offsets within one (whose targets may change) and two (whose
+    verdicts may change) of either voxel."""
+    n = len(shape)
+    strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
+
+    def deltas(offsets) -> np.ndarray:
+        return np.array(offsets, dtype=np.int64).reshape(-1, n) @ strides
+
+    offsets = deltas(neighbor_offsets(n, "full"))
+    return (
+        offsets,
+        deltas(neighbor_offsets(n, "face")),
+        _Unions(np.append(offsets, 0)),
+        _Unions(deltas(list(itertools.product(range(-2, 3), repeat=n)))),
+    )
 
 
 def deform_volume_preserving(

@@ -12,13 +12,16 @@ dilation used to grow seed skeletons in any supported dimension.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import BinaryGrid, UnsupportedDimensionError, _shifted
-from .homology import is_local_flip_safe
+from .grid import BinaryGrid, Coord, UnsupportedDimensionError, _shifted
+from . import homology
+from .homology import block_window, is_local_flip_safe, keys_of
 from .noise import NoiseField
 
 
@@ -195,6 +198,38 @@ def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
     return cur
 
 
+def _visits(cur: BinaryGrid, cand: np.ndarray, order) -> Iterator[tuple[Coord, int]]:
+    """Yield the candidates ``cand[order]`` in turn, each with its gate key
+    at its visit; the caller sets a candidate to 1 or leaves it before it
+    asks for the next.
+
+    Keys are computed at the start, with numpy, on the grid padded by one
+    empty voxel, as if every candidate visited before would be set.  Nearly
+    all are (the gate rejects few), and the key of each candidate whose
+    block holds a rejected one is mended when it is visited.  The verdicts
+    on all the keys are decided in one batch before the first visit.
+    """
+    shape = tuple(s + 2 for s in cur.dims)
+    strides = [math.prod(shape[ax + 1 :]) for ax in range(cur.ndim)]
+    window, bits = block_window(strides)
+    at = (cand[order] + 1) @ strides
+    visit = np.full(math.prod(shape), len(at))
+    visit[at] = np.arange(len(at))
+    cells = at[:, None] + window
+    earlier = visit[cells] < np.arange(len(at))[:, None]
+    keys = keys_of(np.pad(cur.data, 1).ravel()[cells] | earlier)
+    homology._block((3,) * cur.ndim).decide(keys)
+    steps = list(zip((-window).tolist(), bits))
+    rejected: dict[int, int] = {}  # the key bits of rejected candidates, per cell
+    for c, v, key in zip(map(tuple, cand[order].tolist()), at.tolist(), keys):
+        if v in rejected:
+            key &= ~rejected[v]
+        yield c, key
+        if not cur.data[c]:
+            for d, bit in steps:
+                rejected[v + d] = rejected.get(v + d, 0) | bit
+
+
 def homology_safe_dilate(
     m: BinaryGrid,
     b: StructuringElement | None = None,
@@ -217,23 +252,22 @@ def homology_safe_dilate(
     if bias is not None and bias.dims != m.dims:
         raise ValueError(f"bias dims {bias.dims} do not match grid dims {m.dims}")
     cur = m.copy()
+    block = homology._block((3,) * m.ndim)
     for it in range(iterations):
         cand = np.argwhere(dilate(cur, b).data & ~cur.data)
         if cand.size == 0:
             break
-        coords = list(map(tuple, cand.tolist()))
         if bias is None:
-            order = range(len(coords))
+            order = np.arange(len(cand))
         else:
             vals = bias.values[tuple(cand.T)]
             order = np.lexsort(tuple(cand.T[::-1]) + (-vals,))
             accept = (vals + 1.0) / 2.0
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, it))))
             draws = rng.random(len(cand))
-            order = order[draws[order] < accept[order]].tolist()
+            order = order[draws[order] < accept[order]]
         # every candidate is empty and in range, and is visited once
-        for k in order:
-            c = coords[k]
-            if is_local_flip_safe(cur, c, 1):
+        for c, key in _visits(cur, cand, order):
+            if block.verdict(key):
                 cur.data[c] = True
     return cur

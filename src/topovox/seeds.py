@@ -549,10 +549,24 @@ def _ball_offsets(radius: float, ndim: int) -> tuple[tuple[int, ...], ...]:
     return ball(radius, ndim).offsets
 
 
+#: The most offsets drawn in one generator call.
+_DRAW_BLOCK = 1024
+
+
 def _offset_draws(rng: np.random.Generator, low: int, highs, trials: int):
-    """Yield ``trials`` offsets, each axis drawn uniformly from ``[low, high]``."""
-    for _ in range(trials):
-        yield tuple(int(rng.integers(low, h + 1)) for h in highs)
+    """Yield ``trials`` offsets, each axis drawn uniformly from ``[low, high]``.
+
+    Each generator call draws a block of offsets, and the blocks double from
+    one row up to :data:`_DRAW_BLOCK` rows: most searches end at the first
+    offset, and a call costs about as much as three one-axis draws.  The
+    offsets are those that one call per axis and trial gives, in order.
+    """
+    bounds = np.add(highs, 1)
+    done = 0
+    while done < trials:
+        rows = min(max(done, 1), _DRAW_BLOCK, trials - done)
+        yield from map(tuple, rng.integers(low, bounds, size=(rows, len(bounds))).tolist())
+        done += rows
 
 
 def place_with_spacing(
@@ -584,8 +598,9 @@ def place_with_spacing(
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     highs = [s - o - margin for s, o in zip(sample.dims, obj.dims)]
-    draws = _offset_draws(rng, margin, highs, max_trials)
     data = sample.data
+    # an empty sample takes its first offset, so it draws one at most
+    draws = _offset_draws(rng, margin, highs, max_trials if data.any() else min(max_trials, 1))
     if not data.any():
         for off in draws:  # every offset clears an empty sample
             return off

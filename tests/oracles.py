@@ -627,3 +627,16 @@ def make_polyline(points, closed: bool = False) -> ParametricCurve:
     if closed:
         out = out[:-1]
     return ParametricCurve(np.asarray(out), closed=closed)
+
+
+def block_key(g, c) -> int:
+    """The flip gate's key of the 3^n block around ``c``, read from the grid:
+    the sliced block, or the zero-padded block where a slice would leave
+    the grid."""
+    from topovox.grid import extract_neighborhood
+    from topovox.homology import _block
+
+    block = _block((3,) * g.ndim)
+    if all(1 <= x < s - 1 for x, s in zip(c, g.dims)):
+        return block.key(g.data[tuple(slice(x - 1, x + 2) for x in c)])
+    return block.key(extract_neighborhood(g, c, 1).data)

@@ -15,7 +15,7 @@ from topovox.deform import (
 from topovox.noise import NoiseField, noise_field
 from topovox import seeds as sd
 
-from oracles import boundary_voxels, interior_betti, select_move_reference
+from oracles import block_key, boundary_voxels, interior_betti, select_move_reference
 
 
 def disc_grid(radius=10.0, size=48):
@@ -341,3 +341,27 @@ def test_front_matches_full_rescan_on_cutouts(dims, seed, moves, cavities):
         quantized = NoiseField(dims, 4.0, field_seed, np.round(noise.values, 1))
         for field in (noise, quantized):
             assert _lockstep(g, field, moves) > 0
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (1, 16), (8, 8, 8), (1, 6, 6), (6, 6, 6, 6), (1, 5, 1, 6)])
+def test_front_keys_stay_the_blocks_keys(monkeypatch, dims):
+    # after every move, each key the front keeps is its block's key, read
+    # from the grid: sliced inside, zero-padded at the border
+    move, moves = _MoveFront.move, []
+
+    def checked(self, src, tgt):
+        move(self, src, tgt)
+        moves.append(src)
+        live = self.live
+        assert live.keys
+        for v, key in live.keys.items():
+            assert key == block_key(self.grid, live.coord(v))
+
+    monkeypatch.setattr(_MoveFront, "move", checked)
+    rng = np.random.default_rng(sum(dims))
+    for seed in range(3):
+        g = sd.BinaryGrid(rng.random(dims) < 0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            deform_volume_preserving(g, DeformConfig(iterations=25, noise_scale=3.0, seed=seed))
+    assert moves

@@ -16,7 +16,11 @@ built its noise field twice, once to deform and once to bias the dilation.  The
 ``mixed`` stopped flipping its coin onto a mode in which no kind fits: no
 cut-out fits 13^4, so half of those samples' attempts used to draw "cutout",
 fail as too small and retry under a fresh seed.  Now every attempt draws an
-embedded object without the coin's draw, so the samples differ.  A change
+embedded object without the coin's draw, so the samples differ.  The
+``3d-dilate-bias`` and ``4d-dilate-bias`` digests were recorded before the
+dilation loop judged candidates by keys computed in advance and the gate
+decided new neighbourhoods in batches; they pin noise-biased dilation in 3D
+and 4D, which no other case reaches.  A change
 that alters the output on purpose must say why and update the digest.
 """
 import hashlib
@@ -47,6 +51,8 @@ CASES = {
     "4d-deform": (dict(dims=(13, 13, 13, 13), count=3, max_objects=1, deform_iterations=8), "fb0709011440fe328e576c91ba026f64f0959fee9c68fda3cf1ce892fe6889c5"),
     "4d-cutout-deform": (dict(dims=(14, 14, 14, 14), count=1, max_objects=1, mode="cutout", deform_iterations=8), "feba306368c3ae61409f2d2aa682b0c099d2ffe72806e224694e9f8aa17c720f"),
     "4d-dilate": (dict(dims=(13, 13, 13, 13), count=1, max_objects=1, dilate_iterations=1), "2b04af424dc77774eb560feec9cb1ba297280b2da6d27323fd7ae778a23f7f9b"),
+    "3d-dilate-bias": (dict(dims=(20, 20, 20), count=2, max_objects=2, dilate_iterations=1, dilate_noise_bias=True), "463d3b97c8b738730aa5bb92680ea456071e34bb88b072a29461bcfee822da28"),
+    "4d-dilate-bias": (dict(dims=(13, 13, 13, 13), count=1, max_objects=1, dilate_iterations=1, dilate_noise_bias=True), "65d6f17820b667e87a34ad32aaac883e83f5b750b34c25820937fdbbe75e1756"),
     "3d-tubes": (dict(dims=(40, 40, 40), count=4, mode="embed", max_objects=1, shape_weights=TUBE_WEIGHTS), "0dc3b73adc16ba0146ac07443d458946161d2c1fe6b6774a7343bffef9a2e746"),
     "3d-catalog": (dict(dims=(40, 40, 40), count=9, mode="mixed", max_objects=2, shape_weights=CATALOG_3D), "aa3fcb35e5f13a98ae474bca664a713bf48ada5879cdf6956037b05aac03235e"),
     "4d-catalog": (dict(dims=(22, 22, 22, 22), count=8, mode="embed", max_objects=1, shape_weights=CATALOG_4D), "e6d8577f5b81d562704506171d9e726f49f2d267f417b51399f643dc399ad7a8"),

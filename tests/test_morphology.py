@@ -18,9 +18,11 @@ from topovox.morphology import (
     thicken_background,
 )
 from topovox.noise import noise_field
+from topovox import morphology
 from topovox import seeds as sd
+from topovox.homology import is_local_flip_safe
 
-from oracles import interior_betti
+from oracles import block_key, interior_betti
 
 BOX_3X3 = StructuringElement(np.ones((3, 3), bool), (1, 1))
 
@@ -262,3 +264,62 @@ def test_element_spec_needs_a_set_voxel():
     with pytest.raises(InvalidElementError, match="no set voxel"):
         element_from_spec({"mask": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "origin": [1, 1]})
     assert element_from_spec({"mask": [[0, 1], [0, 0]], "origin": [0, 0]}).offsets == ((0, 1),)
+
+
+THIN_AND_BORDER = [(9, 9), (1, 9), (6, 6, 6), (1, 5, 6), (5, 5, 5, 5), (1, 4, 1, 5)]
+
+
+@pytest.mark.parametrize("dims", THIN_AND_BORDER)
+def test_visit_keys_are_the_blocks_keys(dims):
+    # any order, any acceptance: each candidate comes with the key of its
+    # block at its visit, border and one-voxel-thick grids included
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(8):
+        cur = BinaryGrid(rng.random(dims) < 0.3)
+        cand = np.argwhere(~cur.data)
+        order = rng.permutation(len(cand))[: len(cand) * 3 // 4]
+        for c, key in morphology._visits(cur, cand, order):
+            assert key == block_key(cur, c)
+            if rng.random() < 0.7:
+                cur.data[c] = True
+
+
+def _dilate_one_gate_call_at_a_time(m, iterations, bias, seed):
+    """Homology-safe dilation as it was before the keys were precomputed."""
+    cur = m.copy()
+    b = ball(1, m.ndim)
+    for it in range(iterations):
+        cand = np.argwhere(dilate(cur, b).data & ~cur.data)
+        if cand.size == 0:
+            break
+        order = np.arange(len(cand))
+        if bias is not None:
+            vals = bias.values[tuple(cand.T)]
+            order = np.lexsort(tuple(cand.T[::-1]) + (-vals,))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, it))))
+            draws = rng.random(len(cand))
+            order = order[draws[order] < (vals[order] + 1.0) / 2.0]
+        for c in map(tuple, cand[order].tolist()):
+            if is_local_flip_safe(cur, c, 1):
+                cur.data[c] = True
+    return cur
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("dims", [(16, 16), (1, 12), (10, 10, 10), (1, 6, 7), (7, 7, 7, 7)])
+def test_safe_dilation_judges_each_candidate_by_its_blocks_key(monkeypatch, dims, with_bias):
+    visits, seen = morphology._visits, []
+
+    def checked(cur, cand, order):
+        for c, key in visits(cur, cand, order):
+            assert key == block_key(cur, c)
+            seen.append(c)
+            yield c, key
+
+    monkeypatch.setattr(morphology, "_visits", checked)
+    rng = np.random.default_rng(len(dims) + dims[0])
+    m = BinaryGrid(rng.random(dims) < 0.15)
+    bias = noise_field(dims, 4.0, 3) if with_bias else None
+    out = homology_safe_dilate(m, iterations=2, bias=bias, seed=1)
+    assert seen
+    assert out == _dilate_one_gate_call_at_a_time(m, 2, bias, 1)

@@ -492,3 +492,20 @@ def test_full_catalog_rasterizations_match_labels():
             assert measured == label, (kind.name, ndim, measured.betti, label.betti)
             carved += 1
     assert carved == sum(len(kind.carve) for kind in sd.CATALOG)
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+def test_offset_draws_in_blocks_match_one_call_per_axis(ndim):
+    for seed in range(200):
+        trials = 2 * sd._DRAW_BLOCK + 7 if seed < 5 else 40
+        highs = [5 + (seed + ax) % 7 for ax in range(ndim)]
+        low = seed % 3
+        per_axis = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        expected = [
+            tuple(int(per_axis.integers(low, h + 1)) for h in highs) for _ in range(trials)
+        ]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert list(sd._offset_draws(rng, low, highs, trials)) == expected
+        # an empty scene draws one row: the first offset
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        assert list(sd._offset_draws(rng, low, highs, 1)) == expected[:1]
