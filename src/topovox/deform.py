@@ -14,11 +14,11 @@ this independently: a change it finds is a defect, raised as
 Move selection is incremental.  A front built once per run holds the
 sources with a target as a sorted list of (noise, index) pairs, each
 source's current target, the gate verdict on each move it has judged and
-the gate keys of the voxels it has judged (:class:`GateKeys`, updated by
-each flip).  Its set-up computes targets on the face boundary only, not on
-every occupied voxel, and sorts only the sources, not the grid.  After a
-move it recomputes targets only within one voxel of the two flipped voxels,
-and forgets verdicts only within two, so a move costs a few small array
+the gate keys of the voxels it has judged, updated by each flip.  Its
+set-up computes targets on the face boundary only, not on every occupied
+voxel, and sorts only the sources, not the grid.  After a move it
+recomputes targets only within one voxel of the two flipped voxels, and
+forgets verdicts only within two, so a move costs a few small array
 updates and the verdicts it forgot, each read from two keys, not a rescan
 of the boundary.  A source whose move the gate has already rejected is
 passed over without converting it to coordinates.  The moves and rejection
@@ -37,7 +37,8 @@ from typing import Any
 import numpy as np
 
 from .grid import BinaryGrid, Coord, boundary_mask, count_ones, neighbor_offsets
-from .homology import BettiVector, GateKeys, betti_numbers
+from . import homology
+from .homology import BettiVector, betti_numbers, block_window
 from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
 from .noise import NoiseField, noise_field
 
@@ -112,11 +113,14 @@ class _MoveFront:
     computes targets only on the face boundary of the grid, since no other
     voxel can be a source, and there only where an empty voxel in range
     lies among the 3^n - 1 neighbours, since no other voxel has a target.
-    The gate keys of the sources and targets it judges are kept live
-    (:class:`GateKeys`), so no verdict slices the grid.
+    The gate key of each source and target it judges is computed once and
+    then kept current by every flip (:meth:`_flip`), so no verdict slices
+    the grid.
 
-    Voxels are addressed by flat index into the grid padded by two voxels,
-    so every window around an in-range voxel stays in bounds.  A flip at
+    Voxels are addressed by flat index into the grid padded by two empty
+    voxels, so every window around an in-range voxel stays in bounds and a
+    gate block reads as zero past the border, as
+    :func:`is_local_flip_safe`'s zero-padded block does.  A flip at
     ``p`` can only change the targets and the source status of voxels
     within one voxel of ``p``, and only the verdicts of sources within two
     (both gated 3^n blocks lie that close), so :meth:`move` recomputes and
@@ -125,17 +129,22 @@ class _MoveFront:
 
     def __init__(self, g: BinaryGrid, noise: NoiseField):
         self.grid = g
-        self.live = live = GateKeys(g, pad=2)
-        inner = tuple(slice(live.pad, live.pad + s) for s in g.dims)
+        self.pad = pad = 2
+        self.shape = shape = tuple(s + 2 * pad for s in g.dims)
+        self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
+        inner = tuple(slice(pad, pad + s) for s in g.dims)
 
         def padded(values, fill) -> np.ndarray:
-            out = np.full(live.shape, fill, dtype=np.asarray(values).dtype)
+            out = np.full(shape, fill, dtype=np.asarray(values).dtype)
             out[inner] = values
             return out.ravel()
 
-        self.offsets, self.face, self.near, self.stale = _steps(live.shape)
+        self.offsets, self.face, self.near, self.stale, self.bit_at = _steps(shape)
         values = np.asarray(noise.values, dtype=np.float64)
-        self.occupied = live.occupied
+        self.occupied = padded(g.data, False)
+        self._occupied = memoryview(self.occupied)  # element reads give bools, and fast
+        self.block = homology._block((3,) * g.ndim)
+        self.keys: dict[int, int] = {}  # gate keys by padded index, kept by _flip
         self.noise = padded(values, 0.0)
         # noise of the empty in-range voxels, the only possible targets
         self.open = padded(np.where(g.data, -np.inf, values), -np.inf)
@@ -163,6 +172,36 @@ class _MoveFront:
         found = found[np.argsort(self.noise[found], kind="stable")]
         self.sources = list(zip(self.noise[found].tolist(), found.tolist()))
 
+    def index(self, c: Coord) -> int:
+        return sum((x + self.pad) * t for x, t in zip(c, self.strides))
+
+    def coord(self, v: int) -> Coord:
+        out = []
+        for s in reversed(self.shape):
+            v, c = divmod(v, s)
+            out.append(c - self.pad)
+        return tuple(out[::-1])
+
+    def _key(self, v: int) -> int:
+        """The gate key of voxel ``v``, computed on first use."""
+        key = self.keys.get(v)
+        if key is None:
+            occupied = self._occupied
+            key = self.keys[v] = sum(bit for d, bit in self.bit_at.items() if occupied[v + d])
+        return key
+
+    def _flip(self, c: Coord) -> int:
+        """Flip voxel ``c`` of the grid, toggle its bit in the keys kept for
+        the 3^n voxels whose block holds it, and return its index."""
+        v = self.index(c)
+        self.grid.data[c] = now = not self.occupied[v]
+        self.occupied[v] = now
+        keys = self.keys
+        for d, bit in self.bit_at.items():
+            if v - d in keys:
+                keys[v - d] ^= bit
+        return v
+
     def _targets(self, cells: np.ndarray) -> np.ndarray:
         """The target of each of the occupied ``cells`` (padded indices), or -1."""
         around = cells[:, None]
@@ -177,10 +216,10 @@ class _MoveFront:
     def _judge(self, v: int) -> int:
         """The gate's verdict on the move of source ``v``: its removal key is
         its own, its placement key its target's with the source cleared."""
-        live, t = self.live, self._target[v]
-        if not live.block.verdict(live.key(v) & live.block.hood):
+        block, t = self.block, self._target[v]
+        if not block.verdict(self._key(v) & block.hood):
             return _REMOVAL_REJECTED
-        placeable = live.block.verdict(live.key(t) ^ live.bit_at[v - t])
+        placeable = block.verdict(self._key(t) ^ self.bit_at[v - t])
         return _OK if placeable else _PLACEMENT_REJECTED
 
     def select(self) -> tuple[tuple[Coord, Coord] | None, int, int]:
@@ -195,8 +234,7 @@ class _MoveFront:
             if verdict == _UNKNOWN:
                 verdict = verdicts[v] = self._judge(v)
             if verdict == _OK:
-                live = self.live
-                return (live.coord(v), live.coord(self._target[v])), rej_rm, rej_pl
+                return (self.coord(v), self.coord(self._target[v])), rej_rm, rej_pl
             if verdict == _REMOVAL_REJECTED:
                 rej_rm += 1
             else:
@@ -205,7 +243,7 @@ class _MoveFront:
 
     def move(self, src: Coord, tgt: Coord) -> None:
         """Apply an accepted move to the grid and bring the front up to date."""
-        v, t = self.live.flip(src), self.live.flip(tgt)
+        v, t = self._flip(src), self._flip(tgt)
         self.open[v], self.open[t] = self.noise[v], -np.inf
         # the source is empty now, so it leaves the sources; an empty cell
         # never has a target, so only the occupied cells around either voxel
@@ -227,25 +265,13 @@ class _MoveFront:
         self.verdict[v + self.stale[t - v]] = _UNKNOWN
 
 
-class _Unions(dict):
-    """Per step ``d`` from a move's source to its target, the offsets of
-    ``base`` around either voxel, computed on first use."""
-
-    def __init__(self, base: np.ndarray):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, d: int) -> np.ndarray:
-        self[d] = union = np.union1d(self.base, self.base + d)
-        return union
-
-
 @lru_cache(maxsize=16)
 def _steps(shape: tuple[int, ...]) -> tuple:
     """Flat offsets in a grid of padded ``shape``: the 3^n - 1 neighbours,
-    the 2n face neighbours and, per step from a move's source to its target,
-    the offsets within one (whose targets may change) and two (whose
-    verdicts may change) of either voxel."""
+    the 2n face neighbours, per step from a move's source to its target the
+    offsets within one (whose targets may change) and two (whose verdicts
+    may change) of either voxel, and the gate key bit of the voxel at each
+    offset from a 3^n block's centre."""
     n = len(shape)
     strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
 
@@ -253,11 +279,15 @@ def _steps(shape: tuple[int, ...]) -> tuple:
         return np.array(offsets, dtype=np.int64).reshape(-1, n) @ strides
 
     offsets = deltas(neighbor_offsets(n, "full"))
+    near = np.append(offsets, 0)
+    stale = deltas(list(itertools.product(range(-2, 3), repeat=n)))
+    window, bits = block_window(strides)
     return (
         offsets,
         deltas(neighbor_offsets(n, "face")),
-        _Unions(np.append(offsets, 0)),
-        _Unions(deltas(list(itertools.product(range(-2, 3), repeat=n)))),
+        {d: np.union1d(near, near + d) for d in offsets.tolist()},
+        {d: np.union1d(stale, stale + d) for d in offsets.tolist()},
+        dict(zip(window.tolist(), bits)),
     )
 
 

@@ -59,12 +59,10 @@ centre is a simple voxel (Couprie-Bertrand, TPAMI 2009): the flip then
 keeps the homotopy type of the whole foreground and of the whole
 background, not only the Betti numbers of the block.  Whether A collapses
 is memoized on A itself, since far fewer attachment sets than
-neighbourhoods occur.  The edit loops decide in bulk:
-:meth:`_Block.decide` lays out the attachment sets of many new
-neighbourhoods with numpy and collapses the new ones side by side in one
-int, and :class:`GateKeys` keeps the key of each voxel current flip by
-flip, so a gate call reads a key instead of slicing the grid.  Measured
-costs are in the README's "Performance notes".
+neighbourhoods occur.  The edit loops keep the key of each voxel they
+gate current flip by flip (:func:`block_window`, :func:`keys_of`), so a
+gate call reads a key instead of slicing the grid.  Measured costs are
+in the README's "Performance notes".
 """
 from __future__ import annotations
 
@@ -437,20 +435,8 @@ def _bits_of(mask: np.ndarray) -> int:
 #: Verdicts per block shape before the gate's memo starts over.
 _MEMO_ENTRIES = 1 << 20
 
-#: Neighbourhoods decided side by side in one batch collapse, at most and
-#: at least; fewer new ones are decided one at a time.
-_BATCH = 64
-_BATCH_MIN = 4
-
-#: OpenBLAS runs a float product of m * n * k below 4 * 65536 on one thread.
-_SERIAL_PRODUCT = 1 << 18
-
 #: Maps each byte of a boolean array to an ASCII binary digit.
 _DIGITS = b"0" + b"1" * 255
-
-#: The number of set bits of each byte value (``np.bitwise_count`` needs
-#: numpy 2).
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _face_lattice(n: int) -> tuple:
@@ -563,23 +549,6 @@ class _Block:
             )
             for ys in itertools.product(range(3), repeat=n - 1)
         )
-        # the batch layout (:meth:`_attached_all`): row j of face_closure
-        # is the closure of the face that key bit j's voxel shares with the
-        # centre, on the faces in raster order and mirrored along the last
-        # axis as the rows above are; each block then gets 4^n lattice
-        # points, a zero margin on every axis, the first included
-        self.key_bytes = -(-size // 8)
-        self.face_closure = np.zeros((size, size), dtype=np.float32)
-        for d in itertools.product(range(3), repeat=n):
-            voxel = sum(x * 3 ** (n - 1 - ax) for ax, x in enumerate(d[:-1] + (2 - d[-1],)))
-            for e in itertools.product(*((0, 1, 2) if x == 1 else (x,) for x in d)):
-                self.face_closure[size - 1 - voxel, np.ravel_multi_index(e, (3,) * n)] = 1
-        dim = _cell_dim_array((3,) * n).ravel()
-        self.face_sign = np.where(dim < n, (-1) ** dim, 0)
-        self.face_at = np.ravel_multi_index(tuple(np.indices((3,) * n).reshape(n, -1)), (4,) * n)
-        rows = np.zeros((n, 4**n), dtype=bool)
-        rows[dim[dim < n], self.face_at[dim < n]] = True
-        self.face_rows4 = [np.packbits(r, bitorder="little").tobytes() for r in rows]
 
     def key(self, data: np.ndarray) -> int:
         # one byte per voxel, read as binary digits: voxel i is bit size - 1 - i
@@ -596,85 +565,6 @@ class _Block:
             safe = self._attached(hood) and self._attached(self.hood ^ hood)
             self.verdicts[hood] = safe
         return safe
-
-    def decide(self, hoods: list[int]) -> list[bool]:
-        """The verdicts on the neighbourhoods ``hoods``, in order.
-
-        Memo hits are looked up; the new neighbourhoods are decided
-        :data:`_BATCH` at a time by :meth:`_attached_all` and memoized under
-        the memo's cap, as :meth:`verdict` does one at a time.  Each verdict
-        is the one :meth:`verdict` gives: both decide it from the same
-        attachment sets with the same collapse.
-        """
-        out = dict.fromkeys(hoods)
-        for h in out:
-            out[h] = self.verdicts.get(h)
-        new = [h for h, safe in out.items() if safe is None]
-        if len(new) < _BATCH_MIN:  # a batch costs about as much as a few solo verdicts
-            for h in new:
-                out[h] = self.verdict(h)
-            new = []
-        step = min(_BATCH, _MEMO_ENTRIES)
-        for lo in range(0, len(new), step):
-            part = new[lo : lo + step]
-            kept = self._attached_all(part + [self.hood ^ h for h in part])
-            decided = dict(zip(part, (kept[: len(part)] & kept[len(part) :]).tolist()))
-            out.update(decided)
-            if len(self.verdicts) + len(part) > _MEMO_ENTRIES:
-                self.verdicts.clear()
-            self.verdicts.update(decided)
-        return [out[h] for h in hoods]
-
-    def _attached_all(self, rests: list[int]) -> np.ndarray:
-        """:meth:`_attached` of each of ``rests``, as one boolean array.
-
-        The closed attachment sets are built with numpy, as the union of
-        the closures of their shared faces.  A set whose chi is not 1
-        cannot collapse to a vertex; the others are looked up in the memo
-        of collapses, and the new ones are collapsed side by side in one
-        int by the same :func:`_collapse_cells`.  Set ``b`` of those is
-        bits ``b * 4^n`` on, laid out as in :meth:`_attached` with one more
-        zero margin row on the first axis, so no shift reaches another set
-        and each goes through the rounds of its own collapse, plus rounds
-        that free nothing in it.
-        """
-        n, k = len(self.face_strides), len(rests)
-        size = len(self.face_closure)
-        raw = np.frombuffer(b"".join(r.to_bytes(self.key_bytes, "little") for r in rests), np.uint8)
-        bits = np.unpackbits(raw.reshape(k, -1), axis=1, count=size, bitorder="little")
-        # each closed attachment set is the union of its shared faces'
-        # closures: a product, in row chunks small enough that BLAS does not
-        # start threads for it
-        closed = np.empty((k, size), dtype=bool)
-        rows = max(1, _SERIAL_PRODUCT // size**2)
-        for lo in range(0, k, rows):
-            np.greater(bits[lo : lo + rows].astype(np.float32) @ self.face_closure, 0, out=closed[lo : lo + rows])
-        keep = np.flatnonzero(closed @ self.face_sign == 1)
-        lattice = np.zeros((keep.size, 4**n), dtype=bool)
-        lattice[:, self.face_at] = closed[keep]
-        width = 4**n // 8
-        raw = np.packbits(lattice, axis=1, bitorder="little").tobytes()
-        # block b's bits are its attachment set on the face lattice of
-        # :meth:`_attached`, which keys the memo of collapses
-        sets = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-        memo = self.collapses
-        known = {x: memo[x] for x in sets if x in memo}
-        todo = [x for x in dict.fromkeys(sets) if x not in known]
-        if todo:
-            packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in todo), "little")
-            cells = [packed & int.from_bytes(m * len(todo), "little") for m in self.face_rows4]
-            _collapse_cells(cells, self.face_strides)
-            left = np.frombuffer(
-                b"".join(c.to_bytes(width * len(todo), "little") for c in cells), np.uint8
-            )
-            left = _POPCOUNT[left.reshape(n, len(todo), -1)].sum(axis=2)
-            known.update(zip(todo, ((left[0] == 1) & ~left[1:].any(axis=0)).tolist()))
-            if len(memo) + len(todo) > _MEMO_ENTRIES:
-                memo.clear()
-            memo.update((x, known[x]) for x in todo[:_MEMO_ENTRIES])
-        attached = np.zeros(k, dtype=bool)
-        attached[keep] = [known[x] for x in sets]
-        return attached
 
     def _attached(self, rest: int) -> bool:
         """Whether the attachment set of the centre to the voxels ``rest``
@@ -718,15 +608,6 @@ def block_window(strides) -> tuple[np.ndarray, list[int]]:
     return window, [1 << (3**n - 1 - i) for i in range(3**n)]
 
 
-@lru_cache(maxsize=16)
-def _window_bits(strides: tuple[int, ...]) -> tuple:
-    """:func:`block_window` as a dict from offset to key bit, as its items,
-    and as (offset, bit) steps from the voxel at the offset to the centre."""
-    window, bits = block_window(strides)
-    bit_at = dict(zip(window.tolist(), bits))
-    return bit_at, list(bit_at.items()), [(-d, bit) for d, bit in bit_at.items()]
-
-
 def keys_of(rows: np.ndarray) -> list[int]:
     """The keys of blocks given one a row, each 3^n block flattened in raster
     order: the keys :meth:`_Block.key` gives."""
@@ -739,63 +620,6 @@ def keys_of(rows: np.ndarray) -> list[int]:
     for j in range(1, words):
         keys = [hi << 64 | lo for hi, lo in zip(keys, packed[:, j].tolist())]
     return keys
-
-
-class GateKeys:
-    """A grid and the gate key of its voxels, kept current flip by flip.
-
-    Voxels are addressed by flat index into the grid padded by ``pad``
-    empty voxels (at least one), so each 3^n block is a fixed window of
-    flat offsets and reads as zero past the border, as
-    :func:`is_local_flip_safe`'s zero-padded block does.  A voxel's key is
-    computed once, by :meth:`key`, and kept in :attr:`keys`; :meth:`flip`
-    then flips one voxel of the grid and toggles its bit in the keys kept
-    for the 3^n voxels whose block holds it.  Every flip of the grid must go
-    through :meth:`flip`.
-    """
-
-    def __init__(self, g: BinaryGrid, pad: int = 1):
-        self.grid, self.pad = g, pad
-        self.shape = tuple(s + 2 * pad for s in g.dims)
-        self.strides = [math.prod(self.shape[ax + 1 :]) for ax in range(g.ndim)]
-        occupied = np.zeros(self.shape, dtype=bool)
-        occupied[tuple(slice(pad, pad + s) for s in g.dims)] = g.data
-        self.occupied = occupied.ravel()
-        self._occupied = memoryview(self.occupied)  # element reads give bools, and fast
-        self.keys: dict[int, int] = {}
-        self.block = _block((3,) * g.ndim)
-        #: the key bit of the voxel at each flat offset from a block's centre
-        self.bit_at, self._window, self._steps = _window_bits(tuple(self.strides))
-
-    def index(self, c: Coord) -> int:
-        return sum((x + self.pad) * t for x, t in zip(c, self.strides))
-
-    def coord(self, v: int) -> Coord:
-        out = []
-        for s in reversed(self.shape):
-            v, c = divmod(v, s)
-            out.append(c - self.pad)
-        return tuple(out[::-1])
-
-    def key(self, v: int) -> int:
-        """The key of the voxel at flat index ``v``, computed on first use."""
-        key = self.keys.get(v)
-        if key is None:
-            occupied = self._occupied
-            key = self.keys[v] = sum(bit for d, bit in self._window if occupied[v + d])
-        return key
-
-    def flip(self, c: Coord) -> int:
-        """Flip voxel ``c`` of the grid and bring the keys up to date;
-        returns its flat index."""
-        v = self.index(c)
-        self.grid.data[c] = now = not self.occupied[v]
-        self.occupied[v] = now
-        keys = self.keys
-        for d, bit in self._steps:
-            if v + d in keys:
-                keys[v + d] ^= bit
-        return v
 
 
 def is_local_flip_safe(g: BinaryGrid, c: Coord, new_value: int) -> bool:

@@ -206,8 +206,7 @@ def _visits(cur: BinaryGrid, cand: np.ndarray, order) -> Iterator[tuple[Coord, i
     Keys are computed at the start, with numpy, on the grid padded by one
     empty voxel, as if every candidate visited before would be set.  Nearly
     all are (the gate rejects few), and the key of each candidate whose
-    block holds a rejected one is mended when it is visited.  The verdicts
-    on all the keys are decided in one batch before the first visit.
+    block holds a rejected one is mended when it is visited.
     """
     shape = tuple(s + 2 for s in cur.dims)
     strides = [math.prod(shape[ax + 1 :]) for ax in range(cur.ndim)]
@@ -218,7 +217,6 @@ def _visits(cur: BinaryGrid, cand: np.ndarray, order) -> Iterator[tuple[Coord, i
     cells = at[:, None] + window
     earlier = visit[cells] < np.arange(len(at))[:, None]
     keys = keys_of(np.pad(cur.data, 1).ravel()[cells] | earlier)
-    homology._block((3,) * cur.ndim).decide(keys)
     steps = list(zip((-window).tolist(), bits))
     rejected: dict[int, int] = {}  # the key bits of rejected candidates, per cell
     for c, v, key in zip(map(tuple, cand[order].tolist()), at.tolist(), keys):

@@ -598,9 +598,8 @@ def place_with_spacing(
         )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     highs = [s - o - margin for s, o in zip(sample.dims, obj.dims)]
+    draws = _offset_draws(rng, margin, highs, max_trials)
     data = sample.data
-    # an empty sample takes its first offset, so it draws one at most
-    draws = _offset_draws(rng, margin, highs, max_trials if data.any() else min(max_trials, 1))
     if not data.any():
         for off in draws:  # every offset clears an empty sample
             return off

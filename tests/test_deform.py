@@ -352,10 +352,9 @@ def test_front_keys_stay_the_blocks_keys(monkeypatch, dims):
     def checked(self, src, tgt):
         move(self, src, tgt)
         moves.append(src)
-        live = self.live
-        assert live.keys
-        for v, key in live.keys.items():
-            assert key == block_key(self.grid, live.coord(v))
+        assert self.keys
+        for v, key in self.keys.items():
+            assert key == block_key(self.grid, self.coord(v))
 
     monkeypatch.setattr(_MoveFront, "move", checked)
     rng = np.random.default_rng(sum(dims))

@@ -18,9 +18,8 @@ cut-out fits 13^4, so half of those samples' attempts used to draw "cutout",
 fail as too small and retry under a fresh seed.  Now every attempt draws an
 embedded object without the coin's draw, so the samples differ.  The
 ``3d-dilate-bias`` and ``4d-dilate-bias`` digests were recorded before the
-dilation loop judged candidates by keys computed in advance and the gate
-decided new neighbourhoods in batches; they pin noise-biased dilation in 3D
-and 4D, which no other case reaches.  A change
+dilation loop judged candidates by keys computed in advance; they pin
+noise-biased dilation in 3D and 4D, which no other case reaches.  A change
 that alters the output on purpose must say why and update the digest.
 """
 import hashlib

@@ -506,6 +506,3 @@ def test_offset_draws_in_blocks_match_one_call_per_axis(ndim):
         ]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         assert list(sd._offset_draws(rng, low, highs, trials)) == expected
-        # an empty scene draws one row: the first offset
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        assert list(sd._offset_draws(rng, low, highs, 1)) == expected[:1]
