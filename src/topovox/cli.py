@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -54,23 +53,13 @@ def _add_gen(sub: argparse._SubParsersAction) -> None:
 
 
 def _gen(args: argparse.Namespace) -> int:
-    fields = {}
-    if args.config:
-        try:
-            doc = json.loads(args.config.read_text())
-        except RecursionError as exc:
-            raise ValueError(f"{args.config}: JSON nested too deeply") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.config}: a config must be a JSON object")
-        fields.update(doc)
-    for name in (f.name for f in dataclasses.fields(DatasetConfig)):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    try:
-        cfg = DatasetConfig(**fields)
-    except (TypeError, ValueError) as exc:  # an unknown field, a bad type or value
-        raise ValueError(f"bad config: {exc}") from exc
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(DatasetConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    text = args.config.read_text() if args.config else "{}"
+    cfg = DatasetConfig.from_json(text, **flags)
     pairs = generate_dataset(cfg)
     for voxel_path, manifest_path in pairs:
         manifest = SampleManifest.from_json(manifest_path.read_text())

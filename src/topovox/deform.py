@@ -13,21 +13,18 @@ this independently: a change it finds is a defect, raised as
 
 Move selection is incremental.  A front built once per run holds the
 sources with a target as a sorted list of (noise, index) pairs, each
-source's current target, the gate verdict on each move it has judged and
-the gate keys of the voxels it has judged, updated by each flip.  Its
-set-up computes targets on the face boundary only, not on every occupied
-voxel, and sorts only the sources, not the grid.  After a move it
-recomputes targets only within one voxel of the two flipped voxels, and
-forgets verdicts only within two, so a move costs a few small array
-updates and the verdicts it forgot, each read from two keys, not a rescan
-of the boundary.  A source whose move the gate has already rejected is
-passed over without converting it to coordinates.  The moves and rejection
-counters are those of a full rescan.
+source's current target and the gate keys of the voxels it has judged,
+updated by each flip.  Its set-up computes targets only where an empty
+voxel lies near, not on every occupied voxel, and sorts only the sources,
+not the grid.  After a move it recomputes targets only within one voxel of
+the two flipped voxels, so a move costs a few small array updates, not a
+rescan of the boundary.  Each source passed asks the gate again, from two
+kept keys; the gate's memo answers a neighbourhood it has decided before.
+The moves and rejection counters are those of a full rescan.
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import BinaryGrid, Coord, boundary_mask, count_ones, neighbor_offsets
+from .grid import BinaryGrid, Coord, count_ones, neighbor_offsets
 from . import homology
 from .homology import BettiVector, betti_numbers, block_window
 from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
@@ -96,10 +93,6 @@ class DeformReport:
         return out
 
 
-# gate verdicts on a move
-_UNKNOWN, _OK, _REMOVAL_REJECTED, _PLACEMENT_REJECTED = range(4)
-
-
 class _MoveFront:
     """The movable voxels of one deformation run, kept current flip by flip.
 
@@ -108,23 +101,20 @@ class _MoveFront:
     neighbors, the first in lexicographic offset order among equals, and
     only if it out-noises the source.  Sources with a target are kept as a
     sorted list of (noise, index) pairs; the index order is the raster
-    order, so noise ties go to the earlier voxel.  Each source keeps the
-    gate verdict on its move until a flip nearby could change it.  Set-up
-    computes targets only on the face boundary of the grid, since no other
-    voxel can be a source, and there only where an empty voxel in range
-    lies among the 3^n - 1 neighbours, since no other voxel has a target.
-    The gate key of each source and target it judges is computed once and
-    then kept current by every flip (:meth:`_flip`), so no verdict slices
-    the grid.
+    order, so noise ties go to the earlier voxel.  Set-up computes targets
+    only on occupied voxels with an empty voxel in range among their 3^n - 1
+    neighbours, since no other voxel has a target; :meth:`_targets` decides
+    which of them are sources.  The gate key of each source and target it
+    judges is computed once and then kept current by every flip
+    (:meth:`_flip`), so no verdict slices the grid.
 
     Voxels are addressed by flat index into the grid padded by two empty
-    voxels, so every window around an in-range voxel stays in bounds and a
-    gate block reads as zero past the border, as
-    :func:`is_local_flip_safe`'s zero-padded block does.  A flip at
-    ``p`` can only change the targets and the source status of voxels
-    within one voxel of ``p``, and only the verdicts of sources within two
-    (both gated 3^n blocks lie that close), so :meth:`move` recomputes and
-    forgets no more than that.
+    voxels: :meth:`move` reads the windows around a move's source and
+    target, and those reach two voxels from the source, so they stay in
+    bounds; a gate block reads as zero past the border, as
+    :func:`is_local_flip_safe`'s zero-padded block does.  A flip at ``p``
+    can only change the targets and the source status of voxels within one
+    voxel of ``p``, so :meth:`move` recomputes no more than that.
     """
 
     def __init__(self, g: BinaryGrid, noise: NoiseField):
@@ -139,7 +129,7 @@ class _MoveFront:
             out[inner] = values
             return out.ravel()
 
-        self.offsets, self.face, self.near, self.stale, self.bit_at = _steps(shape)
+        self.offsets, self.face, self.near, self.bit_at = _steps(shape)
         values = np.asarray(noise.values, dtype=np.float64)
         self.occupied = padded(g.data, False)
         self._occupied = memoryview(self.occupied)  # element reads give bools, and fast
@@ -150,9 +140,7 @@ class _MoveFront:
         self.open = padded(np.where(g.data, -np.inf, values), -np.inf)
 
         self.target = np.full(self.noise.size, -1, dtype=np.int64)
-        self.verdict = np.zeros(self.noise.size, dtype=np.int8)
-        # element reads through a memoryview give Python ints, and fast
-        self._target, self._verdict = memoryview(self.target), memoryview(self.verdict)
+        self._target = memoryview(self.target)  # element reads give Python ints, and fast
         # a target is an empty voxel in range, so a source needs one around it
         near_empty = ~g.data
         for ax in range(g.ndim):
@@ -164,7 +152,7 @@ class _MoveFront:
             spread[lower] |= near_empty[upper]
             spread[upper] |= near_empty[lower]
             near_empty = spread
-        edge = np.flatnonzero(padded(boundary_mask(g.data) & near_empty, False))
+        edge = np.flatnonzero(padded(g.data & near_empty, False))
         for lo in range(0, edge.size, 4096):  # bounds the (cells, offsets) arrays
             chunk = edge[lo : lo + 4096]
             self.target[chunk] = self._targets(chunk)
@@ -213,32 +201,26 @@ class _MoveFront:
         uphill = reach.max(axis=1) > self.noise[cells]
         return np.where(source & uphill, cells + self.offsets[best], -1)
 
-    def _judge(self, v: int) -> int:
-        """The gate's verdict on the move of source ``v``: its removal key is
-        its own, its placement key its target's with the source cleared."""
-        block, t = self.block, self._target[v]
-        if not block.verdict(self._key(v) & block.hood):
-            return _REMOVAL_REJECTED
-        placeable = block.verdict(self._key(t) ^ self.bit_at[v - t])
-        return _OK if placeable else _PLACEMENT_REJECTED
-
     def select(self) -> tuple[tuple[Coord, Coord] | None, int, int]:
         """The first source, in (noise, raster) order, whose move passes
         both gates, as a (from, to) pair, plus the gate rejections passed
         on the way.
+
+        A move's removal key is its source's own, its placement key its
+        target's with the source cleared.
         """
         rej_rm = rej_pl = 0
-        verdicts = self._verdict
+        verdict, hood, key, target, bit_at = (
+            self.block.verdict, self.block.hood, self._key, self._target, self.bit_at
+        )
         for _, v in self.sources:
-            verdict = verdicts[v]
-            if verdict == _UNKNOWN:
-                verdict = verdicts[v] = self._judge(v)
-            if verdict == _OK:
-                return (self.coord(v), self.coord(self._target[v])), rej_rm, rej_pl
-            if verdict == _REMOVAL_REJECTED:
+            if not verdict(key(v) & hood):
                 rej_rm += 1
-            else:
-                rej_pl += 1
+                continue
+            t = target[v]
+            if verdict(key(t) ^ bit_at[v - t]):
+                return (self.coord(v), self.coord(t)), rej_rm, rej_pl
+            rej_pl += 1
         return None, rej_rm, rej_pl
 
     def move(self, src: Coord, tgt: Coord) -> None:
@@ -262,16 +244,14 @@ class _MoveFront:
                 bisect.insort(self.sources, (key, c))
             else:
                 del self.sources[bisect.bisect_left(self.sources, (key, c))]
-        self.verdict[v + self.stale[t - v]] = _UNKNOWN
 
 
 @lru_cache(maxsize=16)
 def _steps(shape: tuple[int, ...]) -> tuple:
     """Flat offsets in a grid of padded ``shape``: the 3^n - 1 neighbours,
     the 2n face neighbours, per step from a move's source to its target the
-    offsets within one (whose targets may change) and two (whose verdicts
-    may change) of either voxel, and the gate key bit of the voxel at each
-    offset from a 3^n block's centre."""
+    offsets within one of either voxel (whose targets may change), and the
+    gate key bit of the voxel at each offset from a 3^n block's centre."""
     n = len(shape)
     strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
 
@@ -280,13 +260,11 @@ def _steps(shape: tuple[int, ...]) -> tuple:
 
     offsets = deltas(neighbor_offsets(n, "full"))
     near = np.append(offsets, 0)
-    stale = deltas(list(itertools.product(range(-2, 3), repeat=n)))
     window, bits = block_window(strides)
     return (
         offsets,
         deltas(neighbor_offsets(n, "face")),
         {d: np.union1d(near, near + d) for d in offsets.tolist()},
-        {d: np.union1d(stale, stale + d) for d in offsets.tolist()},
         dict(zip(window.tolist(), bits)),
     )
 

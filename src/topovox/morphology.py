@@ -21,7 +21,8 @@ import numpy as np
 
 from .grid import BinaryGrid, Coord, UnsupportedDimensionError, _shifted
 from . import homology
-from .homology import block_window, is_local_flip_safe, keys_of
+from .homology import block_window, keys_of
+from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
 from .noise import NoiseField
 
 
@@ -186,12 +187,16 @@ def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
         raise UnsupportedDimensionError("thickening is 2D-only; see homology_safe_dilate")
     _check_iterations(iterations)
     cur = m.copy()
+    block = homology._block((3, 3))
     for _ in range(iterations):
         changed = False
         for elem in _thinning_elements_2d():
-            for c in map(tuple, np.argwhere(hit_or_miss(cur.complement(), elem).data)):
-                if is_local_flip_safe(cur, c, 1):
-                    cur.set(c, 1)
+            # every candidate is empty (the element hits the complement at
+            # its origin) and is visited once
+            cand = np.argwhere(hit_or_miss(cur.complement(), elem).data)
+            for c, key in _visits(cur, cand, np.arange(len(cand))):
+                if block.verdict(key):
+                    cur.data[c] = True
                     changed = True
         if not changed:
             break

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -313,10 +313,27 @@ class DatasetConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetConfig":
-        doc = json.loads(text)
-        doc["dims"] = tuple(doc.get("dims", (32, 32)))
-        return cls(**doc)
+    def from_json(cls, text: str, **overrides) -> "DatasetConfig":
+        """Parse a JSON object of config fields, ``overrides`` replacing
+        fields of the same name before the whole is checked.
+
+        Raises :class:`ValueError` on malformed JSON, JSON that is not an
+        object, an unknown field or a bad value.
+        """
+        try:
+            doc = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
+        if not isinstance(doc, dict):
+            raise ValueError("a config must be a JSON object")
+        doc.update(overrides)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"bad config: unknown fields {unknown}")
+        try:
+            return cls(**doc)
+        except (TypeError, ValueError) as exc:  # a bad type or value
+            raise ValueError(f"bad config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

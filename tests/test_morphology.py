@@ -187,6 +187,45 @@ def test_safe_dilation_keeps_the_interior_betti_vector(dims):
         assert interior_betti(out.data) == interior_betti(g.data), seed
 
 
+def _thicken_one_gate_call_at_a_time(m, iterations):
+    """Thickening as it was before it walked ``_visits``: the gate sliced
+    the grid for each candidate."""
+    cur = m.copy()
+    for _ in range(iterations):
+        changed = False
+        for elem in morphology._thinning_elements_2d():
+            for c in map(tuple, np.argwhere(hit_or_miss(cur.complement(), elem).data)):
+                if is_local_flip_safe(cur, c, 1):
+                    cur.set(c, 1)
+                    changed = True
+        if not changed:
+            break
+    return cur
+
+
+def test_thicken_matches_one_gate_call_at_a_time(monkeypatch):
+    # no element fits over a border voxel (erosion reads past the border as
+    # background), so the candidates nearest the border lie one voxel in,
+    # and their blocks hold border voxels
+    visits, on_border = morphology._visits, []
+
+    def watched(cur, cand, order):
+        on_border.extend(
+            c for c in map(tuple, cand[order].tolist())
+            if any(x in (1, s - 2) for x, s in zip(c, cur.dims))
+        )
+        yield from visits(cur, cand, order)
+
+    monkeypatch.setattr(morphology, "_visits", watched)
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        dims = tuple(int(s) for s in rng.integers(3, 40, size=2))
+        m = BinaryGrid(rng.random(dims) < rng.uniform(0.05, 0.6))
+        iterations = int(rng.integers(1, 6))
+        assert thicken_background(m, iterations) == _thicken_one_gate_call_at_a_time(m, iterations), trial
+    assert on_border
+
+
 def test_thicken_rejects_non_2d():
     with pytest.raises(UnsupportedDimensionError):
         thicken_background(new_grid([5, 5, 5], fill=1), 3)

@@ -318,6 +318,34 @@ def test_config_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[1]", "a config must be a JSON object"),
+        ('"dims"', "a config must be a JSON object"),
+        ("[" * 100000, "JSON nested too deeply"),
+        ('{"dims": 5}', "bad config: "),
+        ('{"count": 1, "colour": "red"}', "bad config: unknown fields ['colour']"),
+        ('{"count": "two"}', "bad config: count must be an integer, got 'two'"),
+        ('{"count": ', "Expecting value"),
+    ],
+)
+def test_config_from_json_rejects_bad_input_with_a_value_error(text, reason):
+    with pytest.raises(ValueError) as exc:
+        DatasetConfig.from_json(text)
+    assert reason in str(exc.value)
+
+
+def test_config_from_json_overrides_fields_before_checking_them():
+    cfg = DatasetConfig.from_json('{"count": 3, "dims": [16, 16]}', count=5, master_seed=2)
+    assert (cfg.count, cfg.dims, cfg.master_seed) == (5, (16, 16), 2)
+    assert DatasetConfig.from_json("{}", dims=[24, 24, 24]).dims == (24, 24, 24)
+    # a field the file gets wrong is fine when an override replaces it
+    assert DatasetConfig.from_json('{"count": 0}', count=1).count == 1
+    with pytest.raises(ValueError, match="bad config: count must be positive"):
+        DatasetConfig.from_json('{"count": 1}', count=0)
+
+
 def test_custom_dilate_element(tmp_path):
     element = {"mask": [[0, 1, 0], [1, 1, 1], [0, 1, 0]], "origin": [1, 1]}
     cfg = DatasetConfig(
