@@ -12,13 +12,15 @@ this independently: a change it finds is a defect, raised as
 :class:`TopologyDriftError`.
 
 Move selection is incremental.  A front built once per run holds the
-sources with a target as a sorted list of (noise, index) pairs, each
-source's current target and the gate keys of the voxels it has judged,
-updated by each flip.  Its set-up computes targets only where an empty
-voxel lies near, not on every occupied voxel, and sorts only the sources,
-not the grid.  After a move it recomputes targets only within one voxel of
-the two flipped voxels, so a move costs a few small array updates, not a
-rescan of the boundary.  Each source passed asks the gate again, from two
+grid in one buffer padded by one empty voxel, addresses voxels by flat
+index into it, and keeps the sources with a target as a sorted list of
+(noise, index) pairs, each source's current target and the gate keys of
+the voxels it has judged, updated by each flip; the run deforms that
+buffer and returns a copy of it.  The front's set-up computes targets only
+where an empty voxel lies near, not on every occupied voxel, and sorts
+only the sources, not the grid.  After a move it recomputes targets only
+within one voxel of the two flipped voxels, so a move costs a few small
+array updates, not a rescan of the boundary.  Each source passed asks the gate again, from two
 kept keys; the gate's memo answers a neighbourhood it has decided before.
 The moves and rejection counters are those of a full rescan.
 """
@@ -33,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .grid import BinaryGrid, Coord, count_ones, neighbor_offsets
+from .grid import BinaryGrid, count_ones
 from . import homology
 from .homology import BettiVector, betti_numbers, block_window
 from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
@@ -108,31 +110,33 @@ class _MoveFront:
     judges is computed once and then kept current by every flip
     (:meth:`_flip`), so no verdict slices the grid.
 
-    Voxels are addressed by flat index into the grid padded by two empty
-    voxels: :meth:`move` reads the windows around a move's source and
-    target, and those reach two voxels from the source, so they stay in
-    bounds; a gate block reads as zero past the border, as
-    :func:`is_local_flip_safe`'s zero-padded block does.  A flip at ``p``
-    can only change the targets and the source status of voxels within one
-    voxel of ``p``, so :meth:`move` recomputes no more than that.
+    The front holds the grid once, in ``occupied``, padded by one empty
+    voxel; :attr:`grid` is a view of its inside, and a flip writes one
+    cell.  Voxels are addressed by flat index into it from set-up to
+    :meth:`move`.  One voxel of padding is enough, since no read reaches
+    more than one voxel past an in-range voxel: :meth:`_targets` reads the
+    neighbours of occupied voxels, :meth:`_key` the blocks of sources and
+    targets, and :meth:`move` the voxels within one of its source or its
+    target (two voxels from the source, but one from the target).  A gate
+    block reads as zero past the border, as :func:`is_local_flip_safe`'s
+    zero-padded block does.  A flip at ``p`` can only change the targets
+    and the source status of voxels within one voxel of ``p``, so
+    :meth:`move` recomputes no more than that.
     """
 
     def __init__(self, g: BinaryGrid, noise: NoiseField):
-        self.grid = g
-        self.pad = pad = 2
-        self.shape = shape = tuple(s + 2 * pad for s in g.dims)
-        self.strides = [math.prod(shape[ax + 1 :]) for ax in range(g.ndim)]
-        inner = tuple(slice(pad, pad + s) for s in g.dims)
+        self.shape = shape = tuple(s + 2 for s in g.dims)
+        inner = tuple(slice(1, 1 + s) for s in g.dims)
 
         def padded(values, fill) -> np.ndarray:
             out = np.full(shape, fill, dtype=np.asarray(values).dtype)
             out[inner] = values
             return out.ravel()
 
-        self.offsets, self.face, self.near, self.bit_at = _steps(shape)
+        self.window, self.offsets, self.face, self.near, self.bit_at = _steps(shape)
         values = np.asarray(noise.values, dtype=np.float64)
         self.occupied = padded(g.data, False)
-        self._occupied = memoryview(self.occupied)  # element reads give bools, and fast
+        self.grid = BinaryGrid(self.occupied.reshape(shape)[inner])
         self.block = homology._block((3,) * g.ndim)
         self.keys: dict[int, int] = {}  # gate keys by padded index, kept by _flip
         self.noise = padded(values, 0.0)
@@ -160,35 +164,21 @@ class _MoveFront:
         found = found[np.argsort(self.noise[found], kind="stable")]
         self.sources = list(zip(self.noise[found].tolist(), found.tolist()))
 
-    def index(self, c: Coord) -> int:
-        return sum((x + self.pad) * t for x, t in zip(c, self.strides))
-
-    def coord(self, v: int) -> Coord:
-        out = []
-        for s in reversed(self.shape):
-            v, c = divmod(v, s)
-            out.append(c - self.pad)
-        return tuple(out[::-1])
-
     def _key(self, v: int) -> int:
         """The gate key of voxel ``v``, computed on first use."""
         key = self.keys.get(v)
         if key is None:
-            occupied = self._occupied
-            key = self.keys[v] = sum(bit for d, bit in self.bit_at.items() if occupied[v + d])
+            key = self.keys[v] = self.block.key(self.occupied[v + self.window])
         return key
 
-    def _flip(self, c: Coord) -> int:
-        """Flip voxel ``c`` of the grid, toggle its bit in the keys kept for
-        the 3^n voxels whose block holds it, and return its index."""
-        v = self.index(c)
-        self.grid.data[c] = now = not self.occupied[v]
-        self.occupied[v] = now
+    def _flip(self, v: int) -> None:
+        """Flip voxel ``v`` and toggle its bit in the keys kept for the 3^n
+        voxels whose block holds it."""
+        self.occupied[v] = not self.occupied[v]
         keys = self.keys
         for d, bit in self.bit_at.items():
             if v - d in keys:
                 keys[v - d] ^= bit
-        return v
 
     def _targets(self, cells: np.ndarray) -> np.ndarray:
         """The target of each of the occupied ``cells`` (padded indices), or -1."""
@@ -201,10 +191,10 @@ class _MoveFront:
         uphill = reach.max(axis=1) > self.noise[cells]
         return np.where(source & uphill, cells + self.offsets[best], -1)
 
-    def select(self) -> tuple[tuple[Coord, Coord] | None, int, int]:
+    def select(self) -> tuple[tuple[int, int] | None, int, int]:
         """The first source, in (noise, raster) order, whose move passes
-        both gates, as a (from, to) pair, plus the gate rejections passed
-        on the way.
+        both gates, as a (source, target) pair of padded indices, plus the
+        gate rejections passed on the way.
 
         A move's removal key is its source's own, its placement key its
         target's with the source cleared.
@@ -219,13 +209,14 @@ class _MoveFront:
                 continue
             t = target[v]
             if verdict(key(t) ^ bit_at[v - t]):
-                return (self.coord(v), self.coord(t)), rej_rm, rej_pl
+                return (v, t), rej_rm, rej_pl
             rej_pl += 1
         return None, rej_rm, rej_pl
 
-    def move(self, src: Coord, tgt: Coord) -> None:
-        """Apply an accepted move to the grid and bring the front up to date."""
-        v, t = self._flip(src), self._flip(tgt)
+    def move(self, v: int, t: int) -> None:
+        """Apply the accepted move from ``v`` to ``t`` and bring the front up to date."""
+        self._flip(v)
+        self._flip(t)
         self.open[v], self.open[t] = self.noise[v], -np.inf
         # the source is empty now, so it leaves the sources; an empty cell
         # never has a target, so only the occupied cells around either voxel
@@ -248,22 +239,21 @@ class _MoveFront:
 
 @lru_cache(maxsize=16)
 def _steps(shape: tuple[int, ...]) -> tuple:
-    """Flat offsets in a grid of padded ``shape``: the 3^n - 1 neighbours,
-    the 2n face neighbours, per step from a move's source to its target the
-    offsets within one of either voxel (whose targets may change), and the
-    gate key bit of the voxel at each offset from a 3^n block's centre."""
+    """Flat offsets in a grid of padded ``shape``: the 3^n block window
+    around a centre, the 3^n - 1 neighbours (the window without its
+    centre, so in lexicographic offset order), the 2n face neighbours, per
+    step from a move's source to its target the offsets within one of
+    either voxel (whose targets may change), and the gate key bit of the
+    voxel at each window offset."""
     n = len(shape)
     strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
-
-    def deltas(offsets) -> np.ndarray:
-        return np.array(offsets, dtype=np.int64).reshape(-1, n) @ strides
-
-    offsets = deltas(neighbor_offsets(n, "full"))
-    near = np.append(offsets, 0)
     window, bits = block_window(strides)
+    offsets = np.delete(window, 3**n // 2)
+    near = np.append(offsets, 0)
     return (
+        window,
         offsets,
-        deltas(neighbor_offsets(n, "face")),
+        np.array([d * t for t in strides for d in (-1, 1)], dtype=np.int64),
         {d: np.union1d(near, near + d) for d in offsets.tolist()},
         dict(zip(window.tolist(), bits)),
     )
@@ -282,7 +272,6 @@ def deform_volume_preserving(
     """
     if not g.data.any() or g.data.all():
         raise ValueError("deformation needs a grid that is neither empty nor full")
-    cur = g.copy()
     if noise is None:
         noise = noise_field(g.dims, cfg.noise_scale, cfg.seed)
     elif noise.dims != g.dims:
@@ -291,7 +280,8 @@ def deform_volume_preserving(
         volume_before=count_ones(g), betti_before=betti_numbers(g)
     )
     since_check = 0
-    front = _MoveFront(cur, noise)
+    front = _MoveFront(g, noise)
+    cur = front.grid
     for _ in range(cfg.iterations):
         pair, rej_rm, rej_pl = front.select()
         report.rejected_removals += rej_rm
@@ -316,4 +306,4 @@ def deform_volume_preserving(
     if report.betti_after != report.betti_before:
         raise TopologyDriftError("final verification found a Betti change")
     report.volume_after = count_ones(cur)
-    return cur, report
+    return cur.copy(), report

@@ -130,19 +130,6 @@ def count_ones(g: BinaryGrid) -> int:
     return int(np.count_nonzero(g.data))
 
 
-def boundary_mask(a: np.ndarray, adj: Adjacency = "face") -> np.ndarray:
-    """Mask of the true cells of ``a`` with a false neighbor under ``adj``.
-
-    Out-of-range neighbors read as false, so cells on the array border are
-    boundary whenever the adjacency reaches past the edge.
-    """
-    interior = a.copy()
-    for off in neighbor_offsets(a.ndim, adj):
-        # neighbor value at x+off equals a translated by -off
-        interior &= _shifted(a, tuple(-o for o in off))
-    return a & ~interior
-
-
 def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGrid:
     """The (2*radius+1)^n block around ``center``, zero-padded at overhang."""
     if radius < 1:

@@ -60,8 +60,9 @@ keeps the homotopy type of the whole foreground and of the whole
 background, not only the Betti numbers of the block.  Whether A collapses
 is memoized on A itself, since far fewer attachment sets than
 neighbourhoods occur.  The edit loops keep the key of each voxel they
-gate current flip by flip (:func:`block_window`, :func:`keys_of`), so a
-gate call reads a key instead of slicing the grid.  Measured costs are
+gate current flip by flip (:func:`block_window`; the deform front keys a
+new block with :meth:`_Block.key`, dilation a batch with
+:func:`keys_of`), so a gate call reads a key instead of slicing the grid.  Measured costs are
 in the README's "Performance notes".
 """
 from __future__ import annotations
@@ -640,14 +641,8 @@ def is_local_flip_safe(g: BinaryGrid, c: Coord, new_value: int) -> bool:
     one dict lookup.
     """
     new_value = int(bool(new_value))
-    interior = len(c) == g.ndim and all(1 <= x < s - 1 for x, s in zip(c, g.dims))
-    # an interior centre is in range, so its value is read directly (as an
-    # int: comparing a numpy bool with an int costs a ufunc call)
-    if (int(g.data[c]) if interior else g.get(c)) == new_value:
+    if g.get(c) == new_value:
         raise ValueError(f"voxel {c} already has value {new_value}")
-    if interior:
-        data = g.data[tuple(slice(x - 1, x + 2) for x in c)]
-    else:  # zero-padded at the border; validates the centre
-        data = extract_neighborhood(g, c, 1).data
+    data = extract_neighborhood(g, c, 1).data  # validates the centre
     block = _block(data.shape)
     return block.verdict(block.key(data) & block.hood)

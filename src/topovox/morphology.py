@@ -181,7 +181,11 @@ def thicken_background(m: BinaryGrid, iterations: int) -> BinaryGrid:
     Candidates come from the classical element set applied to the
     complement; each one is added to the foreground only if the local
     homology gate allows the flip, so the output Betti vector always equals
-    the input's.
+    the input's.  A voxel on the grid's border is never a candidate, even
+    where the gate would accept it: every thinning element reaches one
+    voxel along both directions of both axes, so it overhangs a border
+    voxel, and :func:`erode` reads out-of-range voxels as false on either
+    side of the hit-or-miss.
     """
     if m.ndim != 2:
         raise UnsupportedDimensionError("thickening is 2D-only; see homology_safe_dilate")

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -240,7 +240,7 @@ class DatasetConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(_is_integer(d) for d in self.dims):
+        if not (isinstance(self.dims, Iterable) and all(_is_integer(d) for d in self.dims)):
             raise ValueError(f"dims must be integers, got {self.dims!r}")
         self.dims = tuple(int(d) for d in self.dims)
         if not (2 <= len(self.dims) <= 4 and min(self.dims) >= 1):

@@ -28,7 +28,6 @@ from topovox.grid import (
     UnsupportedDimensionError,
     _pair_slices,
     _run_forest,
-    boundary_mask,
     neighbor_offsets,
 )
 from topovox.homology import (
@@ -38,7 +37,7 @@ from topovox.homology import (
     _core_ranks,
     _rank_columns,
 )
-from topovox.morphology import ball, dilate
+from topovox.morphology import StructuringElement, ball, dilate, erode
 from topovox.noise import _AMPLITUDE, _GRADS, _fade, _perm_table
 from topovox.seeds import ParametricCurve, PlacementError, PlacementExhaustedError, _curve_samples
 
@@ -607,12 +606,18 @@ def connected_components(
 
 
 def boundary_voxels(g: BinaryGrid, adj: Adjacency = "face") -> set[Coord]:
-    """1-valued voxels with at least one 0-valued neighbor under ``adj``.
+    """1-valued voxels with at least one 0-valued neighbor under ``adj``:
+    the grid minus its erosion by the unit ball (face) or the full 3^n box.
 
-    Out-of-range neighbors count as background, so voxels on the grid border
-    are boundary whenever the adjacency reaches past the edge.
+    Erosion reads out-of-range voxels as background, so voxels on the grid
+    border are boundary whenever the adjacency reaches past the edge.
     """
-    return {tuple(int(c) for c in idx) for idx in np.argwhere(boundary_mask(g.data, adj))}
+    if adj == "face":
+        element = ball(1, g.ndim)
+    else:
+        element = StructuringElement(np.ones((3,) * g.ndim, dtype=bool), (1,) * g.ndim)
+    mask = g.data & ~erode(g, element).data
+    return {tuple(int(c) for c in idx) for idx in np.argwhere(mask)}
 
 
 def make_polyline(points, closed: bool = False) -> ParametricCurve:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -26,6 +27,13 @@ def disc_grid(radius=10.0, size=48):
     return g
 
 
+def _coords(front, *vs):
+    """The grid coordinates of the front's padded flat indices ``vs``."""
+    return tuple(
+        tuple(int(x) - 1 for x in np.unravel_index(v, front.shape)) for v in vs
+    )
+
+
 def gradient_noise(dims):
     """Synthetic strictly monotone 'noise': value increases along axis 0."""
     vals = np.linspace(-0.9, 0.9, dims[0])[:, None] * np.ones((1, dims[1]))
@@ -50,9 +58,10 @@ def test_select_move_monotone_bar():
     for x in range(2, 12):
         g.set((x, 3), 1)
     noise = gradient_noise((14, 7))
-    pair = _MoveFront(g, noise).select()[0]
+    front = _MoveFront(g, noise)
+    pair = front.select()[0]
     assert pair is not None
-    src, dst = pair
+    src, dst = _coords(front, *pair)
     assert src == (2, 3)
     assert dst[0] == 3 and g.get(dst) == 0
     assert noise.values[dst] > noise.values[src]
@@ -133,10 +142,11 @@ def test_deform_moves_uphill():
     cur = g.copy()
     centroid_before = np.argwhere(cur.data).mean(axis=0)
     for _ in range(cfg.iterations):
-        pair = _MoveFront(cur, noise).select()[0]
+        front = _MoveFront(cur, noise)
+        pair = front.select()[0]
         if pair is None:
             break
-        src, dst = pair
+        src, dst = _coords(front, *pair)
         cur.data[src] = False
         cur.data[dst] = True
     centroid_after = np.argwhere(cur.data).mean(axis=0)
@@ -166,13 +176,16 @@ def test_deform_stagnation_warns_and_stops():
 
 
 def _random_blob(rng, dims, count):
-    """A few random balls, some overlapping; never empty or full."""
+    """A few random balls, some overlapping; never empty or full.  On an
+    axis shorter than 8 a centre lies in the middle; radii are at least 2."""
     g = new_grid(dims)
     idx = np.indices(tuple(dims)).astype(float)
     n = len(dims)
+    lo = np.minimum(3.0, (np.asarray(dims) - 1) / 2)
+    hi = np.maximum(lo, np.asarray(dims) - 4.0)
     for _ in range(count):
-        c = rng.uniform(3, np.asarray(dims) - 4.0)
-        r = rng.uniform(2.0, min(dims) / 4.0)
+        c = rng.uniform(lo, hi)
+        r = rng.uniform(2.0, max(2.0, min(dims) / 4.0))
         g.data |= sum((idx[k] - c[k]) ** 2 for k in range(n)) <= r * r
     if not g.data.any():
         g.data[tuple(d // 2 for d in dims)] = True
@@ -265,16 +278,16 @@ def _lockstep(g, noise, moves):
     rejected, revived = set(), 0
     for step in range(moves):
         expected = select_move_reference(ref, noise)
-        got = front.select()
-        assert got == expected, step
-        pair, rej_rm, rej_pl = got
+        pair, rej_rm, rej_pl = front.select()
+        moved = None if pair is None else _coords(front, *pair)
+        assert (moved, rej_rm, rej_pl) == expected, step
         if pair is None:
             return step, revived
-        revived += pair[0] in rejected
-        rejected.update(front.coord(v) for _, v in front.sources[: rej_rm + rej_pl])
+        revived += moved[0] in rejected
+        rejected.update(_coords(front, *(v for _, v in front.sources[: rej_rm + rej_pl])))
         front.move(*pair)
-        ref.data[pair[0]] = False
-        ref.data[pair[1]] = True
+        ref.data[moved[0]] = False
+        ref.data[moved[1]] = True
         assert front.grid == ref
     return moves, revived
 
@@ -286,6 +299,10 @@ def _lockstep(g, noise, moves):
         ((16, 16), 2, 30),
         ((9, 10, 11), 1, 30),
         ((8, 8, 9, 8), 1, 6),
+        # two voxels thick: every voxel is on the border, so a move's
+        # windows reach the padding on both sides of the thin axis
+        ((2, 9, 10), 1, 30),
+        ((2, 5, 6, 5), 1, 8),
     ],
 )
 def test_front_matches_full_rescan(dims, seed, moves):
@@ -357,12 +374,12 @@ def test_front_keys_stay_the_blocks_keys(monkeypatch, dims):
     # from the grid: sliced inside, zero-padded at the border
     move, moves = _MoveFront.move, []
 
-    def checked(self, src, tgt):
-        move(self, src, tgt)
-        moves.append(src)
+    def checked(self, v, t):
+        move(self, v, t)
+        moves.append(v)
         assert self.keys
-        for v, key in self.keys.items():
-            assert key == block_key(self.grid, self.coord(v))
+        for u, key in self.keys.items():
+            assert key == block_key(self.grid, _coords(self, u)[0])
 
     monkeypatch.setattr(_MoveFront, "move", checked)
     rng = np.random.default_rng(sum(dims))
@@ -372,3 +389,33 @@ def test_front_keys_stay_the_blocks_keys(monkeypatch, dims):
             warnings.simplefilter("ignore", RuntimeWarning)
             deform_volume_preserving(g, DeformConfig(iterations=25, noise_scale=3.0, seed=seed))
     assert moves
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (1, 16), (5, 6, 7), (2, 5, 6, 5)])
+def test_front_holds_the_grid_once_padded_by_one_voxel(dims):
+    g = sd.BinaryGrid(np.random.default_rng(sum(dims)).random(dims) < 0.5)
+    front = _MoveFront(g, noise_field(dims, 4.0, 0))
+    cells = math.prod(d + 2 for d in dims)
+    for per_voxel in (front.occupied, front.noise, front.open, front.target):
+        assert per_voxel.size == cells
+    # the grid is a view of the padded buffer, not a second copy
+    assert front.grid == g
+    assert np.shares_memory(front.grid.data, front.occupied)
+    assert not np.shares_memory(front.grid.data, g.data)
+
+
+def test_deform_returns_a_grid_that_owns_its_data(monkeypatch):
+    fronts = []
+    init = _MoveFront.__init__
+
+    def kept(self, g, noise):
+        init(self, g, noise)
+        fronts.append(self)
+
+    monkeypatch.setattr(_MoveFront, "__init__", kept)
+    out, report = deform_volume_preserving(disc_grid(), DeformConfig(iterations=30, seed=3))
+    [front] = fronts
+    assert report.accepted_flips == 30
+    assert out == front.grid
+    assert out.data.base is None and out.data.flags.c_contiguous
+    assert not np.shares_memory(out.data, front.occupied)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from topovox.grid import (
     BinaryGrid,
     UnsupportedDimensionError,
-    boundary_mask,
     count_ones,
     extract_neighborhood,
     neighbor_offsets,
@@ -107,7 +106,7 @@ def test_boundary_mask_brute_force(rng, dims, adj):
                 if not all(0 <= x < s for x, s in zip(n, dims)) or not a[n]:
                     expect[c] = True
                     break
-        assert np.array_equal(boundary_mask(a, adj), expect)
+        assert boundary_voxels(BinaryGrid(a), adj) == {tuple(map(int, c)) for c in np.argwhere(expect)}
 
 
 def test_count_ones_disc_enumeration():

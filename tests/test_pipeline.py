@@ -324,7 +324,8 @@ def test_config_round_trip():
         ("[1]", "a config must be a JSON object"),
         ('"dims"', "a config must be a JSON object"),
         ("[" * 100000, "JSON nested too deeply"),
-        ('{"dims": 5}', "bad config: "),
+        ('{"dims": 5}', "bad config: dims must be integers, got 5"),
+        ('{"dims": null}', "bad config: dims must be integers, got None"),
         ('{"count": 1, "colour": "red"}', "bad config: unknown fields ['colour']"),
         ('{"count": "two"}', "bad config: count must be an integer, got 'two'"),
         ('{"count": ', "Expecting value"),
@@ -874,6 +875,8 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "master_seed": 7.0}', "bad config: master_seed must be an integer, got 7.0"),
         ('{"count": 1, "master_seed": -1}', "bad config: master_seed must be nonnegative, got -1"),
         ('{"count": 1, "dims": [32.5, 32]}', "bad config: dims must be integers, got [32.5, 32]"),
+        ('{"count": 1, "dims": 5}', "bad config: dims must be integers, got 5"),
+        ('{"count": 1, "dims": null}', "bad config: dims must be integers, got None"),
         ('{"count": 1, "deform_noise_scale": "8"}', "bad config: deform_noise_scale must be a positive number, got '8'"),
         ('{"count": 1, "deform_noise_scale": 0}', "bad config: deform_noise_scale must be a positive number, got 0"),
         ('{"count": 1, "dilate_noise_bias": "false"}', "bad config: dilate_noise_bias must be true or false, got 'false'"),
