@@ -62,8 +62,8 @@ is memoized on A itself, since far fewer attachment sets than
 neighbourhoods occur.  The edit loops keep the key of each voxel they
 gate current flip by flip (:func:`block_window`; the deform front keys a
 new block with :meth:`_Block.key`, dilation a batch with
-:func:`keys_of`), so a gate call reads a key instead of slicing the grid.  Measured costs are
-in the README's "Performance notes".
+:func:`keys_of`), so a gate call reads a key instead of slicing the grid.
+Measured costs are in the README's "Performance notes".
 """
 from __future__ import annotations
 
