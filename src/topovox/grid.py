@@ -160,58 +160,72 @@ def _run_forest(mask: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
 
     ``links`` yields ``(off, joined)`` pairs, where ``joined`` is shaped like
     the overlap ``mask[_pair_slices(off, mask.shape)[0]]`` and marks which
-    pairs ``(x, x + off)`` of true cells are linked.  Returns ``starts``,
-    the mask of the cells that start a run, and ``parent``, per run
-    (numbered in raster order) the smallest run of its component, so the
-    root runs are those whose parent is themselves.
+    pairs ``(x, x + off)`` of true cells are linked.  Returns ``run``, the
+    run of each cell (meaningful at the true cells only), and ``parent``,
+    per run the lowest-numbered run of its component, so the root runs are
+    those whose parent is themselves.
 
     The work follows the runs and the run pairs, not the cells.  Cells
-    linked along the last axis have consecutive raster numbers and form a
-    run: ``cont`` marks a cell linked to its predecessor, and one ``cumsum``
-    of the run starts over the whole grid gives every cell its run.  Every
-    other offset joins runs.  A link whose predecessor along the last axis
-    is also a link, with both ends continuing their runs, joins the same
-    run pair as that predecessor and is skipped, so the run ids are read
-    only where the pair changes, at the link's flat position and that
-    position plus the offset's flat step.
+    linked along the first axis, by the offset ``(1, 0, ..., 0)``, form a
+    run down a column: ``cont`` marks a cell linked to the one a plane up.
+    The runs are numbered column by column: one vectorized add per plane
+    of the first axis counts the run starts down every column at once, and
+    each column then adds the runs of the columns before it.  Every other
+    offset joins runs.  A link whose predecessor one plane up is also a
+    link, with both ends continuing their runs, joins the same run pair as
+    that predecessor and is skipped, so the run ids are read only where
+    the pair changes, at the link's flat position and that position plus
+    the offset's flat step.
     Overlapping runs need not be linked (a 1-skeleton edge may be missing
     between two present vertices), so the links themselves decide.  Every
     round then hooks each root run onto the smallest root run it shares a
     link with (``np.minimum.at``), pointer jumping points every run at its
     root, and each link's ends move to their roots; a link whose ends meet
     drops out.  Hooking only ever lowers a parent, so no cycle can form, and
-    each round removes every root that has a smaller linked root.
+    each round removes every root that has a smaller linked root.  The link
+    ends and ``parent`` are ``np.intp``, numpy's index type, so no gather
+    converts its indices.
     """
-    last = (0,) * (mask.ndim - 1) + (1,)
+    first = (1,) + (0,) * (mask.ndim - 1)
     cont = np.zeros(mask.shape, dtype=bool)
     cross = []
     for off, joined in links:
-        if tuple(off) == last:
-            cont[..., 1:] |= joined
+        if tuple(off) == first:
+            cont[1:] |= joined
         else:
             cross.append((off, joined))
-    starts = mask & ~cont
-    run = np.cumsum(starts, dtype=np.int32)
-    run -= 1
+    run = np.greater(mask, cont).astype(np.int32)  # the run starts
+    for i in range(1, run.shape[0]):
+        np.add(run[i], run[i - 1], out=run[i])
+    # the last plane holds each column's count of runs (copied: ``run``
+    # changes below); a column's runs follow those of the earlier columns
+    counts = run[-1].copy()
+    base = np.cumsum(counts, dtype=np.int32).reshape(counts.shape)
+    runs = int(base.flat[-1])
+    base -= counts
+    base -= 1
+    run += base
     us, vs = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     kept = np.zeros(mask.shape, dtype=bool)
+    flat = run.reshape(-1)
     for off, joined in cross:
         src, dst = _pair_slices(off, mask.shape)
-        # a link is kept unless it repeats its predecessor's run pair:
+        # a link is kept unless it repeats the run pair one plane up:
         # ``joined > repeat`` is ``joined & ~repeat`` in one pass
-        repeat = joined[..., :-1] & cont[src][..., 1:]
-        repeat &= cont[dst][..., 1:]
+        repeat = joined[:-1] & cont[src][1:]
+        repeat &= cont[dst][1:]
         new_pair = kept[src]
-        new_pair[..., :1] = joined[..., :1]
-        np.greater(joined[..., 1:], repeat, out=new_pair[..., 1:])
+        new_pair[:1] = joined[:1]
+        np.greater(joined[1:], repeat, out=new_pair[1:])
         p = np.flatnonzero(kept)
         kept[src] = False
-        us.append(run[p])
+        us.append(flat[p])
         # ``kept`` is a contiguous bool array: its byte strides are flat steps
-        vs.append(run[p + sum(o * s for o, s in zip(off, kept.strides))])
-    u, v = np.concatenate(us), np.concatenate(vs)
-    del cont, run, kept, us, vs  # the rounds need only the link ends
-    parent = np.arange(np.count_nonzero(starts), dtype=np.int32)
+        vs.append(flat[p + sum(o * s for o, s in zip(off, kept.strides))])
+    u = np.concatenate(us).astype(np.intp)
+    v = np.concatenate(vs).astype(np.intp)
+    del cont, kept, us, vs  # the rounds need only the link ends
+    parent = np.arange(runs, dtype=np.intp)
     while u.size:
         # both ends are roots, so only the larger one can move
         np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
@@ -223,14 +237,14 @@ def _run_forest(mask: np.ndarray, links) -> tuple[np.ndarray, np.ndarray]:
         u, v = parent[u], parent[v]
         open_ = u != v
         u, v = u[open_], v[open_]
-    return starts, parent
+    return run, parent
 
 
 def component_count(mask: np.ndarray, links) -> int:
     """Number of components of the true cells of ``mask`` under ``links``.
 
-    The root runs of the run-level union-find (:func:`_run_forest`),
-    counted without expanding them to cells.
+    The root runs of the run-level union-find (:func:`_run_forest`), runs
+    down the first axis, counted without expanding them to cells.
     """
     _, parent = _run_forest(mask, links)
-    return int(np.count_nonzero(parent == np.arange(parent.size, dtype=np.int32)))
+    return int(np.count_nonzero(parent == np.arange(parent.size)))

@@ -124,12 +124,14 @@ def _cell_classes(data: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     array is indexed by the cell's anchor, the vertex with the smallest
     coordinates, so it is the doubled lattice sliced at ``parity::2``.  A
     cell is present iff a voxel contains it, which is decided one axis at a
-    time on the voxels padded by one empty slab: along an axis the cell
+    time on the voxels framed by one empty slab: along an axis the cell
     does not span, either voxel of the adjacent pair will do; along an axis
     it spans, only the voxel itself.
     """
     nd = data.ndim
-    classes = {(): np.pad(data, 1)}
+    framed = np.zeros(tuple(s + 2 for s in data.shape), dtype=bool)
+    framed[(slice(1, -1),) * nd] = data
+    classes = {(): framed}
     for ax in range(nd):
         lower, upper, inner = (
             _axis_slices(nd, ax, sl) for sl in (slice(None, -1), slice(1, None), slice(1, -1))
@@ -342,10 +344,11 @@ def _skeleton_components(classes: dict[tuple[int, ...], np.ndarray]) -> int:
 def _bounded_background_components(data: np.ndarray) -> int:
     """Face-adjacent components of the complement that do not reach infinity.
 
-    Padding by one voxel joins everything outside the bounding box into the
-    one unbounded component.
+    A frame of one background voxel joins everything outside the bounding
+    box into the one unbounded component.
     """
-    bg = np.pad(~data, 1, constant_values=True)
+    bg = np.ones(tuple(s + 2 for s in data.shape), dtype=bool)
+    np.logical_not(data, out=bg[(slice(1, -1),) * data.ndim])
     links = []
     for ax in range(bg.ndim):
         off = _unit(ax, bg.ndim)
@@ -393,8 +396,13 @@ def _betti_squashed(data: np.ndarray) -> tuple:
     characteristic comes from the cell counts.  That settles 2D and 3D.  In
     4D, b1 and b2 share the one remaining unknown, rank d2: the other ranks
     are rank d1 = c0 - b0, rank d3 = c3 - c4 - b3 and rank d4 = c4.
+
+    The shortest axis is moved first: permuting the axes is an isometry,
+    so nothing below changes, and the component counts loop over the
+    planes of the first axis.
     """
     n = data.ndim
+    data = np.moveaxis(data, int(np.argmin(data.shape)), 0)
     classes = _cell_classes(data)
     c = np.zeros(n + 1, dtype=np.int64)
     for parity, cls in classes.items():

@@ -568,14 +568,17 @@ def component_roots(mask: np.ndarray, links) -> np.ndarray:
     number in its component under ``links``, from the engine's run forest
     (:func:`topovox.grid._run_forest`).
 
-    The roots are the cells whose value equals their own number.  The runs
-    ascend, so the first cell of a component's root run is its smallest
-    cell, and every cell of a run takes the first cell of its root run.
+    The roots are the cells whose value equals their own number.  Every
+    true cell takes the root run of its run; a component's root run is its
+    lowest-numbered run, which need not hold its smallest cell, so each
+    root run takes the smallest cell that points to it.
     """
-    starts, parent = _run_forest(mask, links)
-    starts = starts[mask]
-    first = np.flatnonzero(starts).astype(np.int32)
-    return first[parent][np.cumsum(starts, dtype=np.int32) - 1]
+    run, parent = _run_forest(mask, links)
+    root = parent[run[mask]]
+    first = np.zeros(parent.size, dtype=np.int32)
+    roots, cells = np.unique(root, return_index=True)
+    first[roots] = cells
+    return first[root]
 
 
 def count_roots(roots: np.ndarray) -> int:
