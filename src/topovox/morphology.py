@@ -13,7 +13,7 @@ dilation used to grow seed skeletons in any supported dimension.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,11 +72,20 @@ def ball(radius: float, ndim: int) -> StructuringElement:
 
 def element_from_spec(spec: dict) -> StructuringElement:
     """Build an element from a config entry: a 0/1 nested list plus an origin."""
+    if not isinstance(spec, Mapping):
+        raise InvalidElementError(f"element spec must be an object with 'mask' and 'origin', got {spec!r}")
     try:
-        mask = np.asarray(spec["mask"], dtype=bool)
+        raw = spec["mask"]
         origin = tuple(int(c) for c in spec["origin"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidElementError(f"element spec needs 'mask' and 'origin': {exc}")
+    try:
+        mask = np.array(raw) if isinstance(raw, list) else None
+    except ValueError:  # a ragged list
+        mask = None
+    if mask is None or mask.dtype.kind not in "bi" or not np.isin(mask, (0, 1)).all():
+        raise InvalidElementError(f"element mask must be a rectangular 0/1 nested list, got {raw!r}")
+    mask = mask.astype(bool)
     if not mask.any():
         raise InvalidElementError("element mask has no set voxel")
     return StructuringElement(mask, origin)

@@ -28,7 +28,7 @@ from .deform import DeformConfig, deform_volume_preserving
 from .grid import BinaryGrid, new_grid
 from .homology import BettiVector, betti_numbers
 from .labels import ConstructionDescriptor, betti_disjoint_union, cavity_label
-from .morphology import element_from_spec, homology_safe_dilate
+from .morphology import InvalidElementError, element_from_spec, homology_safe_dilate
 from .noise import noise_field
 from . import seeds
 
@@ -101,7 +101,8 @@ def _decode_voxels(raw: bytes) -> BinaryGrid:
             f"{expect - need} bytes for dims {dims}"
         )
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=need), count=total)
-    return BinaryGrid(bits.astype(bool).reshape(dims))
+    # unpackbits returns a fresh 0/1 uint8 array: a valid bool array as it is
+    return BinaryGrid(bits.view(bool).reshape(dims))
 
 
 def _replace_atomically(path: Path, write):
@@ -280,7 +281,10 @@ class DatasetConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.dilate_element is not None:
-            element = element_from_spec(self.dilate_element)
+            try:
+                element = element_from_spec(self.dilate_element)
+            except InvalidElementError as exc:
+                raise ValueError(f"dilate_element: {exc}") from exc
             if element.mask.ndim != len(self.dims):
                 raise ValueError(
                     f"dilate_element is {element.mask.ndim}D but dims {self.dims} "

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from topovox import noise, pipeline
-from topovox.grid import _pair_slices, component_count, neighbor_offsets
+from topovox.grid import BinaryGrid, _pair_slices, component_count, neighbor_offsets
 from topovox.homology import (
+    betti_numbers,
     _cell_classes,
     _cell_dim_array,
     _interleave,
@@ -42,6 +43,8 @@ SHAPES = [
     (1, 4, 4, 4),
     (4, 4, 4, 1),
     (6, 6, 6, 6),
+    (60, 3),
+    (40, 3, 4),
 ]
 FILLS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -148,15 +151,18 @@ def test_roots_match_reference_on_random_grids(rng, shape):
 
 
 def test_roots_match_reference_without_a_last_axis_link(rng):
+    """Neither the last axis nor the first, whose ``(1, 0, ...)`` links
+    build the runs, need be linked."""
     for shape in [(8, 9), (5, 6, 7), (4, 3, 5, 4)]:
         n = len(shape)
         mask = rng.random(shape) < 0.6
-        offsets = [
-            off
-            for off in itertools.product((-1, 0, 1), repeat=n)
-            if any(off) and off[-1] == 0
-        ]
-        assert_same_roots(mask, adjacency_links(mask, offsets))
+        for ax in (-1, 0):
+            offsets = [
+                off
+                for off in itertools.product((-1, 0, 1), repeat=n)
+                if any(off) and off[ax] == 0
+            ]
+            assert_same_roots(mask, adjacency_links(mask, offsets))
         assert_same_roots(mask, [])
 
 
@@ -228,20 +234,21 @@ def test_roots_when_a_run_breaks_under_a_linked_stretch():
 
 
 def test_roots_with_a_backward_last_axis_offset(rng):
-    """``(0, ..., -1)`` is not the last-axis link that builds runs: it is
-    passed through as a cross link, alone or beside the forward one."""
+    """``(0, ..., -1)`` and ``(-1, 0, ...)`` are not the first-axis link
+    that builds runs: each is passed through as a cross link, alone or
+    beside the forward ones."""
     for shape in [(7, 9), (5, 6, 7), (4, 3, 5, 4)]:
         n = len(shape)
-        back = (0,) * (n - 1) + (-1,)
         mask = rng.random(shape) < 0.6
-        assert_same_roots(mask, adjacency_links(mask, [back]))
         face = [off for off in neighbor_offsets(n, "face") if off > (0,) * n]
-        assert_same_roots(mask, adjacency_links(mask, [back] + face))
-        some = [
-            (off, joined & (rng.random(joined.shape) < 0.5))
-            for off, joined in adjacency_links(mask, [back] + face)
-        ]
-        assert_same_roots(mask, some)
+        for back in [(0,) * (n - 1) + (-1,), (-1,) + (0,) * (n - 1)]:
+            assert_same_roots(mask, adjacency_links(mask, [back]))
+            assert_same_roots(mask, adjacency_links(mask, [back] + face))
+            some = [
+                (off, joined & (rng.random(joined.shape) < 0.5))
+                for off, joined in adjacency_links(mask, [back] + face)
+            ]
+            assert_same_roots(mask, some)
 
 
 def assert_same_classes(data):
@@ -353,3 +360,20 @@ def test_count_matches_reference_on_union_find_edge_cases(rng):
         ]
         assert_same_count(mask, adjacency_links(mask, no_last))
         assert_same_count(mask, [])
+
+
+def assert_betti_invariant_under_axis_permutations(data):
+    want = betti_numbers(BinaryGrid(data))
+    for perm in itertools.permutations(range(data.ndim)):
+        got = betti_numbers(BinaryGrid(np.ascontiguousarray(data.transpose(perm))))
+        assert got == want, perm
+
+
+def test_betti_numbers_do_not_depend_on_the_order_of_the_axes(rng):
+    """The engine moves the shortest axis first; permuting the axes of the
+    input must give the same Betti vector, whichever axis that is."""
+    for shape in [(9, 11), (6, 5, 7), (30, 3), (4, 4, 25)]:
+        for fill in FILLS:
+            assert_betti_invariant_under_axis_permutations(rng.random(shape) < fill)
+    for side in (5, 6, 7):
+        assert_betti_invariant_under_axis_permutations(rng.random((side,) * 4) < 0.6)

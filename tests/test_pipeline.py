@@ -862,6 +862,18 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
             json.dumps({"dims": [16, 16, 16], "dilate_iterations": 1, "dilate_element": PLANE_ELEMENT}),
             "bad config: dilate_element is 2D but dims (16, 16, 16) are 3D",
         ),
+        (
+            '{"dims": [16, 16], "dilate_element": {"mask": [[1, 1], [1]], "origin": [0, 0]}}',
+            "bad config: dilate_element: element mask must be a rectangular 0/1 nested list, got [[1, 1], [1]]",
+        ),
+        (
+            '{"dims": [16, 16], "dilate_element": {"mask": "11", "origin": [0, 0]}}',
+            "bad config: dilate_element: element mask must be a rectangular 0/1 nested list, got '11'",
+        ),
+        (
+            '{"dims": [16, 16], "dilate_element": [1]}',
+            "bad config: dilate_element: element spec must be an object with 'mask' and 'origin', got [1]",
+        ),
         ('{"dims": [16, 16], "shape_weights": [1]}', "bad config: shape_weights must map kind names to finite numbers, got [1]"),
         ('{"count": 1, "shape_weights": {"ball": "1"}}', "bad config: shape_weights must map kind names to finite numbers"),
         ('{"count": 1, "shape_weights": {"ball": true}}', "bad config: shape_weights must map kind names to finite numbers"),
