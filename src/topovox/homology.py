@@ -24,7 +24,7 @@ a squashed grid seen before costs one SHA-256 of its packed bits.
 A miss never builds the doubled lattice in 2D and 3D.  The cells are kept
 as 2^n contiguous boolean arrays, one per parity class (the axes a cell
 spans), each indexed by the cells' anchors (:func:`_cell_classes`).  They
-are built from the voxels padded by one empty slab, one axis at a time: a
+are built from the voxels framed by one empty slab, one axis at a time: a
 class that does not span the axis ORs each adjacent pair of slabs, and one
 that spans it keeps the voxel slab itself.  ``count_nonzero`` of each class
 gives the cell counts and so the Euler characteristic.  beta_0 counts the
@@ -33,13 +33,15 @@ the n classes odd on one axis (the edges, anchored at their lower ends).
 beta_(n-1) counts the bounded face-adjacent components of the complement
 (Alexander duality).  Both counts come from
 :func:`topovox.grid.component_count`, a union-find whose cost follows runs
-and run pairs rather than cells: one ``cumsum`` over the grid numbers the
-runs of cells linked along the last axis, the other links are read only
-where the pair of runs they join changes, and the components are the root
-runs, counted without expanding them to cells.  The Euler identity then
-settles 2D and 3D.  In 4D, beta_1 and beta_2 share one unknown,
-rank(d_2), and the doubled lattice is interleaved from the same class
-arrays (:func:`_interleave`), so one rule decides which cells are present.
+and run pairs rather than cells: one vectorized add per plane of the first
+axis numbers the runs of cells linked down that axis, column by column, the
+other links are read only where the pair of runs they join changes, and
+the components are the root runs, counted without expanding them to cells.
+The shortest axis of the squashed grid is moved first, so that loop is
+short on skinny grids.  The Euler identity then settles 2D and 3D.  In 4D,
+beta_1 and beta_2 share one unknown, rank(d_2), and the doubled lattice is
+interleaved from the same class arrays (:func:`_interleave`), so one rule
+decides which cells are present.
 The complex is collapsed in one sweep per axis (each free pair adds one to
 the rank in its coface's dimension), then d_3 and d_2 of the remaining
 core are reduced as sparse columns with rows numbered per dimension, the

@@ -5,8 +5,9 @@ as the sweep that recomputed in-plane coface counts for every dimension of
 every hyperplane; ``component_roots``, built on the run forest, must
 return the same root for every cell, and ``component_count`` the same
 number of components, as the union-find that linked single cells instead
-of runs; and the parity classes must be the slices of the doubled lattice
-spread from the voxels.
+of runs; the parity classes must be the slices of the doubled lattice
+spread from the voxels; and ``betti_numbers``, which moves the shortest
+axis first, must not depend on the order of the axes.
 """
 import itertools
 
