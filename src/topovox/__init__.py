@@ -1,12 +1,10 @@
 """Topologically labeled synthetic binary voxel data in 2, 3, and 4 dimensions."""
 
 from .grid import (
-    Adjacency,
     BinaryGrid,
     Coord,
     UnsupportedDimensionError,
     count_ones,
-    extract_neighborhood,
     new_grid,
 )
 from .homology import BettiVector, betti_numbers, is_local_flip_safe
@@ -21,7 +19,6 @@ from .noise import NoiseField, noise_field
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adjacency",
     "BettiVector",
     "BinaryGrid",
     "ConstructionDescriptor",
@@ -33,7 +30,6 @@ __all__ = [
     "betti_disjoint_union",
     "betti_numbers",
     "count_ones",
-    "extract_neighborhood",
     "is_local_flip_safe",
     "new_grid",
     "noise_field",

@@ -4,21 +4,16 @@ A :class:`BinaryGrid` is a bit-valued image in 2, 3, or 4 dimensions.
 Conventions used throughout the package:
 
 * storage is row-major with the last axis fastest,
-* any read outside the index range returns 0 ("out-of-bounds is background"),
+* every voxel outside the index range is background,
 * foreground connectivity defaults to ``full`` adjacency (all 3^n - 1
   neighbors), background to ``face`` adjacency (2n neighbors), matching the
   closed-cube model used by the homology engine.
 """
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-from typing import Literal
-
 import numpy as np
 
 Coord = tuple[int, ...]
-Adjacency = Literal["face", "full"]
 
 SUPPORTED_NDIM = (2, 3, 4)
 
@@ -50,20 +45,6 @@ class BinaryGrid:
     def dims(self) -> Coord:
         return self.data.shape
 
-    def in_range(self, coord: Coord) -> bool:
-        return len(coord) == self.ndim and all(
-            0 <= c < s for c, s in zip(coord, self.dims)
-        )
-
-    def get(self, coord: Coord) -> int:
-        """Value at ``coord``; out-of-range coordinates read as 0."""
-        if not self.in_range(coord):
-            return 0
-        return int(self.data[coord])
-
-    def set(self, coord: Coord, value: int) -> None:
-        self.data[coord] = bool(value)
-
     def copy(self) -> "BinaryGrid":
         return BinaryGrid(self.data.copy())
 
@@ -91,26 +72,6 @@ def new_grid(dims, fill: int = 0) -> BinaryGrid:
     return BinaryGrid(np.full(dims, bool(fill), dtype=bool))
 
 
-@lru_cache(maxsize=None)
-def neighbor_offsets(ndim: int, adj: Adjacency) -> tuple[Coord, ...]:
-    """Neighbor offsets for the adjacency kind: 2n for face, 3^n - 1 for full."""
-    if adj == "face":
-        offs = []
-        for ax in range(ndim):
-            for d in (-1, 1):
-                off = [0] * ndim
-                off[ax] = d
-                offs.append(tuple(off))
-        return tuple(offs)
-    if adj == "full":
-        return tuple(
-            off
-            for off in itertools.product((-1, 0, 1), repeat=ndim)
-            if any(off)
-        )
-    raise ValueError(f"unknown adjacency kind {adj!r}")
-
-
 def _shifted(a: np.ndarray, off: Coord) -> np.ndarray:
     """Translate ``a`` by ``off``, filling vacated cells with 0."""
     out = np.zeros_like(a)
@@ -128,24 +89,6 @@ def _shifted(a: np.ndarray, off: Coord) -> np.ndarray:
 def count_ones(g: BinaryGrid) -> int:
     """Number of 1-valued voxels (the sample's hypervolume)."""
     return int(np.count_nonzero(g.data))
-
-
-def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGrid:
-    """The (2*radius+1)^n block around ``center``, zero-padded at overhang."""
-    if radius < 1:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not g.in_range(center):
-        raise IndexError(f"center {center} out of range for dims {g.dims}")
-    size = 2 * radius + 1
-    block = np.zeros((size,) * g.ndim, dtype=bool)
-    src = []
-    dst = []
-    for c, s in zip(center, g.dims):
-        lo, hi = c - radius, c + radius + 1
-        src.append(slice(max(lo, 0), min(hi, s)))
-        dst.append(slice(max(lo, 0) - lo, size - (hi - min(hi, s))))
-    block[tuple(dst)] = g.data[tuple(src)]
-    return BinaryGrid(block)
 
 
 def _pair_slices(off: Coord, shape: tuple[int, ...]):

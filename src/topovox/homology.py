@@ -82,7 +82,6 @@ from .grid import (
     Coord,
     _pair_slices,
     component_count,
-    extract_neighborhood,
 )
 
 
@@ -650,9 +649,12 @@ def is_local_flip_safe(g: BinaryGrid, c: Coord, new_value: int) -> bool:
     centre cleared and is memoized on it, so a repeated neighbourhood costs
     one dict lookup.
     """
+    if len(c) != g.ndim or not all(0 <= x < s for x, s in zip(c, g.dims)):
+        raise IndexError(f"center {c} out of range for dims {g.dims}")
     new_value = int(bool(new_value))
-    if g.get(c) == new_value:
+    if g.data[c] == new_value:
         raise ValueError(f"voxel {c} already has value {new_value}")
-    data = extract_neighborhood(g, c, 1).data  # validates the centre
+    window = tuple(slice(max(x - 1, 0), x + 2) for x in c)
+    data = np.pad(g.data[window], [(int(x == 0), int(x == s - 1)) for x, s in zip(c, g.dims)])
     block = _block(data.shape)
     return block.verdict(block.key(data) & block.hood)

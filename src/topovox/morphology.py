@@ -77,7 +77,7 @@ def element_from_spec(spec: dict) -> StructuringElement:
     try:
         raw = spec["mask"]
         origin = tuple(int(c) for c in spec["origin"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise InvalidElementError(f"element spec needs 'mask' and 'origin': {exc}")
     try:
         mask = np.array(raw) if isinstance(raw, list) else None

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -212,13 +213,16 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real number other than a bool, finite as a float (a JSON int may not be)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 #: Placement dilates by ``ball(spacing)``, which spans ``2 * spacing + 1``
 #: voxels per axis; structuring elements are capped at 9.
 MAX_SPACING = 4
+
+#: The most voxels a generated grid may hold (4096^2, 256^3, 64^4), checked before allocating.
+MAX_VOXELS = 2**24
 
 
 @dataclass
@@ -248,6 +252,8 @@ class DatasetConfig:
             raise ValueError(
                 f"dims must have 2 to 4 axes, each of length at least 1, got {self.dims}"
             )
+        if math.prod(self.dims) > MAX_VOXELS:
+            raise ValueError(f"dims {self.dims} hold {math.prod(self.dims)} voxels, more than {MAX_VOXELS}")
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not _is_integer(value):

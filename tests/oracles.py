@@ -12,7 +12,8 @@ and :func:`interior_betti`, which runs the engine on the padded complement.
 The last section holds code only the tests call: the doubled lattice
 spread from the voxels with its cell counts, the explicit cubical complex
 with its boundary matrices, per-cell union-find roots and component
-labels, the boundary voxel set and the polyline curve builder.
+labels, the neighbour offsets, the zero-padded block around a voxel, the
+boundary voxel set and the polyline curve builder.
 """
 from __future__ import annotations
 
@@ -22,13 +23,11 @@ from collections import deque
 import numpy as np
 
 from topovox.grid import (
-    Adjacency,
     BinaryGrid,
     Coord,
     UnsupportedDimensionError,
     _pair_slices,
     _run_forest,
-    neighbor_offsets,
 )
 from topovox.homology import (
     BettiVector,
@@ -197,8 +196,6 @@ def flip_safe_reference(g, c, new_value) -> bool:
     decides from the centre voxel's attachment sets instead; on 3^n blocks
     the two agree, which the gate tests check.
     """
-    from topovox.grid import extract_neighborhood
-
     before = extract_neighborhood(g, c, 1).data
     after = before.copy()
     after[(1,) * before.ndim] = bool(new_value)
@@ -243,7 +240,7 @@ def select_move_reference(g, noise):
         best_noise = float(src_noise[k])
         for off in offsets:
             tgt = tuple(s + o for s, o in zip(src, off))
-            if not g.in_range(tgt) or a[tgt]:
+            if not all(0 <= x < d for x, d in zip(tgt, g.dims)) or a[tgt]:
                 continue
             v = float(noise.values[tgt])
             if v > best_noise or (v == best_noise and best is not None and tgt < best):
@@ -467,8 +464,8 @@ def noise_field_flat(dims, scale, seed):
 
 
 # ---------------------------------------------------------------------------
-# test-only code: lattices, complexes, component labels, boundary voxels,
-# polylines
+# test-only code: lattices, complexes, component labels, neighbourhoods,
+# boundary voxels, polylines
 
 def _cell_lattice(data: np.ndarray) -> np.ndarray:
     """Boolean presence array over the doubled lattice of ``data``.
@@ -586,8 +583,29 @@ def count_roots(roots: np.ndarray) -> int:
     return int(np.count_nonzero(roots == np.arange(roots.size)))
 
 
+def neighbor_offsets(ndim: int, adj: str) -> list[Coord]:
+    """The 2n face steps (axis by axis, -1 before +1) or the 3^n - 1 full
+    steps (in ``itertools.product`` order) to a voxel's neighbours."""
+    if adj == "face":
+        return [tuple(d * (i == ax) for i in range(ndim)) for ax in range(ndim) for d in (-1, 1)]
+    if adj == "full":
+        return [off for off in itertools.product((-1, 0, 1), repeat=ndim) if any(off)]
+    raise ValueError(f"unknown adjacency kind {adj!r}")
+
+
+def extract_neighborhood(g: BinaryGrid, center: Coord, radius: int) -> BinaryGrid:
+    """The (2*radius+1)^n block around ``center``, zero-padded at overhang:
+    a window of the whole grid padded by ``radius``."""
+    if radius < 1:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if len(center) != g.ndim or not all(0 <= c < s for c, s in zip(center, g.dims)):
+        raise IndexError(f"center {center} out of range for dims {g.dims}")
+    window = tuple(slice(c, c + 2 * radius + 1) for c in center)
+    return BinaryGrid(np.pad(g.data, radius)[window])
+
+
 def connected_components(
-    g: BinaryGrid, adj: Adjacency = "full"
+    g: BinaryGrid, adj: str = "full"
 ) -> tuple[int, np.ndarray]:
     """Label foreground components with union-find.
 
@@ -608,7 +626,7 @@ def connected_components(
     return int(np.count_nonzero(is_root)), labels
 
 
-def boundary_voxels(g: BinaryGrid, adj: Adjacency = "face") -> set[Coord]:
+def boundary_voxels(g: BinaryGrid, adj: str = "face") -> set[Coord]:
     """1-valued voxels with at least one 0-valued neighbor under ``adj``:
     the grid minus its erosion by the unit ball (face) or the full 3^n box.
 
@@ -641,7 +659,6 @@ def block_key(g, c) -> int:
     """The flip gate's key of the 3^n block around ``c``, read from the grid:
     the sliced block, or the zero-padded block where a slice would leave
     the grid."""
-    from topovox.grid import extract_neighborhood
     from topovox.homology import _block
 
     block = _block((3,) * g.ndim)

@@ -276,12 +276,12 @@ def test_criterion_6_local_safety_soundness():
                 if proposals[ndim] >= total:
                     break
                 c = tuple(int(rng.integers(0, d)) for d in dims)
-                new = 1 - g.get(c)
+                new = 1 - g.data[c]
                 proposals[ndim] += 1
                 if is_local_flip_safe(g, c, new):
                     accepted[ndim] += 1
                     flipped = g.copy()
-                    flipped.set(c, new)
+                    flipped.data[c] = new
                     if betti_numbers(flipped) != base:
                         violations[ndim] += 1
 

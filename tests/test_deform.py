@@ -42,7 +42,7 @@ def gradient_noise(dims):
 
 def test_select_move_none_for_isolated_voxel():
     g = new_grid([7, 7])
-    g.set((3, 3), 1)
+    g.data[3, 3] = 1
     assert _MoveFront(g, gradient_noise((7, 7))).select()[0] is None
 
 
@@ -56,14 +56,14 @@ def test_select_move_monotone_bar():
     # empty neighbor one step up the ramp
     g = new_grid([14, 7])
     for x in range(2, 12):
-        g.set((x, 3), 1)
+        g.data[x, 3] = 1
     noise = gradient_noise((14, 7))
     front = _MoveFront(g, noise)
     pair = front.select()[0]
     assert pair is not None
     src, dst = _coords(front, *pair)
     assert src == (2, 3)
-    assert dst[0] == 3 and g.get(dst) == 0
+    assert dst[0] == 3 and g.data[dst] == 0
     assert noise.values[dst] > noise.values[src]
     # brute-force: no 1-voxel with smaller noise is movable
     candidates = sorted(boundary_voxels(g), key=lambda c: noise.values[c])

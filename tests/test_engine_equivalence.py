@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from topovox import noise, pipeline
-from topovox.grid import BinaryGrid, _pair_slices, component_count, neighbor_offsets
+from topovox.grid import BinaryGrid, _pair_slices, component_count
 from topovox.homology import (
     betti_numbers,
     _cell_classes,
@@ -30,6 +30,7 @@ from oracles import (
     component_roots,
     component_roots_reference,
     count_roots,
+    neighbor_offsets,
     sweep_collapse_reference,
 )
 

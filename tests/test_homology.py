@@ -22,7 +22,6 @@ from topovox.homology import (
     _rank_columns,
     _squash,
 )
-from topovox.grid import extract_neighborhood
 
 from oracles import (
     betti_oracle,
@@ -34,6 +33,7 @@ from oracles import (
     cell_counts_bruteforce,
     chi_bruteforce,
     eliminate_block,
+    extract_neighborhood,
     flip_safe_reference,
     gf2_rank,
     interior_betti,
@@ -46,7 +46,7 @@ def annulus_2d():
     for i in range(3):
         for j in range(3):
             if (i, j) != (1, 1):
-                g.set((i + 1, j + 1), 1)
+                g.data[i + 1, j + 1] = 1
     return g
 
 
@@ -54,7 +54,7 @@ def hollow_shell_3d():
     g = new_grid([7, 7, 7])
     for c in itertools.product(range(5), repeat=3):
         if 0 in c or 4 in c:
-            g.set(tuple(x + 1 for x in c), 1)
+            g.data[tuple(x + 1 for x in c)] = 1
     return g
 
 
@@ -64,21 +64,21 @@ def hollow_shell_3d():
 
 def test_single_voxel_2d_cells():
     g = new_grid([5, 5])
-    g.set((2, 2), 1)
+    g.data[2, 2] = 1
     c = build_cubical_complex(g)
     assert c.cell_counts == (4, 4, 1)
 
 
 def test_two_adjacent_voxels_share_an_edge():
     g = new_grid([5, 5])
-    g.set((2, 2), 1)
-    g.set((2, 3), 1)
+    g.data[2, 2] = 1
+    g.data[2, 3] = 1
     assert build_cubical_complex(g).cell_counts == (6, 7, 2)
 
 
 def test_single_voxel_4d_cells():
     g = new_grid([3, 3, 3, 3])
-    g.set((1, 1, 1, 1), 1)
+    g.data[1, 1, 1, 1] = 1
     assert build_cubical_complex(g).cell_counts == (16, 32, 24, 8, 1)
 
 
@@ -121,7 +121,7 @@ def test_gf2_rank_identity():
 
 def test_gf2_rank_square_boundary():
     g = new_grid([3, 3])
-    g.set((1, 1), 1)
+    g.data[1, 1] = 1
     d1 = build_cubical_complex(g).boundary_matrix(1)
     assert d1.shape == (4, 4)
     assert gf2_rank(d1) == 3
@@ -178,7 +178,7 @@ def test_torus_shell_16():
 
 def test_euler_from_cells_examples():
     g = new_grid([3, 3])
-    g.set((1, 1), 1)
+    g.data[1, 1] = 1
     assert euler_from_cells(build_cubical_complex(g)) == 1
     assert euler_from_cells(build_cubical_complex(annulus_2d())) == 0
 
@@ -232,7 +232,7 @@ def _betti_from_boundary_ranks(g: BinaryGrid) -> tuple[int, ...]:
 def _with_cavity(dims: tuple[int, ...]) -> BinaryGrid:
     """A solid box touching the grid border, hollowed out at one inner voxel."""
     g = new_grid(dims, fill=1)
-    g.set(tuple(d // 2 for d in dims), 0)
+    g.data[tuple(d // 2 for d in dims)] = 0
     return g
 
 
@@ -256,7 +256,7 @@ def test_matches_boundary_matrix_oracle(rng):
     # several components: isolated voxels and a diagonal pair
     many = new_grid((5, 5, 4, 3))
     for c in [(0, 0, 0, 0), (4, 4, 3, 2), (2, 2, 1, 1), (3, 3, 2, 2), (0, 4, 3, 0)]:
-        many.set(c, 1)
+        many.data[c] = 1
     grids.append(many)
     for dims, fills in [
         ((6, 9), (0.3, 0.5, 0.7)),
@@ -369,7 +369,7 @@ def test_invariance_under_axis_symmetries(seed):
 
 def test_reduced_flag():
     g = new_grid([4, 4])
-    g.set((1, 1), 1)
+    g.data[1, 1] = 1
     assert betti_numbers(g, reduced=False).betti == (1, 0, 0, 0)
     assert betti_numbers(g, reduced=True).betti == (0, 0, 0, 0)
     assert betti_numbers(new_grid([4, 4]), reduced=True).betti == (0, 0, 0, 0)
@@ -606,25 +606,23 @@ def test_whole_memo_starts_over_when_full(rng, monkeypatch, whole_memo):
 
 def test_deleting_isolated_voxel_unsafe():
     g = new_grid([5, 5])
-    g.set((2, 2), 1)
+    g.data[2, 2] = 1
     assert not is_local_flip_safe(g, (2, 2), 0)
 
 
 def test_deleting_bar_middle_unsafe():
     g = new_grid([7, 7])
     for j in range(3):
-        g.set((3, 2 + j), 1)
+        g.data[3, 2 + j] = 1
     assert not is_local_flip_safe(g, (3, 3), 0)
 
 
 def test_deleting_block_corner_safe():
     g = new_grid([6, 6])
     for c in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        g.set(c, 1)
+        g.data[c] = 1
     assert is_local_flip_safe(g, (2, 2), 0)
     # brute-force confirmation on both restricted blocks
-    from topovox.grid import extract_neighborhood
-
     before = extract_neighborhood(g, (2, 2), 1).data
     after = before.copy()
     after[1, 1] = False
@@ -641,8 +639,8 @@ def test_flip_safety_rejects_noop():
     g = new_grid([5, 5])
     with pytest.raises(ValueError):
         is_local_flip_safe(g, (2, 2), 0)
-    g.set((2, 2), 1)
-    g.set((0, 3), 1)
+    g.data[2, 2] = 1
+    g.data[0, 3] = 1
     for c, value in (((2, 2), 1), ((0, 3), 1), ((4, 4), 0), ((0, 0), 0)):
         with pytest.raises(ValueError, match="already has value"):
             is_local_flip_safe(g, c, value)
@@ -665,10 +663,10 @@ def test_accepted_flips_preserve_global_betti(rng, dims, grids, at_least):
         base, outside = betti_numbers(g), _complement_betti(g)
         for _ in range(10):
             c = tuple(int(rng.integers(0, d)) for d in dims)
-            new = 1 - g.get(c)
+            new = 1 - g.data[c]
             if is_local_flip_safe(g, c, new):
                 g2 = g.copy()
-                g2.set(c, new)
+                g2.data[c] = new
                 assert betti_numbers(g2) == base
                 assert _complement_betti(g2) == outside
                 checked += 1
@@ -780,7 +778,7 @@ def _check_gate(g, c):
     centre: no leftover (chi(A) = 1, no collapse) keeps the block's Betti
     vector.
     """
-    new = 1 - g.get(c)
+    new = 1 - g.data[c]
     safe = is_local_flip_safe(g, c, new)
     assert safe == flip_safe_reference(g, c, new)
     data = extract_neighborhood(g, c, 1).data
@@ -832,6 +830,34 @@ def test_gate_matches_reference_at_border_centres(fresh_gate, rng, dims, depth):
             _check_gate(g, border[k])
 
 
+@pytest.mark.parametrize(
+    "dims", [(1, 7), (7, 2), (2, 6), (1, 5, 6), (4, 2, 5), (1, 4, 4, 4), (2, 3, 4, 4), (3, 4, 1, 3)]
+)
+def test_gate_matches_reference_at_every_voxel_of_thin_grids(fresh_gate, rng, dims):
+    # a 1-thick axis pads the block on both sides, a 2-thick one on one side;
+    # each grid and its complement flip every voxel once each way
+    for rate in (0.35, 0.65):
+        data = rng.random(dims) < rate
+        for g in (BinaryGrid(data), BinaryGrid(~data)):
+            for c in itertools.product(*map(range, dims)):
+                new = 1 - g.data[c]
+                assert is_local_flip_safe(g, c, new) == flip_safe_reference(g, c, new), (g.data, c)
+
+
+@pytest.mark.parametrize("dims", [(1, 7), (2, 6), (4, 2, 5), (2, 3, 4, 4)])
+def test_gate_rejects_centres_outside_the_grid(dims):
+    g = BinaryGrid(np.ones(dims, dtype=bool))
+    n = len(dims)
+    outside = [(-1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (dims[0],) + (0,) * (n - 1),
+               tuple(dims), (0,) * (n - 1), (0,) * (n + 1)]
+    for c in outside:
+        for new_value in (0, 1):
+            # a negative index must not wrap to the far side, and a 0 read
+            # outside the grid must not pass for a no-op flip
+            with pytest.raises(IndexError, match="out of range"):
+                is_local_flip_safe(g, c, new_value)
+
+
 def test_gate_rejects_an_attachment_set_with_chi_1_that_does_not_collapse(fresh_gate):
     data = np.zeros((3, 3, 3), dtype=bool)
     for c in ((0, 1, 1), (1, 1, 2), (1, 2, 0), (2, 0, 0), (2, 2, 1), (2, 2, 2)):
@@ -854,7 +880,7 @@ def test_both_flip_directions_share_one_verdict(fresh_gate):
     assert is_local_flip_safe(g, (1, 1, 1), 1)
     block = homology._block(data.shape)
     assert len(block.verdicts) == 1
-    g.set((1, 1, 1), 1)
+    g.data[1, 1, 1] = 1
     assert is_local_flip_safe(g, (1, 1, 1), 0)
     assert len(block.verdicts) == 1
 
@@ -865,7 +891,7 @@ def test_gate_matches_elimination_on_random_grids(rng):
         for _ in range(60):
             g = BinaryGrid(rng.random(dims) < rng.uniform(0.2, 0.8))
             c = tuple(int(rng.integers(0, d)) for d in dims)
-            new = 1 - g.get(c)
+            new = 1 - g.data[c]
             assert is_local_flip_safe(g, c, new) == flip_safe_reference(g, c, new)
 
 

@@ -40,7 +40,7 @@ def brute_dilate(m: BinaryGrid, b: StructuringElement) -> np.ndarray:
 
 def test_dilate_single_voxel_box():
     g = new_grid([5, 5])
-    g.set((2, 2), 1)
+    g.data[2, 2] = 1
     out = dilate(g, BOX_3X3)
     assert count_ones(out) == 9
 
@@ -73,7 +73,7 @@ def test_erode_block_to_center():
     g.data[1:4, 1:4] = True
     out = erode(g, BOX_3X3)
     assert count_ones(out) == 1
-    assert out.get((2, 2)) == 1
+    assert out.data[2, 2] == 1
 
 
 def test_opening_is_anti_extensive(rng):
@@ -123,9 +123,9 @@ ISOLATED_POINT = HitMissElement.from_pattern(
 
 def test_hit_or_miss_isolated_point():
     g = new_grid([5, 5])
-    g.set((2, 2), 1)
+    g.data[2, 2] = 1
     out = hit_or_miss(g, ISOLATED_POINT)
-    assert count_ones(out) == 1 and out.get((2, 2)) == 1
+    assert count_ones(out) == 1 and out.data[2, 2] == 1
 
 
 def test_hit_or_miss_block_has_no_isolated_points():
@@ -196,7 +196,7 @@ def _thicken_one_gate_call_at_a_time(m, iterations):
         for elem in morphology._thinning_elements_2d():
             for c in map(tuple, np.argwhere(hit_or_miss(cur.complement(), elem).data)):
                 if is_local_flip_safe(cur, c, 1):
-                    cur.set(c, 1)
+                    cur.data[c] = 1
                     changed = True
         if not changed:
             break
@@ -243,7 +243,7 @@ def test_thicken_zero_iterations_is_identity():
 
 def test_safe_dilate_grows_contractible_blob():
     g = new_grid([16, 16, 16])
-    g.set((8, 8, 8), 1)
+    g.data[8, 8, 8] = 1
     out = homology_safe_dilate(g, iterations=3)
     assert betti_numbers(out).betti == (1, 0, 0, 0)
     assert count_ones(out) > 20
@@ -283,7 +283,7 @@ def test_safe_dilate_deterministic_with_bias():
 
 def test_safe_dilate_bias_dims_must_match():
     g = new_grid([8, 8])
-    g.set((4, 4), 1)
+    g.data[4, 4] = 1
     with pytest.raises(ValueError):
         homology_safe_dilate(g, bias=noise_field([9, 9], 4.0, 0))
 
@@ -292,7 +292,7 @@ def test_safe_dilate_bias_dims_must_match():
 def test_element_of_another_dimension_is_rejected(op):
     # a 2D element would probe a 3D grid in one plane only
     g = new_grid([6, 6, 6])
-    g.set((3, 3, 3), 1)
+    g.data[3, 3, 3] = 1
     with pytest.raises(ValueError, match="2D structuring element cannot probe a 3D grid"):
         op(g, BOX_3X3)
     with pytest.raises(ValueError, match="4D structuring element"):

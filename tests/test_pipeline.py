@@ -10,6 +10,7 @@ import pytest
 from topovox.grid import BinaryGrid, new_grid
 from topovox.homology import betti_numbers
 from topovox.pipeline import (
+    MAX_VOXELS,
     DatasetConfig,
     LabelMismatchError,
     SampleAttemptsExhaustedError,
@@ -312,6 +313,19 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+#: A JSON integer of 401 digits, beyond the float range
+BIG = "1" + "0" * 400
+
+#: Configs that each used to escape as an OverflowError traceback
+OVERFLOWS = [
+    (f'{{"count": 1, "deform_noise_scale": {BIG}}}', "bad config: deform_noise_scale must be a positive number, got 1000"),
+    (f'{{"count": 1, "verify_rate": {BIG}}}', "bad config: verify_rate must be a number in [0, 1], got 1000"),
+    (f'{{"count": 1, "shape_weights": {{"ball": {BIG}}}}}', "bad config: shape_weights must map kind names to finite numbers"),
+    ('{"count": 1, "dilate_element": {"mask": [[1]], "origin": [1e400, 0]}}',
+     "bad config: dilate_element: element spec needs 'mask' and 'origin': cannot convert float infinity to integer"),
+]
+
+
 def test_config_round_trip():
     cfg = DatasetConfig(count=5, dims=(16, 16, 16), mode="embed", master_seed=9)
     again = DatasetConfig.from_json(cfg.to_json())
@@ -329,12 +343,23 @@ def test_config_round_trip():
         ('{"count": 1, "colour": "red"}', "bad config: unknown fields ['colour']"),
         ('{"count": "two"}', "bad config: count must be an integer, got 'two'"),
         ('{"count": ', "Expecting value"),
+        *OVERFLOWS,
+        ('{"dims": [4000, 4000, 4000]}', f"bad config: dims (4000, 4000, 4000) hold 64000000000 voxels, more than {MAX_VOXELS}"),
     ],
 )
 def test_config_from_json_rejects_bad_input_with_a_value_error(text, reason):
     with pytest.raises(ValueError) as exc:
         DatasetConfig.from_json(text)
     assert reason in str(exc.value)
+
+
+def test_config_bounds_the_voxel_count():
+    assert MAX_VOXELS == 2**24
+    for dims in ((4096, 4096), (256, 256, 256), (64, 64, 64, 64), (1, 2**24)):
+        assert DatasetConfig(dims=dims).dims == dims
+    for dims in ((4097, 4096), (257, 256, 256), (65, 64, 64, 64), (2, 2**24), (2**63, 2**63)):
+        with pytest.raises(ValueError, match=rf"dims \({dims[0]}, .* voxels, more than {MAX_VOXELS}$"):
+            DatasetConfig(dims=dims)
 
 
 def test_config_from_json_overrides_fields_before_checking_them():
@@ -900,6 +925,7 @@ def test_interrupted_write_leaves_no_partial_sample(tmp_path, monkeypatch, targe
         ('{"count": 1, "verify_rate": 1.5}', "bad config: verify_rate must be a number in [0, 1], got 1.5"),
         ('{"count": 1, "dims": [16, 0]}', "bad config: dims must have 2 to 4 axes, each of length at least 1, got (16, 0)"),
         ('{"count": 1, "dims": []}', "bad config: dims must have 2 to 4 axes, each of length at least 1, got ()"),
+        *OVERFLOWS,
     ],
 )
 def test_cli_gen_fails_in_one_line_on_a_bad_config(tmp_path, capsys, monkeypatch, text, reason):
@@ -925,6 +951,21 @@ def test_cli_gen_rejects_dims_without_2_to_4_axes_as_a_config(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("topovox gen: error: bad config: dims must have 2 to 4 axes")
+    assert not out.exists()
+
+
+def test_cli_gen_rejects_dims_above_the_voxel_bound_before_generating(tmp_path, capsys, monkeypatch):
+    def never(cfg):  # a missing bound must not allocate 64 GB here
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(cli, "generate_dataset", never)
+    out = tmp_path / "ds"
+    assert cli.main(["gen", "--dims", "4000", "4000", "4000", "--count", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "topovox gen: error: bad config: dims (4000, 4000, 4000) hold 64000000000 voxels, "
+        f"more than {MAX_VOXELS}"
+    ]
     assert not out.exists()
 
 

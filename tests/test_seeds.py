@@ -35,7 +35,7 @@ def test_point_ball_sets_one_voxel():
     g = new_grid([9, 9, 9])
     rasterize_implicit(g, ImplicitShape("ball", (4.0, 4.0, 4.0), (0.4,)))
     assert count_ones(g) == 1
-    assert g.get((4, 4, 4)) == 1
+    assert g.data[4, 4, 4] == 1
 
 
 def test_solid_torus_label():
