@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .deform import DeformConfig, deform_volume_preserving
+from .deform import deform_volume_preserving
 from .grid import count_ones
 from .homology import betti_numbers
 from .morphology import homology_safe_dilate, thicken_background
@@ -73,10 +73,8 @@ def _gen(args: argparse.Namespace) -> int:
 
 def _deform(args: argparse.Namespace) -> int:
     grid = read_voxels(args.voxels)
-    cfg = DeformConfig(
-        iterations=args.iterations, noise_scale=args.scale, seed=args.seed
-    )
-    out, report = deform_volume_preserving(grid, cfg)
+    noise = noise_field(grid.dims, args.scale, args.seed)  # a bad scale fails before the engine runs
+    out, report = deform_volume_preserving(grid, args.iterations, noise, betti_numbers(grid))
     write_voxels(args.out, out)
     print(
         f"accepted={report.accepted_flips} volume={report.volume_before}->"

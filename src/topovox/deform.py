@@ -6,9 +6,10 @@ removed and re-placed at the highest-noise such voxel, with both steps gated
 by the local homology check; a source whose move fails the gate is passed
 over for the next.  Volume is conserved exactly because every move is a paired flip;
 topology is conserved because the gate accepts only simple-voxel flips,
-which keep the homotopy type of the foreground and the background.  A
-full-sample re-verification by the engine every 100 accepted flips checks
-this independently: a change it finds is a defect, raised as
+which keep the homotopy type of the foreground and the background.  The
+caller passes the input's label, the recipe's in generation, and the
+engine checks the deformed sample against it every 100 accepted flips and
+at the end: a change it finds is a defect, raised as
 :class:`TopologyDriftError`.
 
 Move selection is incremental.  A front built once per run holds the
@@ -39,28 +40,17 @@ from .grid import BinaryGrid, count_ones
 from . import homology
 from .homology import BettiVector, betti_numbers, block_window
 from .homology import is_local_flip_safe  # noqa: F401  (perfbench traces the gate at this name)
-from .noise import NoiseField, noise_field
+from .noise import NoiseField
+from .noise import noise_field  # noqa: F401  (perfbench traces the noise at this name)
 
 
 class TopologyDriftError(RuntimeError):
-    """Raised when global re-verification detects a Betti-vector change.
+    """Raised when the engine measures a deformed grid's Betti vector as
+    other than its label.
 
     The gate accepts only simple-voxel flips, so this means a defect, not
     bad luck.
     """
-
-
-@dataclass(frozen=True)
-class DeformConfig:
-    """Settings for one deformation run."""
-
-    iterations: int
-    noise_scale: float = 8.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
 
 
 #: Accepted flips between two engine re-verifications of the whole sample.
@@ -260,29 +250,35 @@ def _steps(shape: tuple[int, ...]) -> tuple:
 
 
 def deform_volume_preserving(
-    g: BinaryGrid, cfg: DeformConfig, noise: NoiseField | None = None
+    g: BinaryGrid, iterations: int, noise: NoiseField, label: BettiVector
 ) -> tuple[BinaryGrid, DeformReport]:
-    """Run the pixel-moving deformation; returns the new grid and a report.
+    """Make up to ``iterations`` moves up ``noise``; returns the new grid and a report.
 
-    The input grid is not modified.  ``noise`` is the field the moves climb;
-    by default it is built from ``cfg`` (``noise_scale``, ``seed``), and a
-    caller that already holds that field passes it to skip building it
-    again.  Raises :class:`TopologyDriftError` if a periodic or the final
-    global check sees the Betti vector change.
+    The input grid is not modified.  ``label`` is the input's Betti vector,
+    which the moves keep: the report's ``betti_before``.  Raises
+    :class:`TopologyDriftError`, naming the check and both vectors, if the
+    engine measures another vector every 100 accepted flips or at the end.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
     if not g.data.any() or g.data.all():
         raise ValueError("deformation needs a grid that is neither empty nor full")
-    if noise is None:
-        noise = noise_field(g.dims, cfg.noise_scale, cfg.seed)
-    elif noise.dims != g.dims:
+    if noise.dims != g.dims:
         raise ValueError(f"noise field dims {noise.dims} do not match grid dims {g.dims}")
-    report = DeformReport(
-        volume_before=count_ones(g), betti_before=betti_numbers(g)
-    )
-    since_check = 0
+    report = DeformReport(volume_before=count_ones(g), betti_before=label)
     front = _MoveFront(g, noise)
     cur = front.grid
-    for _ in range(cfg.iterations):
+
+    def check(what: str) -> BettiVector:
+        measured = betti_numbers(cur)
+        if measured != label:
+            raise TopologyDriftError(
+                f"{what} found a Betti change: the engine measured {measured.betti} "
+                f"(chi {measured.euler}), the label is {label.betti} (chi {label.euler})"
+            )
+        return measured
+
+    for _ in range(iterations):
         pair, rej_rm, rej_pl = front.select()
         report.rejected_removals += rej_rm
         report.rejected_placements += rej_pl
@@ -294,16 +290,8 @@ def deform_volume_preserving(
             break
         front.move(*pair)
         report.accepted_flips += 1
-        since_check += 1
-        if since_check >= _GLOBAL_CHECK_EVERY:
-            if betti_numbers(cur) != report.betti_before:
-                raise TopologyDriftError(
-                    f"global re-verification found a Betti change within the "
-                    f"last {since_check} flips"
-                )
-            since_check = 0
-    report.betti_after = betti_numbers(cur)
-    if report.betti_after != report.betti_before:
-        raise TopologyDriftError("final verification found a Betti change")
+        if report.accepted_flips % _GLOBAL_CHECK_EVERY == 0:
+            check(f"the periodic check after {report.accepted_flips} flips")
+    report.betti_after = check("the final check")
     report.volume_after = count_ones(cur)
     return cur.copy(), report

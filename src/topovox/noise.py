@@ -163,6 +163,8 @@ def noise_field(dims, scale: float, seed: int) -> NoiseField:
     dims = tuple(int(d) for d in dims)
     if not (isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a positive finite number, got {scale}")
+    if max(dims) / scale >= 2**63:  # a voxel's lattice cell index must fit an int64
+        raise ValueError(f"scale {scale} is too small for dims {dims}")
     freq = 1.0 / scale
     values = _perlin_grid([np.arange(d, dtype=np.float64) * freq for d in dims], seed)
     return NoiseField(dims, float(scale), int(seed), values)

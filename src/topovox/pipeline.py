@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .deform import DeformConfig, deform_volume_preserving
+from .deform import deform_volume_preserving
 from .grid import BinaryGrid, new_grid
 from .homology import BettiVector, betti_numbers
 from .labels import ConstructionDescriptor, betti_disjoint_union, cavity_label
@@ -279,6 +279,8 @@ class DatasetConfig:
             raise ValueError("count must be positive")
         if self.max_objects < 1:
             raise ValueError(f"max_objects must be at least 1, got {self.max_objects}")
+        if self.max_objects > MAX_VOXELS:  # each object takes a voxel
+            raise ValueError(f"max_objects must be at most {MAX_VOXELS}, got {self.max_objects}")
         if self.spacing < 1:
             raise ValueError(f"spacing must be at least 1, got {self.spacing}")
         if self.spacing > MAX_SPACING:
@@ -305,8 +307,8 @@ class DatasetConfig:
                 )
             if any(w < 0 for w in self.shape_weights.values()):
                 raise ValueError("shape weights must be nonnegative")
-            if sum(self.shape_weights.values()) <= 0:
-                raise ValueError("shape weights must sum to a positive value")
+            if not 0 < sum(self.shape_weights.values()) <= sys.float_info.max:
+                raise ValueError("shape_weights must sum to a positive finite number")
             for name in self.shape_weights:
                 if name not in seeds.KINDS:
                     raise ValueError(f"shape_weights names an unknown kind {name!r}")
@@ -443,12 +445,7 @@ def _build_sample(
         else None
     )
     if cfg.deform_iterations > 0:
-        dcfg = DeformConfig(
-            iterations=cfg.deform_iterations,
-            noise_scale=cfg.deform_noise_scale,
-            seed=sample_seed,
-        )
-        grid, report = deform_volume_preserving(grid, dcfg, noise=noise)
+        grid, report = deform_volume_preserving(grid, cfg.deform_iterations, noise, label)
         deform_doc = report.to_dict()
         construction.deformation_log = (
             {"kind": "volume_preserving", "iterations": cfg.deform_iterations,

@@ -13,8 +13,9 @@ import pytest
 from topovox.grid import BinaryGrid, count_ones, new_grid
 from topovox.homology import BettiVector, betti_numbers, is_local_flip_safe
 from topovox.labels import cavity_label, embedded_label
+from topovox.noise import noise_field
 from topovox.morphology import homology_safe_dilate, thicken_background
-from topovox.deform import DeformConfig, deform_volume_preserving
+from topovox.deform import deform_volume_preserving
 from topovox.pipeline import DatasetConfig, generate_dataset, read_voxels, verify_sample, write_voxels
 from topovox import seeds as sd
 
@@ -200,11 +201,13 @@ def test_criterion_4_deformation():
     """600-step deformations conserve volume and topology and move the boundary."""
     t0 = time.perf_counter()
     results = []
-    for name, grid in (("disc", _disc64(20.0)), ("figure-eight", _figure_eight64())):
+    # each shape's own label: a disc, and a wedge of two circles
+    for name, grid, label in (
+        ("disc", _disc64(20.0), BettiVector.of((1,), 1)),
+        ("figure-eight", _figure_eight64(), BettiVector.of((1, 2), -1)),
+    ):
         bnd0 = boundary_voxels(grid)
-        out, report = deform_volume_preserving(
-            grid, DeformConfig(iterations=600, noise_scale=16.0, seed=3)
-        )
+        out, report = deform_volume_preserving(grid, 600, noise_field(grid.dims, 16.0, 3), label)
         displaced = sum(1 for v in bnd0 if not out.data[v]) / len(bnd0)
         results.append(
             (

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from topovox.grid import count_ones, new_grid
-from topovox.homology import betti_numbers
+from topovox.homology import BettiVector, betti_numbers
+from topovox import deform
 from topovox.deform import (
-    DeformConfig,
     DeformReport,
     TopologyDriftError,
     _MoveFront,
@@ -25,6 +25,12 @@ def disc_grid(radius=10.0, size=48):
     c = (size - 1) / 2
     g.data[:] = ((idx[0] - c) ** 2 + (idx[1] - c) ** 2) <= radius * radius
     return g
+
+
+def _deform(g, iterations, scale=8.0, seed=0):
+    """Deform ``g`` up a noise field of ``scale`` and ``seed``, checked
+    against the engine's Betti vector of ``g``."""
+    return deform_volume_preserving(g, iterations, noise_field(g.dims, scale, seed), betti_numbers(g))
 
 
 def _coords(front, *vs):
@@ -72,9 +78,7 @@ def test_select_move_monotone_bar():
 
 def test_deform_conserves_volume_and_betti():
     g = disc_grid()
-    out, report = deform_volume_preserving(
-        g, DeformConfig(iterations=120, noise_scale=10.0, seed=2)
-    )
+    out, report = _deform(g, 120, 10.0, 2)
     assert report.volume_before == report.volume_after == count_ones(out)
     assert report.betti_before == report.betti_after == betti_numbers(out)
     assert report.accepted_flips == 120
@@ -83,7 +87,7 @@ def test_deform_conserves_volume_and_betti():
 
 def test_deform_zero_iterations_identity():
     g = disc_grid()
-    out, report = deform_volume_preserving(g, DeformConfig(iterations=0))
+    out, report = _deform(g, 0)
     assert out == g
     assert report.accepted_flips == 0
     assert report.rejected_removals == report.rejected_placements == 0
@@ -91,33 +95,23 @@ def test_deform_zero_iterations_identity():
 
 def test_deform_is_deterministic():
     g = disc_grid()
-    a, ra = deform_volume_preserving(g, DeformConfig(iterations=80, seed=5))
-    b, rb = deform_volume_preserving(g, DeformConfig(iterations=80, seed=5))
+    a, ra = _deform(g, 80, seed=5)
+    b, rb = _deform(g, 80, seed=5)
     assert a == b
     assert ra.accepted_flips == rb.accepted_flips
     assert ra.rejected_removals == rb.rejected_removals
 
 
-def test_deform_with_a_given_field_equals_building_it():
-    g = disc_grid()
-    cfg = DeformConfig(iterations=60, noise_scale=5.5, seed=9)
-    field = noise_field(g.dims, cfg.noise_scale, cfg.seed)
-    a, ra = deform_volume_preserving(g, cfg)
-    b, rb = deform_volume_preserving(g, cfg, noise=field)
-    assert a == b
-    assert ra.to_dict() == rb.to_dict()
-
-
 def test_deform_rejects_a_field_of_other_dims():
     g = disc_grid()
     with pytest.raises(ValueError, match="do not match"):
-        deform_volume_preserving(g, DeformConfig(iterations=5), noise=noise_field((40, 48), 8.0, 0))
+        deform_volume_preserving(g, 5, noise_field((40, 48), 8.0, 0), betti_numbers(g))
 
 
 def test_deform_input_grid_untouched():
     g = disc_grid()
     snapshot = g.copy()
-    deform_volume_preserving(g, DeformConfig(iterations=50, seed=1))
+    _deform(g, 50, seed=1)
     assert g == snapshot
 
 
@@ -126,9 +120,7 @@ def test_deform_preserves_figure_eight():
     for loop in sd.make_circle_wedge((21.5, 31.5), 10.0, 2):
         sd.rasterize_tube(g, loop, 3.0)
     assert betti_numbers(g).betti == (1, 2, 0, 0)
-    out, report = deform_volume_preserving(
-        g, DeformConfig(iterations=200, noise_scale=16.0, seed=4)
-    )
+    out, report = _deform(g, 200, 16.0, 4)
     assert report.betti_after.betti == (1, 2, 0, 0)
     assert report.volume_after == report.volume_before
 
@@ -138,10 +130,9 @@ def test_deform_moves_uphill():
     for x in range(3, 9):
         g.data[x, 3:6] = True
     noise = gradient_noise((20, 9))
-    cfg = DeformConfig(iterations=30, seed=0)
     cur = g.copy()
     centroid_before = np.argwhere(cur.data).mean(axis=0)
-    for _ in range(cfg.iterations):
+    for _ in range(30):
         front = _MoveFront(cur, noise)
         pair = front.select()[0]
         if pair is None:
@@ -155,9 +146,9 @@ def test_deform_moves_uphill():
 
 def test_deform_rejects_trivial_grids():
     with pytest.raises(ValueError):
-        deform_volume_preserving(new_grid([8, 8]), DeformConfig(iterations=1))
+        _deform(new_grid([8, 8]), 1)
     with pytest.raises(ValueError):
-        deform_volume_preserving(new_grid([8, 8], fill=1), DeformConfig(iterations=1))
+        _deform(new_grid([8, 8], fill=1), 1)
 
 
 def test_deform_stagnation_warns_and_stops():
@@ -165,10 +156,9 @@ def test_deform_stagnation_warns_and_stops():
     g.data[4:6, 4:6] = True  # 2x2 block: removals are safe but placements
     # can only slide it; a flat noise field (scale 1 => all zeros) gives no
     # uphill target anywhere
-    cfg = DeformConfig(iterations=10, noise_scale=1.0, seed=0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out, report = deform_volume_preserving(g, cfg)
+        out, report = _deform(g, 10, 1.0, 0)
     assert report.stagnated
     assert report.accepted_flips < 10
     assert any("stagnated" in str(w.message) for w in caught)
@@ -200,25 +190,19 @@ def test_deform_corpus_conserves_topology():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             g = _random_blob(rng, (32, 32), 3)
-            _, report = deform_volume_preserving(
-                g, DeformConfig(iterations=40, noise_scale=9.0, seed=seed)
-            )
+            _, report = _deform(g, 40, 9.0, seed)
             assert report.betti_before == report.betti_after, seed
             assert report.volume_before == report.volume_after, seed
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             g = _random_blob(rng, (16, 16, 16), 2)
-            _, report = deform_volume_preserving(
-                g, DeformConfig(iterations=25, noise_scale=6.0, seed=seed)
-            )
+            _, report = _deform(g, 25, 6.0, seed)
             assert report.betti_before == report.betti_after, seed
             assert report.volume_before == report.volume_after, seed
         for seed in range(5):
             rng = np.random.default_rng(2000 + seed)
             g = _random_blob(rng, (12, 12, 12, 12), 2)
-            _, report = deform_volume_preserving(
-                g, DeformConfig(iterations=10, noise_scale=5.0, seed=seed)
-            )
+            _, report = _deform(g, 10, 5.0, seed)
             assert report.betti_before == report.betti_after, seed
             assert report.volume_before == report.volume_after, seed
 
@@ -233,16 +217,60 @@ def test_deform_keeps_the_interior_betti_vector(dims, iterations):
         warnings.simplefilter("ignore")
         for seed in range(4):
             g = _random_blob(np.random.default_rng(300 + seed), dims, 3)
-            out, report = deform_volume_preserving(
-                g, DeformConfig(iterations=iterations, noise_scale=5.0, seed=seed)
-            )
+            out, report = _deform(g, iterations, 5.0, seed)
             assert report.accepted_flips > 0, seed
             assert interior_betti(out.data) == interior_betti(g.data), seed
 
 
-def test_deform_config_validation():
-    with pytest.raises(ValueError):
-        DeformConfig(iterations=-1)
+def test_deform_rejects_negative_iterations():
+    with pytest.raises(ValueError, match="iterations must be nonnegative, got -1"):
+        _deform(disc_grid(), -1)
+
+
+def test_deform_checks_a_short_run_once_against_its_label(monkeypatch):
+    # the label is the reference: the engine runs on the deformed grid only
+    g = disc_grid()
+    label = betti_numbers(g)
+    measured = []
+
+    def counting(grid):
+        measured.append(grid.copy())
+        return betti_numbers(grid)
+
+    monkeypatch.setattr(deform, "betti_numbers", counting)
+    out, report = deform_volume_preserving(g, 60, noise_field(g.dims, 8.0, 0), label)
+    assert report.accepted_flips == 60
+    assert report.betti_before is label
+    assert measured == [out]
+
+
+def test_periodic_check_names_itself_and_both_vectors():
+    g = disc_grid()
+    wrong = BettiVector.of((2,), 2)
+    with pytest.raises(TopologyDriftError) as info:
+        deform_volume_preserving(g, 120, noise_field(g.dims, 10.0, 2), wrong)
+    assert str(info.value) == (
+        "the periodic check after 100 flips found a Betti change: the engine "
+        "measured (1, 0, 0, 0) (chi 1), the label is (2, 0, 0, 0) (chi 2)"
+    )
+
+
+def test_deform_in_generation_is_checked_against_the_recipe(tmp_path, monkeypatch):
+    # with no engine verification drawn, deform's final check is the only
+    # one: a label the deformed grid does not have must not ship
+    from topovox import pipeline
+
+    wrong = BettiVector.of((3,), 3)
+    monkeypatch.setattr(pipeline, "cavity_label", lambda *args: wrong)
+    monkeypatch.setattr(pipeline, "betti_disjoint_union", lambda *args: wrong)
+    cfg = pipeline.DatasetConfig(
+        count=1, dims=(32, 32), deform_iterations=5, verify_rate=0.0,
+        out_dir=str(tmp_path / "ds"),
+    )
+    with pytest.raises(TopologyDriftError, match=r"^the final check found a Betti change: .*"
+                       r"the label is \(3, 0, 0, 0\) \(chi 3\)$"):
+        pipeline.generate_dataset(cfg)
+    assert not (tmp_path / "ds").exists()
 
 
 def test_drift_leaves_generate_dataset_on_the_first_attempt(tmp_path, monkeypatch):
@@ -251,9 +279,9 @@ def test_drift_leaves_generate_dataset_on_the_first_attempt(tmp_path, monkeypatc
 
     calls = []
 
-    def drift(grid, cfg, **kwargs):
-        calls.append(cfg.seed)
-        raise TopologyDriftError("final verification found a Betti change")
+    def drift(grid, iterations, noise, label):
+        calls.append(noise.seed)
+        raise TopologyDriftError("the final check found a Betti change")
 
     monkeypatch.setattr(pipeline, "deform_volume_preserving", drift)
     cfg = pipeline.DatasetConfig(
@@ -387,7 +415,7 @@ def test_front_keys_stay_the_blocks_keys(monkeypatch, dims):
         g = sd.BinaryGrid(rng.random(dims) < 0.45)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            deform_volume_preserving(g, DeformConfig(iterations=25, noise_scale=3.0, seed=seed))
+            _deform(g, 25, 3.0, seed)
     assert moves
 
 
@@ -413,7 +441,7 @@ def test_deform_returns_a_grid_that_owns_its_data(monkeypatch):
         fronts.append(self)
 
     monkeypatch.setattr(_MoveFront, "__init__", kept)
-    out, report = deform_volume_preserving(disc_grid(), DeformConfig(iterations=30, seed=3))
+    out, report = _deform(disc_grid(), 30, seed=3)
     [front] = fronts
     assert report.accepted_flips == 30
     assert out == front.grid

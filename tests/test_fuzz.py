@@ -1,13 +1,17 @@
-"""Fuzzing of the two file parsers and the config loader: they return a value
-or raise their own error."""
+"""Fuzzing of the two file parsers and the config loader, which return a
+value or raise their own error, and of the command line, which exits 0, 1
+or 2 without a traceback."""
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from topovox import cli
 from topovox.grid import BinaryGrid
 from topovox.homology import BettiVector
 from topovox.labels import ConstructionDescriptor
@@ -17,6 +21,7 @@ from topovox.pipeline import (
     ManifestFormatError,
     SampleManifest,
     VoxelFormatError,
+    generate_dataset,
     read_voxels,
     write_voxels,
 )
@@ -202,3 +207,147 @@ def test_unmutated_fuzz_configs_load():
     for doc in _CONFIGS:
         cfg = DatasetConfig.from_json(json.dumps(doc))
         assert cfg.dims == tuple(doc["dims"]) and math.prod(cfg.dims) <= MAX_VOXELS
+
+
+# ---------------------------------------------------------------------------
+# command lines
+
+_NOT_A_NUMBER = ("", "x", "2.5", "nan", "--", "=")
+_SCALES = ("8", "0.5", "0", "-1", "inf", "nan", "1e300", "1e-300", "5e-324", "x")
+_SEEDS = ("0", "-1", "9" * 30, "x")
+
+
+def _argv_pools(files):
+    """Per command, the base argv of a small run that succeeds and, per flag
+    (``None`` for the positionals), the values a mutation may give it.
+
+    Counts and iterations stay at 3 or below: a large one would make a
+    case run long, not fail.  Values beyond any size go only to the seeds,
+    which do not set the amount of work, and to fields whose bounds reject
+    them before work starts: ``--dims``, ``--spacing`` and ``--max-objects``.
+    """
+    f = files
+    voxels = (f["vox2"], f["vox3"], f["missing"], f["dir"], f["manifest"], f["text"])
+    outs = (f["out"], f["dir"], f["missing"] + "/x.tvox", "")
+    return {
+        "gen": ({"--dims": "16 16", "--count": "1", "--mode": "embed", "--out": f["gen_out"]}, {
+            "--config": (f["config"], f["missing"], f["dir"], f["text"], f["vox2"]),
+            "--count": ("1", "2", "3", "0", "-1", *_NOT_A_NUMBER),
+            "--dims": ("16 16", "12 12 12", "8 8", "16", "6 6 6 6 6", "0 16", "-3 16", "16 x", "",
+                       "9" * 20 + " 16", "4000 4000 4000", "2 16777216"),
+            "--mode": ("embed", "cutout", "mixed", "wat"),
+            "--max-objects": ("1", "2", "0", "-1", str(MAX_VOXELS + 1), str(2**64 + 1), "9" * 40, *_NOT_A_NUMBER),
+            "--spacing": ("1", "4", "5", "0", "-1", "9" * 40, *_NOT_A_NUMBER),
+            "--deform-iterations": ("0", "3", "-1", *_NOT_A_NUMBER),
+            "--dilate-iterations": ("0", "1", "-1", *_NOT_A_NUMBER),
+            "--verify-rate": ("0", "0.5", "1", "1.5", "-0.1", "inf", *_NOT_A_NUMBER),
+            "--out": (f["gen_out"], f["text"], ""),
+            "--seed": _SEEDS,
+        }),
+        "deform": ({None: f["vox2"], "--iterations": "3", "--out": f["out"]}, {
+            None: voxels,
+            "--iterations": ("0", "1", "3", "-1", *_NOT_A_NUMBER),
+            "--scale": _SCALES,
+            "--seed": _SEEDS,
+            "--out": outs,
+        }),
+        "thicken": ({None: f["vox2"], "--iterations": "1", "--out": f["out"]}, {
+            None: voxels,
+            "--iterations": ("0", "1", "3", "-1", *_NOT_A_NUMBER),
+            "--method": ("morph", "dilate", "wat"),
+            "--noise-bias": ("",),
+            "--scale": _SCALES,
+            "--seed": _SEEDS,
+            "--out": outs,
+        }),
+        "verify": ({None: f["manifest"]}, {
+            None: (f["manifest"], f["dataset"], f["missing"], f["vox2"], f["text"], f["dir"],
+                   f"{f['manifest']} {f['missing']}", ""),
+        }),
+        "stats": ({None: f["dataset"]}, {
+            None: (f["dataset"], f["missing"], f["vox2"], f["dir"], ""),
+        }),
+        "render-slice": ({None: f["vox3"], "--fix": "0=1", "--out": f["pgm"]}, {
+            None: voxels,
+            "--fix": ("0=1", "2=5", "0=1 1=2", "0=1 0=2", "0=a", "a", "5=0", "-1=0", "0=-1", "0=99", "9" * 30 + "=0", ""),
+            "--out": (f["pgm"], f["dir"], f["missing"] + "/x.pgm", ""),
+        }),
+    }
+
+
+def _argv(command, flags):
+    argv = [command]
+    for flag, value in flags.items():
+        argv += ([] if flag is None else [flag]) + value.split()
+    return argv
+
+
+def _mutated_argv(rng, pools):
+    """A base argv with one to three mutations, each a flag set from its
+    pool, a flag dropped, an unknown flag or another command's name; then,
+    one time in five, one token repeated or dropped."""
+    command = list(pools)[rng.integers(len(pools))]
+    base, pool = pools[command]
+    flags = dict(base)
+    for _ in range(rng.integers(1, 4)):
+        # most mutations set a value, so most cases get past the parser
+        op = rng.choice(4, p=[0.8, 0.1, 0.05, 0.05])
+        if op == 0:
+            flag = list(pool)[rng.integers(len(pool))]
+            flags[flag] = pool[flag][rng.integers(len(pool[flag]))]
+        elif op == 1 and flags:
+            del flags[list(flags)[rng.integers(len(flags))]]
+        elif op == 2:
+            flags["--colour"] = "red"
+        elif op == 3:
+            command = list(pools)[rng.integers(len(pools))]
+    argv = _argv(command, flags)
+    if len(argv) > 1 and rng.random() < 0.2:
+        at = rng.integers(1, len(argv))
+        argv[at : at + 1] = argv[at : at + 1] * (2 * rng.integers(2))
+    return argv
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Paths the command-line fuzz draws from, each as a string."""
+    ds = tmp_path / "ds"
+    generate_dataset(DatasetConfig(count=2, dims=(16, 16), mode="embed", out_dir=str(ds), master_seed=3))
+    write_voxels(tmp_path / "box.tvox", BinaryGrid(np.indices((6, 7, 8)).sum(axis=0) % 5 < 2))
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "notes.txt").write_text("not json, not voxels")
+    (tmp_path / "cfg.json").write_text(json.dumps({"dims": [16, 16], "count": 1, "deform_iterations": 3}))
+    names = {
+        "vox2": ds / "sample_0000.tvox", "vox3": tmp_path / "box.tvox", "manifest": ds / "sample_0001.json",
+        "dataset": ds, "dir": tmp_path / "empty", "text": tmp_path / "notes.txt", "config": tmp_path / "cfg.json",
+        "missing": tmp_path / "nowhere", "out": tmp_path / "out.tvox", "pgm": tmp_path / "out.pgm",
+        "gen_out": tmp_path / "gen",
+    }
+    return {k: str(v) for k, v in names.items()}
+
+
+def test_cli_on_mutated_command_lines(tmp_path, monkeypatch, capsys, cli_files):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TOPOVOX_OUT", raising=False)
+    pools = _argv_pools(cli_files)
+    for command, (base, _) in pools.items():
+        assert cli.main(_argv(command, base)) == 0, command
+    capsys.readouterr()
+    rng = np.random.default_rng(2801)
+    codes = set()
+    for _ in range(400):
+        argv = _mutated_argv(rng, pools)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # a usage error
+                rc = exc.code
+            except Exception as exc:
+                raise AssertionError(f"{type(exc).__name__} on {argv}") from exc
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), argv
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+        assert all("deformation stagnated" in str(w.message) for w in caught), (argv, caught)
+        codes.add(rc)
+    assert codes == {0, 1, 2}

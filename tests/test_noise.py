@@ -142,3 +142,14 @@ def test_field_shape_and_metadata():
 def test_field_parameter_validation():
     with pytest.raises(ValueError):
         noise_field([8, 8], scale=0.0, seed=0)
+
+
+def test_field_rejects_a_scale_whose_lattice_cells_overflow():
+    # beyond 2^63 lattice cells a voxel's cell index does not fit the int64
+    # cast: numpy warns and the field comes out NaN
+    with pytest.raises(ValueError, match=r"^scale 1e-300 is too small for dims \(16, 16\)$"):
+        noise_field([16, 16], scale=1e-300, seed=0)
+    with pytest.raises(ValueError, match="too small"):
+        noise_field([16, 16], scale=5e-324, seed=0)
+    with np.errstate(all="raise"):
+        assert np.isfinite(noise_field([16, 16], scale=2e-18, seed=0).values).all()
