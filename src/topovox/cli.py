@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import errno
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -71,20 +72,32 @@ def _gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_edit_args(args: argparse.Namespace) -> None:
+    """Reject a negative ``--iterations`` or ``--seed`` before the file is read."""
+    if args.iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {args.iterations}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _deform(args: argparse.Namespace) -> int:
+    _check_edit_args(args)
     grid = read_voxels(args.voxels)
     noise = noise_field(grid.dims, args.scale, args.seed)  # a bad scale fails before the engine runs
-    out, report = deform_volume_preserving(grid, args.iterations, noise, betti_numbers(grid))
+    with warnings.catch_warnings():  # a stagnated run says so in its summary line
+        warnings.filterwarnings("ignore", "deformation stagnated", RuntimeWarning)
+        out, report = deform_volume_preserving(grid, args.iterations, noise, betti_numbers(grid))
     write_voxels(args.out, out)
     print(
         f"accepted={report.accepted_flips} volume={report.volume_before}->"
         f"{report.volume_after} betti={report.betti_before.betti}->"
-        f"{report.betti_after.betti}"
+        f"{report.betti_after.betti}" + (" stagnated" if report.stagnated else "")
     )
     return 0
 
 
 def _thicken(args: argparse.Namespace) -> int:
+    _check_edit_args(args)
     grid = read_voxels(args.voxels)
     before = betti_numbers(grid)
     if args.method == "morph":

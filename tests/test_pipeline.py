@@ -2,13 +2,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from topovox.deform import deform_volume_preserving
 from topovox.grid import BinaryGrid, new_grid
 from topovox.homology import betti_numbers
+from topovox.morphology import homology_safe_dilate
+from topovox.noise import noise_field
 from topovox.pipeline import (
     MAX_VOXELS,
     DatasetConfig,
@@ -588,19 +592,73 @@ def test_cli_deform_and_thicken(tmp_path, capsys):
     assert betti_numbers(thick).betti == (1, 0, 0, 0)
 
 
-@pytest.mark.parametrize("method", ["morph", "dilate"])
-def test_cli_thicken_rejects_negative_iterations(tmp_path, capsys, method):
+@pytest.mark.parametrize(
+    "command, rest",
+    [("thicken", ["--method", "morph"]), ("thicken", ["--method", "dilate"]), ("deform", [])],
+    ids=["morph", "dilate", "deform"],
+)
+def test_cli_thicken_rejects_negative_iterations(tmp_path, monkeypatch, capsys, command, rest):
+    """Both edit commands reject the count before the file is read or measured."""
     g = new_grid([16, 16])
     g.data[5:11, 5:11] = True
     src = tmp_path / "square.tvox"
     write_voxels(src, g)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "read_voxels", no_work)
+    monkeypatch.setattr(cli, "betti_numbers", no_work)
     out = tmp_path / "t.tvox"
-    rc = cli.main(["thicken", str(src), "--method", method, "--iterations", "-2", "--out", str(out)])
+    rc = cli.main([command, str(src), *rest, "--iterations", "-2", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
-        "topovox thicken: error: iterations must be nonnegative, got -2"
+        f"topovox {command}: error: iterations must be nonnegative, got -2"
     ]
     assert not out.exists()
+
+
+def test_cli_deform_reports_stagnation_on_stdout_only(tmp_path, capsys):
+    """A scale of 1e-12 puts every voxel on a noise-lattice point, where the
+    field is zero, so no move is ever selected."""
+    g = new_grid([24, 24, 24])
+    g.data[8:16, 8:16, 8:16] = True
+    src = tmp_path / "cube.tvox"
+    write_voxels(src, g)
+    out = tmp_path / "d.tvox"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["deform", str(src), "--scale", "1e-12", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "accepted=0 volume=512->512 betti=(1, 0, 0, 0)->(1, 0, 0, 0) stagnated"
+    ]
+    assert (read_voxels(out).data == g.data).all()
+
+
+@pytest.mark.parametrize(
+    "args, reference",
+    [
+        (["deform", "--iterations", "30"], lambda g, seed: deform_volume_preserving(
+            g, 30, noise_field(g.dims, 8.0, seed), betti_numbers(g))[0]),
+        (["thicken", "--noise-bias", "--iterations", "2"], lambda g, seed: homology_safe_dilate(
+            g, iterations=2, bias=noise_field(g.dims, 8.0, seed), seed=seed)),
+    ],
+    ids=["deform", "thicken"],
+)
+@pytest.mark.parametrize("seed", [7, int("9" * 30)])
+def test_cli_edits_take_any_nonnegative_seed(tmp_path, capsys, args, reference, seed):
+    g = new_grid([32, 32])
+    idx = np.indices((32, 32)).astype(float)
+    g.data[:] = ((idx[0] - 15.5) ** 2 + (idx[1] - 15.5) ** 2) <= 64.0
+    src = tmp_path / "disc.tvox"
+    write_voxels(src, g)
+    out = tmp_path / "e.tvox"
+    command, *rest = args
+    assert cli.main([command, str(src), *rest, "--seed", str(seed), "--out", str(out)]) == 0
+    assert read_voxels(out).data.tobytes() == reference(g, seed).data.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -612,6 +670,9 @@ def test_cli_thicken_rejects_negative_iterations(tmp_path, capsys, method):
         (["render-slice", "--fix", "0=a"], "bad --fix '0=a': expected AXIS=COORD"),
         (["render-slice", "--fix", "0"], "bad --fix '0': expected AXIS=COORD"),
         (["render-slice", "--fix", "0=1", "0=2"], "bad --fix '0=2': axis 0 is fixed twice"),
+        (["deform", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["thicken", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["thicken", "--noise-bias", "--seed", "-1"], "--seed must be nonnegative, got -1"),
     ],
 )
 def test_cli_fails_in_one_line_on_bad_arguments(tmp_path, capsys, args, reason):
